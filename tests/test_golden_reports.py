@@ -1,0 +1,58 @@
+"""Fresh verification reports of the shipped configs against committed goldens.
+
+The goldens (tests/golden/*.json, written by tests/golden/make_golden.py)
+pin every report field.  Verdicts, intervals, grid sizes and block keys
+must match exactly; block minima and margins may move by rounding only
+(relative 1e-12), and a moved argmin must be a grid point of the same
+piece whose value ties the minimum within that tolerance.  Oracle errors
+are compared at relative 1e-9.
+"""
+
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from warpforge.verify import _piece_grid, verify_ric_lower
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+sys.path.insert(0, str(GOLDEN))
+from make_golden import NAMES, case  # noqa: E402
+
+ROUNDING = 1e-12
+
+
+def close(got: float, want: float, rel: float) -> bool:
+    return abs(got - want) <= rel * max(1.0, abs(want))
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_report_matches_golden(name):
+    metric, bound, grid = case(name)
+    fresh = verify_ric_lower(metric, bound, grid).as_dict()
+    golden = json.loads((GOLDEN / f"{name}.json").read_text())
+
+    for key in ("passed", "metric_id", "bound", "oracle_checked"):
+        assert fresh[key] == golden[key], key
+    assert close(fresh["oracle_max_rel_err"], golden["oracle_max_rel_err"], 1e-9)
+    assert len(fresh["pieces"]) == len(golden["pieces"])
+
+    hi_clip = metric.r_range[1] if grid.r_max is None else grid.r_max
+    for i, (got, want) in enumerate(zip(fresh["pieces"], golden["pieces"])):
+        where = f"piece {i} {want['interval']}"
+        assert got["interval"] == want["interval"], where
+        assert got["grid"] == want["grid"], where
+        assert set(got["blocks"]) == set(want["blocks"]), where
+        for block, stat in got["blocks"].items():
+            ref = want["blocks"][block]
+            assert close(stat["min"], ref["min"], ROUNDING), (where, block, stat, ref)
+            assert close(stat["margin"], ref["margin"], ROUNDING), (where, block, stat, ref)
+            if stat["argmin"] != ref["argmin"]:
+                # a tie broken differently: the new argmin must be a sample of
+                # this piece whose value ties the golden minimum
+                rs = _piece_grid(*got["interval"], grid, hi_clip)
+                values = getattr(metric.blocks(rs), block)
+                at = rs == stat["argmin"]
+                assert at.any(), (where, block, stat["argmin"])
+                assert close(float(values[at][0]), ref["min"], ROUNDING), (where, block)
