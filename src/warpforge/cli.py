@@ -34,6 +34,7 @@ from .profiles import ConstructionError, ParameterError
 from .verify import (
     GridConfig,
     export_curvature_csv,
+    radial_grid,
     scan_params,
     verify_ric_lower,
 )
@@ -69,8 +70,9 @@ def _load_config(path: str, required: set[str], optional: set[str]) -> dict:
 def _grid(cfg: dict) -> GridConfig:
     raw = dict(cfg.get("grid", {}))
     for key in ("points_per_piece", "refine_factor", "n_oracle"):
-        if key in raw:
-            raw[key] = int(raw[key])
+        value = raw.get(key)
+        if key in raw and (isinstance(value, bool) or not isinstance(value, int) or value < 1):
+            raise ConfigError(f"grid.{key} must be a positive integer, got {value!r}")
     return GridConfig.from_dict(raw)
 
 
@@ -81,9 +83,7 @@ def _write_report(report, cfg: dict, default_name: str) -> Path:
 
 def _maybe_csv(metric, cfg: dict) -> None:
     if "out_csv" in cfg:
-        lo, hi = metric.r_range
-        rs = np.geomspace(max(lo, 1e-8 * hi), hi * (1 - 1e-12), 2048)
-        export_curvature_csv(metric, rs, cfg["out_csv"])
+        export_curvature_csv(metric, radial_grid(*metric.r_range, 2048), cfg["out_csv"])
 
 
 def _maybe_descriptor(metric, cfg: dict) -> None:
@@ -293,9 +293,11 @@ def cmd_export(cfg: dict) -> int:
         metric = obj.metric
     else:
         raise ConfigError(f"unknown export target {target!r}")
-    lo = cfg.get("lo", max(metric.r_range[0], 1e-8 * metric.r_range[1]))
-    hi = cfg.get("hi", metric.r_range[1] * (1 - 1e-12))
-    rs = np.geomspace(lo, hi, int(cfg.get("points", 1024)))
+    rs = radial_grid(*metric.r_range, int(cfg.get("points", 1024)))
+    if "lo" in cfg or "hi" in cfg:
+        # geomspace returns its endpoints exactly, so rs[0] and rs[-1] are
+        # the default bounds
+        rs = np.geomspace(cfg.get("lo", rs[0]), cfg.get("hi", rs[-1]), rs.size)
     if "profile" in cfg:
         profiles = metric.profiles()
         name = cfg["profile"]

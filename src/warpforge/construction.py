@@ -49,6 +49,7 @@ from .profiles import (
     sn_jet,
     solve_cone_slope,
 )
+from .verify import radial_grid
 
 
 class SmoothingError(ConstructionError):
@@ -151,7 +152,7 @@ def build_berger_core(m: float = 1e-3, r1: float = 2.0, r_max: float = 1e3,
     B = make_B(m, r1, A, r_max=r_max)
     f = Profile([Piece(0.0, r_max, rule_const(fiber_radius), "const", {})],
                 "smooth", "f_const")
-    return WarpedMetric("berger", A, B, f, (0.0, r_max), "berger_core",
+    return WarpedMetric(A, B, f, (0.0, r_max), "berger_core",
                         {"k": A.params["k"], "m": m, "r1": r1})
 
 
@@ -211,7 +212,7 @@ def build_bubble(
     )
     params.validate()
     metric = WarpedMetric(
-        "berger", base_A, base_B, f4, (0.0, 3.0 * r3),
+        base_A, base_B, f4, (0.0, 3.0 * r3),
         "bubble", {"epsilon": epsilon, "alpha": params.alpha, "delta": params.delta,
                    "R3": params.R3, "smoothed": smooth},
     )
@@ -245,10 +246,6 @@ class SurgeryMetric:
     h: Profile
     xi: Profile
     warp: Profile
-
-    def base_sphere_warp(self, rj: Jet2) -> Jet2:
-        """The unmodified ambient base warp sn_kappa(r)."""
-        return sn_jet(self.params.kappa, rj)
 
 
 def build_surgery(
@@ -336,7 +333,7 @@ def build_surgery(
     )
     params.validate()
     metric = WarpedMetric(
-        "cone", phi, None, warp, (0.0, r_max), "surgery",
+        phi, None, warp, (0.0, r_max), "surgery",
         {"epsilon": epsilon, "alpha": alpha, "delta": delta, "kappa": kappa},
     )
     return SurgeryMetric(metric, params, mu, h, xi_profile, warp)
@@ -345,8 +342,7 @@ def build_surgery(
 def bilipschitz_check(s: SurgeryMetric, points: int = 4096) -> float:
     """sup over (0, 2] of the spherical stretch max(phi_hat/phi, phi/phi_hat)
     between the surgery base and the ambient model base; must be <= 1+2 eps."""
-    lo, hi = 1e-8 * s.metric.r_range[1], s.metric.r_range[1]
-    rs = np.geomspace(lo, hi * (1 - 1e-12), points)
+    rs = radial_grid(*s.metric.r_range, points)
     phi_hat = s.metric.A(rs).v
     phi_base = sn_jet(s.params.kappa, jet_var(rs)).v
     ratio = np.maximum(phi_hat / phi_base, phi_base / phi_hat)
@@ -365,33 +361,20 @@ def bilipschitz_check(s: SurgeryMetric, points: int = 4096) -> float:
 # gluing
 # ---------------------------------------------------------------------------
 
-def _scaled_pieces(profile: Profile, s: float, lo: float, hi: float,
+def _affine_pieces(profile: Profile, s: float, shift: float, lo: float, hi: float,
                    warp_factor: float = 1.0) -> list[Piece]:
-    """Pieces of x -> warp_factor * s * profile(x / s) on [lo, hi]."""
+    """Pieces of x -> warp_factor * s * profile((x - shift) / s) on [lo, hi]."""
     out = []
     inv = 1.0 / s
     c = warp_factor * s
-    for p in profile.trimmed(lo * inv, hi * inv):
+    for p in profile.trimmed((lo - shift) * inv, (hi - shift) * inv):
         def rule(rj: Jet2, _inner=p.rule) -> Jet2:
-            # feeding the rescaled jet makes _inner carry the chain rule, so
-            # the output is the inner jet times the overall factor
-            j = _inner(Jet2(rj.v * inv, rj.d1 * inv, rj.d2 * inv))
+            # feeding the reparametrized jet makes _inner carry the chain
+            # rule, so the output is the inner jet times the overall factor
+            j = _inner(Jet2((rj.v - shift) * inv, rj.d1 * inv, rj.d2 * inv))
             return Jet2(c * j.v, c * j.d1, c * j.d2)
-        out.append(Piece(p.lo * s, p.hi * s, rule, f"scaled({p.name})",
-                         {**p.params, "scale": s}))
-    return out
-
-
-def _shifted_pieces(profile: Profile, shift: float, lo: float, hi: float,
-                    warp_factor: float = 1.0) -> list[Piece]:
-    """Pieces of x -> warp_factor * profile(x - shift) on [lo, hi]."""
-    out = []
-    for p in profile.trimmed(lo - shift, hi - shift):
-        def rule(rj: Jet2, _inner=p.rule) -> Jet2:
-            j = _inner(rj - shift)
-            return Jet2(warp_factor * j.v, warp_factor * j.d1, warp_factor * j.d2)
-        out.append(Piece(p.lo + shift, p.hi + shift, rule, f"shifted({p.name})",
-                         {**p.params, "shift": shift}))
+        out.append(Piece(p.lo * s + shift, p.hi * s + shift, rule, f"affine({p.name})",
+                         {**p.params, "scale": s, "shift": shift}))
     return out
 
 
@@ -419,12 +402,12 @@ def glue_bubble(s: SurgeryMetric, b: Bubble) -> WarpedMetric:
     x_switch = shift + 0.75 * r_hat
     x_max = s.metric.r_range[1] + shift
 
-    bub_A = _scaled_pieces(b.base_A, s_B, 0.0, x_switch)
-    bub_B = _scaled_pieces(b.base_B, s_B, 0.0, x_switch)
-    bub_f = _scaled_pieces(b.warp, s_B, 0.0, x_switch, warp_factor=common / delta_II)
-    sur_phi = _shifted_pieces(s.metric.A, shift, x_switch, x_max)
-    sur_f = _shifted_pieces(s.metric.f, shift, x_switch, x_max,
-                            warp_factor=common / delta_I)
+    bub_A = _affine_pieces(b.base_A, s_B, 0.0, 0.0, x_switch)
+    bub_B = _affine_pieces(b.base_B, s_B, 0.0, 0.0, x_switch)
+    bub_f = _affine_pieces(b.warp, s_B, 0.0, 0.0, x_switch, warp_factor=common / delta_II)
+    sur_phi = _affine_pieces(s.metric.A, 1.0, shift, x_switch, x_max)
+    sur_f = _affine_pieces(s.metric.f, 1.0, shift, x_switch, x_max,
+                           warp_factor=common / delta_I)
 
     A = Profile(bub_A + sur_phi, "C1", "glued_A", {"s_B": s_B, "shift": shift})
     B = Profile(bub_B + sur_phi, "C1", "glued_B", {"s_B": s_B, "shift": shift})
@@ -451,7 +434,7 @@ def glue_bubble(s: SurgeryMetric, b: Bubble) -> WarpedMetric:
             )
 
     return WarpedMetric(
-        "berger", A, B, f, (0.0, x_max), "glued",
+        A, B, f, (0.0, x_max), "glued",
         {"s_B": s_B, "shift": shift, "delta_I": delta_I, "delta_II": delta_II,
          "common_delta": common, "epsilon": eps_s, "alpha": alpha},
     )

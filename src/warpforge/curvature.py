@@ -1,16 +1,17 @@
 """Ricci curvature of rotationally symmetric warped metrics.
 
-Two ansatz families are supported on a radial coordinate r:
+Every metric is a Berger-form ansatz on a radial coordinate r,
 
-  Berger form    dr^2 + A^2 dX^2 + B^2 (dY^2 + dZ^2) + f^2 g_{S^2}
-  cone-warp form dr^2 + phi^2 g_{S^3} + f^2 g_{S^2}
+  dr^2 + A^2 dX^2 + B^2 (dY^2 + dZ^2) + f^2 g_{S^2},
 
 where X, Y, Z is the left-invariant coframe on S^3 normalized so that
-dX^2 + dY^2 + dZ^2 is the unit round metric (Hopf fiber along X).  All
-blocks are reported as orthonormal-frame eigenvalues: a lower-bound
-comparison is a plain scalar comparison.
+dX^2 + dY^2 + dZ^2 is the unit round metric (Hopf fiber along X).  The
+cone-warp form dr^2 + phi^2 g_{S^3} + f^2 g_{S^2} is the case A = B = phi
+(the unsquashed Berger sphere is the round one), so `ricci_berger` is the
+only closed form.  All blocks are reported as orthonormal-frame
+eigenvalues: a lower-bound comparison is a plain scalar comparison.
 
-The closed forms evaluate through exact 2-jets; `fd_ricci_oracle` is the
+The closed form evaluates through exact 2-jets; `fd_ricci_oracle` is the
 independent cross-check, computing the same blocks from 5-point finite
 differences of the raw coordinate metric on an explicit 6-dimensional
 Euler-angle chart, after zooming coordinates so the chart is O(1) at any
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Literal, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -31,7 +32,8 @@ from .profiles import ParameterError, Profile
 
 @dataclass
 class RicciBlocks:
-    """Diagonal Ricci components; sX == sYZ == s3 in exact round symmetry."""
+    """Diagonal Ricci components; s3 names sX, and sX == sYZ (up to
+    rounding) in round symmetry."""
 
     rr: object
     sX: object
@@ -43,8 +45,8 @@ class RicciBlocks:
     def s3(self):
         return self.sX
 
-    def as_dict(self, cone: bool) -> dict:
-        if cone:
+    def as_dict(self, is_round: bool) -> dict:
+        if is_round:
             return {"rr": self.rr, "s3": self.sX, "s2": self.s2}
         return {"rr": self.rr, "sX": self.sX, "sYZ": self.sYZ, "s2": self.s2}
 
@@ -84,49 +86,6 @@ def ricci_berger(A: Jet2, B: Jet2, f: Jet2) -> RicciBlocks:
     return RicciBlocks(rr, sX, sYZ, s2)
 
 
-def ricci_cone_warp(phi: Jet2, f: Jet2) -> RicciBlocks:
-    """Blocks of dr^2 + phi^2 g_{S^3} + f^2 g_{S^2}."""
-    _require_positive("phi", phi.v)
-    _require_positive("f", f.v)
-    p, w = phi.v, f.v
-    rr = -3.0 * phi.d2 / p - 2.0 * f.d2 / w
-    s3 = (
-        2.0 * (1.0 - phi.d1 * phi.d1) / (p * p)
-        - phi.d2 / p
-        - 2.0 * (phi.d1 / p) * (f.d1 / w)
-    )
-    s2 = (
-        (1.0 - f.d1 * f.d1) / (w * w)
-        - f.d2 / w
-        - 3.0 * (f.d1 / w) * (phi.d1 / p)
-    )
-    return RicciBlocks(rr, s3, s3, s2)
-
-
-def ricci_cone_base(phi: Jet2) -> RicciBlocks:
-    """Blocks of the 4-dimensional base dr^2 + phi^2 g_{S^3} alone."""
-    _require_positive("phi", phi.v)
-    p = phi.v
-    rr = -3.0 * phi.d2 / p
-    s3 = 2.0 * (1.0 - phi.d1 * phi.d1) / (p * p) - phi.d2 / p
-    return RicciBlocks(rr, s3, s3, None)
-
-
-def ricci_warp_from_base(base: RicciBlocks, phi: Jet2, f: Jet2) -> RicciBlocks:
-    """Warp an S^2 factor of radius f onto a cone-form base whose blocks are
-    already known: radial Hessian eigenvalues of f are f'' and (phi'/phi) f'."""
-    _require_positive("f", f.v)
-    w = f.v
-    rr = base.rr - 2.0 * f.d2 / w
-    s3 = base.sX - 2.0 * (phi.d1 / phi.v) * (f.d1 / w)
-    s2 = (
-        (1.0 - f.d1 * f.d1) / (w * w)
-        - f.d2 / w
-        - 3.0 * (f.d1 / w) * (phi.d1 / phi.v)
-    )
-    return RicciBlocks(rr, s3, s3, s2)
-
-
 def scale_warp(blocks: RicciBlocks, f: Jet2, lam: float) -> RicciBlocks:
     """Blocks after f -> lam * f, lam in (0, 1]: base untouched, S^2 block
     gains (lam^-2 - 1)/f^2 >= 0."""
@@ -144,13 +103,13 @@ def scale_warp(blocks: RicciBlocks, f: Jet2, lam: float) -> RicciBlocks:
 
 @dataclass
 class WarpedMetric:
-    """A complete radial metric: Berger triple (A, B, f) or cone pair (phi, f).
+    """A complete radial metric: Berger triple (A, B, f), or a round S^3
+    factor of radius A when B is None.
 
-    Cone form is stored as A with B = None; ricci_berger with A == B equals
-    ricci_cone_warp, so the Berger path is the single evaluation engine.
+    A round metric is the Berger case B = A: blocks() reuses A's jet as B,
+    and the report keys and the descriptor's "form" follow from B is None.
     """
 
-    form: Literal["berger", "cone"]
     A: Profile
     B: Optional[Profile]
     f: Profile
@@ -159,20 +118,19 @@ class WarpedMetric:
     params: dict = field(default_factory=dict)
 
     @property
-    def is_cone(self) -> bool:
-        return self.form == "cone"
+    def is_round(self) -> bool:
+        return self.B is None
 
     def profiles(self) -> dict[str, Profile]:
-        out = {"phi" if self.is_cone else "A": self.A, "f": self.f}
+        out = {"phi" if self.is_round else "A": self.A, "f": self.f}
         if self.B is not None:
             out["B"] = self.B
         return out
 
     def blocks(self, rs) -> RicciBlocks:
-        fj = self.f(rs)
-        if self.is_cone:
-            return ricci_cone_warp(self.A(rs), fj)
-        return ricci_berger(self.A(rs), self.B(rs), fj)
+        aj = self.A(rs)
+        bj = aj if self.B is None else self.B(rs)
+        return ricci_berger(aj, bj, self.f(rs))
 
     def coefficients(self, rs):
         """(phi_or_A, B, f) value arrays for reporting."""
@@ -195,7 +153,7 @@ class WarpedMetric:
     def descriptor(self) -> dict:
         return {
             "label": self.label,
-            "form": self.form,
+            "form": "cone" if self.is_round else "berger",
             "r_range": list(self.r_range),
             "profiles": {k: p.descriptor() for k, p in self.profiles().items()},
         }

@@ -98,24 +98,6 @@ def jet_var(r: Real) -> Jet2:
     return Jet2(r, one, zero)
 
 
-def jet_const(c: Real) -> Jet2:
-    return as_jet(c)
-
-
-# -- named operations (thin wrappers over the operators) -------------------
-
-def jet_add(a: Jet2, b: Jet2) -> Jet2:
-    return a + b
-
-
-def jet_mul(a: Jet2, b: Jet2) -> Jet2:
-    return a * b
-
-
-def jet_div(a: Jet2, b: Jet2) -> Jet2:
-    return a / b
-
-
 def jet_pow(base: Jet2, exponent: float) -> Jet2:
     """base**exponent with exact jet propagation.
 

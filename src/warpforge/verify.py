@@ -125,6 +125,12 @@ class VerificationReport:
         return "\n".join(lines)
 
 
+def radial_grid(lo: float, hi: float, n: int) -> np.ndarray:
+    """n log-spaced radii on [lo, hi): the floor 1e-8 * hi keeps a range
+    that starts at r = 0 samplable, and hi itself is left out."""
+    return np.geomspace(max(lo, 1e-8 * hi), hi * (1 - 1e-12), n)
+
+
 def _piece_grid(lo: float, hi: float, cfg: GridConfig, global_max: float) -> np.ndarray:
     floor = cfg.r_min_frac * global_max
     lo_eff = max(lo, floor)
@@ -147,7 +153,6 @@ def _oracle_pass(
     hi: float,
     piece_index: int,
     cfg: GridConfig,
-    cone: bool,
 ) -> float:
     """Max scaled error |oracle - formula| / max(0.1, |formula|) over random
     radii of one piece; equivalent to |o - f| <= max(1e-5, 1e-4 |f|) scaled
@@ -170,10 +175,8 @@ def _oracle_pass(
     for r in radii:
         formula = metric.blocks(float(r))
         oracle = fd_ricci_oracle(metric, float(r), h_fd=h_fd)
-        names = ("rr", "sX", "s2") if cone else ("rr", "sX", "sYZ", "s2")
-        for name in names:
-            fv = float(getattr(formula, name))
-            ov = float(getattr(oracle, name))
+        for name, fv in formula.as_dict(metric.is_round).items():
+            fv, ov = float(fv), float(getattr(oracle, name))
             worst = max(worst, abs(ov - fv) / max(0.1, abs(fv)))
         # mixed radial/sphere block must vanish in rotational symmetry
         worst = max(worst, float(oracle.cross_ir_mag) / max(0.1, abs(float(formula.rr))))
@@ -188,7 +191,6 @@ def verify_ric_lower(
     cfg = cfg or GridConfig()
     lo_clip = metric.r_range[0] if cfg.r_min is None else cfg.r_min
     hi_clip = metric.r_range[1] if cfg.r_max is None else cfg.r_max
-    cone = metric.is_cone
     report = VerificationReport(
         metric_id=metric.label,
         bound=bound,
@@ -206,7 +208,7 @@ def verify_ric_lower(
             continue
         blocks = metric.blocks(rs)
         stats = {}
-        for name, values in blocks.as_dict(cone).items():
+        for name, values in blocks.as_dict(metric.is_round).items():
             j = int(np.argmin(values))
             vmin = float(values[j])
             stats[name] = BlockStat(vmin, float(rs[j]), vmin - bound)
@@ -215,7 +217,7 @@ def verify_ric_lower(
         if not piece.passed:
             report.passed = False
         if cfg.oracle:
-            worst_err = max(worst_err, _oracle_pass(metric, lo, hi, i, cfg, cone))
+            worst_err = max(worst_err, _oracle_pass(metric, lo, hi, i, cfg))
     if cfg.oracle:
         report.oracle_max_rel_err = worst_err if np.isfinite(worst_err) else 0.0
     return report
@@ -254,7 +256,6 @@ def check_profile_constraints(
     profile: Profile,
     constraints: list[Constraint],
     points: int = 4096,
-    r_floor: float = 1e-8,
 ) -> list[ConstraintResult]:
     out = []
     for con in constraints:
@@ -262,8 +263,7 @@ def check_profile_constraints(
             raise ParameterError(f"constraint '{con.name}': bad comparator {con.op!r}")
         lo = profile.r_min if con.lo is None else con.lo
         hi = profile.r_max if con.hi is None else con.hi
-        lo = max(lo, r_floor * hi)
-        rs = np.geomspace(lo, hi * (1 - 1e-12), points)
+        rs = radial_grid(lo, hi, points)
         vals = con.expr(rs, profile(rs))
         bnd = con.bound(rs) if callable(con.bound) else np.full_like(rs, con.bound)
         excess = vals - bnd if con.op == "<=" else bnd - vals
@@ -343,9 +343,3 @@ def export_curvature_csv(metric: WarpedMetric, rs: np.ndarray, path) -> None:
                 blocks.rr[i], blocks.sX[i], blocks.sYZ[i], blocks.s2[i],
             )
             fh.write(",".join(repr(float(x)) for x in row) + "\n")
-
-
-def default_grid_for_range(metric: WarpedMetric, points: int = 512) -> np.ndarray:
-    lo, hi = metric.r_range
-    lo = max(lo, 1e-8 * hi)
-    return np.geomspace(lo, hi * (1 - 1e-12), points)

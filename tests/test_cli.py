@@ -155,6 +155,20 @@ def test_unknown_key_rejected(tmp_path, monkeypatch):
     assert code == 1
 
 
+@pytest.mark.parametrize("grid", [
+    {"points_per_piece": "abc"},
+    {"points_per_piece": 0},
+    {"points_per_piece": 1.5},
+    {"points_per_piece": True},
+    {"refine_factor": -4},
+    {"n_oracle": "4"},
+])
+def test_malformed_grid_count_rejected(tmp_path, monkeypatch, capsys, grid):
+    code, _ = run_in(tmp_path, monkeypatch, "surgery.json", "surgery", patch={"grid": grid})
+    assert code == 1
+    assert "must be a positive integer" in capsys.readouterr().err
+
+
 def test_missing_key_rejected(tmp_path, monkeypatch):
     cfg = {"epsilon": 0.05}
     path = tmp_path / "bad.json"

@@ -11,9 +11,6 @@ from warpforge.curvature import (
     WarpedMetric,
     fd_ricci_oracle,
     ricci_berger,
-    ricci_cone_base,
-    ricci_cone_warp,
-    ricci_warp_from_base,
     scale_warp,
 )
 from warpforge.profiles import (
@@ -53,7 +50,7 @@ def test_round_s4_blocks_are_three():
     # phi = sin r, f const: the base is the unit round S^4, every block = 3
     for r in (0.3, 1.0, 2.2):
         phi = jet_at(sin_profile(), r)
-        blocks = ricci_cone_warp(phi, Jet2(0.5, 0.0, 0.0))
+        blocks = ricci_berger(phi, phi, Jet2(0.5, 0.0, 0.0))
         assert blocks.rr == pytest.approx(3.0, abs=1e-12)
         assert blocks.s3 == pytest.approx(3.0, abs=1e-9)
         assert blocks.s2 == pytest.approx(1 / 0.25, rel=1e-12)
@@ -61,7 +58,7 @@ def test_round_s4_blocks_are_three():
 
 def test_flat_cone_with_small_sphere():
     phi = jet_var(1.7)
-    blocks = ricci_cone_warp(phi, Jet2(0.1, 0.0, 0.0))
+    blocks = ricci_berger(phi, phi, Jet2(0.1, 0.0, 0.0))
     assert blocks.rr == 0.0
     assert blocks.s3 == pytest.approx(0.0, abs=1e-14)
     assert blocks.s2 == pytest.approx(100.0, rel=1e-12)
@@ -74,7 +71,7 @@ def test_warped_cone_closed_form():
         tj = jet_var(t)
         phi = tj * (1 - eps)
         f = jet_pow(tj, alpha) * delta
-        blocks = ricci_cone_warp(phi, f)
+        blocks = ricci_berger(phi, phi, f)
         assert blocks.rr == pytest.approx(-2 * alpha * (alpha - 1) / t**2, rel=1e-10)
         assert blocks.s3 == pytest.approx(
             2 * (1 / (1 - eps) ** 2 - 1 - alpha) / t**2, rel=1e-10
@@ -85,6 +82,16 @@ def test_warped_cone_closed_form():
         assert blocks.s2 == pytest.approx(s2_expected, rel=1e-10)
 
 
+def cone_warp_reference(phi, f):
+    """Blocks of dr^2 + phi^2 g_{S^3} + f^2 g_{S^2} in their cone-form
+    closed form: (rr, s3, s2)."""
+    p, w = phi.v, f.v
+    rr = -3.0 * phi.d2 / p - 2.0 * f.d2 / w
+    s3 = 2.0 * (1.0 - phi.d1 * phi.d1) / (p * p) - phi.d2 / p - 2.0 * (phi.d1 / p) * (f.d1 / w)
+    s2 = (1.0 - f.d1 * f.d1) / (w * w) - f.d2 / w - 3.0 * (f.d1 / w) * (phi.d1 / p)
+    return rr, s3, s2
+
+
 def test_berger_round_degeneration():
     # A = B reduces the Berger form to the cone form
     rng = np.random.default_rng(0)
@@ -93,24 +100,11 @@ def test_berger_round_degeneration():
         fv, fd1, fd2 = rng.uniform(0.2, 1.5), rng.standard_normal(), rng.standard_normal()
         phi, f = Jet2(v, d1, d2), Jet2(fv, fd1, fd2)
         bb = ricci_berger(phi, phi, f)
-        cc = ricci_cone_warp(phi, f)
-        assert bb.rr == pytest.approx(cc.rr, rel=1e-10, abs=1e-10)
-        assert bb.sX == pytest.approx(cc.s3, rel=1e-10, abs=1e-10)
-        assert bb.sYZ == pytest.approx(cc.s3, rel=1e-10, abs=1e-10)
-        assert bb.s2 == pytest.approx(cc.s2, rel=1e-10, abs=1e-10)
-
-
-def test_warp_from_base_matches_direct():
-    rng = np.random.default_rng(1)
-    for _ in range(100):
-        phi = Jet2(rng.uniform(0.5, 2.0), rng.standard_normal(), rng.standard_normal())
-        f = Jet2(rng.uniform(0.2, 1.5), rng.standard_normal(), rng.standard_normal())
-        base = ricci_cone_base(phi)
-        via_base = ricci_warp_from_base(base, phi, f)
-        direct = ricci_cone_warp(phi, f)
-        assert via_base.rr == pytest.approx(direct.rr, rel=1e-10, abs=1e-12)
-        assert via_base.s3 == pytest.approx(direct.s3, rel=1e-10, abs=1e-12)
-        assert via_base.s2 == pytest.approx(direct.s2, rel=1e-10, abs=1e-12)
+        rr, s3, s2 = cone_warp_reference(phi, f)
+        assert bb.rr == pytest.approx(rr, rel=1e-10, abs=1e-10)
+        assert bb.sX == pytest.approx(s3, rel=1e-10, abs=1e-10)
+        assert bb.sYZ == pytest.approx(s3, rel=1e-10, abs=1e-10)
+        assert bb.s2 == pytest.approx(s2, rel=1e-10, abs=1e-10)
 
 
 def test_warp_from_base_gaussian_vs_oracle():
@@ -122,24 +116,14 @@ def test_warp_from_base_gaussian_vs_oracle():
 
     phi = id_profile()
     f = single_piece(f_rule, "gauss", r_max=4.0)
-    m = WarpedMetric("cone", phi, None, f, (0.1, 3.5), "flat_gauss")
+    m = WarpedMetric(phi, None, f, (0.1, 3.5), "flat_gauss")
     for r in (0.4, 1.0, 2.2):
-        base = ricci_cone_base(phi(r))
-        formula = ricci_warp_from_base(base, phi(r), f(r))
+        formula = m.blocks(r)
         oracle = fd_ricci_oracle(m, r)
         assert abs(float(oracle.s2) - float(formula.s2)) <= max(
             1e-5, 1e-4 * abs(float(formula.s2))
         )
         assert abs(float(oracle.rr) - float(formula.rr)) <= 1e-5
-
-
-def test_warp_const_f_adds_inverse_square():
-    phi = Jet2(1.3, 0.4, -0.2)
-    base = ricci_cone_base(phi)
-    out = ricci_warp_from_base(base, phi, Jet2(0.25, 0.0, 0.0))
-    assert out.rr == base.rr
-    assert out.s3 == base.s3
-    assert out.s2 == pytest.approx(16.0, rel=1e-12)
 
 
 # -- scale_warp -----------------------------------------------------------------
@@ -153,7 +137,7 @@ def test_scale_warp_identity():
 
 def test_scale_warp_const_f_half():
     f = Jet2(0.5, 0.0, 0.0)
-    blocks = ricci_cone_warp(jet_var(2.0), f)
+    blocks = ricci_berger(jet_var(2.0), jet_var(2.0), f)
     out = scale_warp(blocks, f, 0.5)
     assert blocks.s2 == pytest.approx(4.0, rel=1e-12)
     assert out.s2 == pytest.approx(16.0, rel=1e-12)
@@ -164,7 +148,7 @@ def test_scale_warp_monotone_random_profile():
     rs = rng.uniform(0.3, 3.0, size=1000)
     phi = jet_var(rs)
     f = Jet2(0.2 + 0.1 * np.sin(rs), 0.1 * np.cos(rs), -0.1 * np.sin(rs))
-    blocks = ricci_cone_warp(phi, f)
+    blocks = ricci_berger(phi, phi, f)
     prev = blocks.s2
     for lam in (1.0, 0.5, 0.1, 0.01):
         out = scale_warp(blocks, f, lam)
@@ -180,14 +164,14 @@ def test_scale_warp_rejects_bad_lambda():
 
 def test_nonpositive_profile_value_is_domain_error():
     with pytest.raises(JetDomainError):
-        ricci_cone_warp(Jet2(-1.0, 0.0, 0.0), Jet2(1.0, 0.0, 0.0))
+        ricci_berger(Jet2(-1.0, 0.0, 0.0), Jet2(-1.0, 0.0, 0.0), Jet2(1.0, 0.0, 0.0))
 
 
 # -- fd oracle -------------------------------------------------------------------
 
 
 def cone_metric(phi_profile, f_profile, r_range, label):
-    return WarpedMetric("cone", phi_profile, None, f_profile, r_range, label)
+    return WarpedMetric(phi_profile, None, f_profile, r_range, label)
 
 
 def test_oracle_round_s4():
@@ -238,7 +222,7 @@ def test_oracle_berger_vs_closed_form():
     A = single_piece(lambda rj: jet_sin(rj) * 0.8, "A", r_max=3.0)
     B = single_piece(lambda rj: jet_sin(rj) * 0.9 + 0.1, "B", r_max=3.0)
     f = single_piece(lambda rj: (rj * 0.05 + 0.3), "f", r_max=3.0)
-    m = WarpedMetric("berger", A, B, f, (0.3, 2.8), "berger_test")
+    m = WarpedMetric(A, B, f, (0.3, 2.8), "berger_test")
     for r in (0.6, 1.3, 2.4):
         formula = m.blocks(r)
         oracle = fd_ricci_oracle(m, r)

@@ -24,7 +24,7 @@ def cone(phi_rule, f_rule, r_range, label, r_max=None):
     r_max = r_max or r_range[1]
     phi = Profile([Piece(0.0, r_max, phi_rule, "phi", {})], "smooth", label + "_phi")
     f = Profile([Piece(0.0, r_max, f_rule, "f", {})], "smooth", label + "_f")
-    return WarpedMetric("cone", phi, None, f, r_range, label)
+    return WarpedMetric(phi, None, f, r_range, label)
 
 
 @pytest.fixture(scope="module")
