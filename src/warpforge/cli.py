@@ -8,7 +8,9 @@ Exit codes are stable for CI use:
     1  configuration or runtime error
     2  verification found a violation (the machine report is still written)
 
-Commands: bubble, surgery, glue, verify, scan, limits, export.
+Commands: bubble, surgery, glue, verify, scan, limits, export.  SCHEMA
+lists every key each command's config takes, with its value kind; a
+config is checked against it before anything is built.
 """
 
 from __future__ import annotations
@@ -46,34 +48,129 @@ class ConfigError(ValueError):
     pass
 
 
-def _validate_keys(cfg: dict, required: set[str], optional: set[str]) -> dict:
-    unknown = set(cfg) - required - optional
+# ---------------------------------------------------------------------------
+# config schema: section -> {key: (kind, required)}
+# ---------------------------------------------------------------------------
+
+# A kind is a value kind below (its text completes "<key> must be ..."), a
+# nested section (a dict), or [kind] for a non-empty list of that kind.
+# Physical parameter ranges are the constructors' to check, not the schema's.
+NUMBER, NONNEG, AUTO = "a finite number", "a finite number >= 0", 'a finite number or "auto"'
+FLAG, COUNT, INTEGER, TEXT = "a boolean", "a positive integer", "an integer", "a string"
+
+_IS = {  # JSON true/false are not numbers; NaN and infinities are not finite
+    NUMBER: lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max,
+    NONNEG: lambda v: _IS[NUMBER](v) and v >= 0,
+    AUTO: lambda v: v == "auto" or _IS[NUMBER](v),
+    INTEGER: lambda v: type(v) is int, COUNT: lambda v: type(v) is int and v >= 1,
+    FLAG: lambda v: type(v) is bool, TEXT: lambda v: type(v) is str,
+}
+
+# keyword arguments of build_bubble / build_surgery; their defaults stay in
+# the builder signatures and only the keys a config gives are passed on
+_BUBBLE = {"epsilon": (NUMBER, True), "alpha2": (NUMBER, True), "delta2": (NUMBER, True),
+           "r3": (NUMBER, True), "m": (NUMBER, False), "r1": (NUMBER, False),
+           "smooth": (FLAG, False)}
+_SURGERY = {"kappa": (NUMBER, True), "f0": (NUMBER, True), "lambda_bound": (NUMBER, True),
+            "epsilon": (NUMBER, True), "alpha": (NUMBER, True), "r_hat": (NUMBER, True),
+            "delta_hat": (NUMBER, True), "eta": (NUMBER, False), "rho": (NUMBER, False),
+            "r_m": (NUMBER, False), "r3": (NUMBER, False)}
+# a scan point (base plus one value per range) is a bubble config, r3 optional
+_SCAN_POINT = {**_BUBBLE, "r3": (NUMBER, False)}
+_GRID = {"points_per_piece": (COUNT, False), "refine_factor": (COUNT, False),
+         "refine_frac": (NUMBER, False), "r_min_frac": (NONNEG, False),
+         "oracle": (FLAG, False), "n_oracle": (COUNT, False), "h_fd": (NUMBER, False),
+         "seed": (INTEGER, False), "r_min": (NUMBER, False), "r_max": (NUMBER, False)}
+_OUT = {"grid": (_GRID, False), "out_report": (TEXT, False), "out_csv": (TEXT, False),
+        "out_descriptor": (TEXT, False)}
+
+# One section per command.  A `target` key's kind maps each allowed target
+# to the section whose keys it adds to the config.
+SCHEMA = {
+    "bubble": {**_BUBBLE, "bound": (NUMBER, False), **_OUT},
+    "surgery": {**_SURGERY, "ricci_constant": (NUMBER, False), **_OUT},
+    "glue": {"surgery": (_SURGERY, True),
+             "bubble": ({"delta2": (NUMBER, True), "r3": (NUMBER, True), "m": (NUMBER, False),
+                         "r1": (NUMBER, False), "alpha2": (AUTO, False)}, True),
+             "bound": (NUMBER, False), **_OUT},
+    "scan": {"target": ({"bubble": {}}, True),
+             "base": ({k: (kind, False) for k, (kind, _) in _SCAN_POINT.items()}, False),
+             "ranges": ({k: ([kind], False) for k, (kind, _) in _SCAN_POINT.items()}, True),
+             "bound": (NUMBER, False), "grid": (_GRID, False), "out_report": (TEXT, False)},
+    "limits": {"j": (INTEGER, True), "epsilon": (NUMBER, True), "delta": (NUMBER, True),
+               "lambda_plus": (NUMBER, True), "C": (NUMBER, False), "out_report": (TEXT, False)},
+    "export": {"target": ({"bubble": _BUBBLE, "surgery": _SURGERY}, True),
+               "out_csv": (TEXT, True), "lo": (NUMBER, False), "hi": (NUMBER, False),
+               "points": (COUNT, False), "profile": (TEXT, False)},
+}
+SCHEMA["verify"] = {"target": ({t: SCHEMA[t] for t in ("bubble", "surgery", "glue")}, True)}
+
+
+def _check(cfg, spec: dict, where: str) -> dict:
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {cfg!r}")
+    if "target" in spec:
+        targets, target = spec["target"][0], cfg.get("target")
+        if not isinstance(target, str) or target not in targets:
+            raise ConfigError(f"{where}: target must be one of {sorted(targets)}, got {target!r}")
+        spec = {**spec, **targets[target], "target": (TEXT, True)}
+    unknown = sorted(set(cfg) - set(spec))
     if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    missing = required - set(cfg)
+        raise ConfigError(f"unknown keys in {where}: {unknown}")
+    missing = sorted(k for k, (_, required) in spec.items() if required and k not in cfg)
     if missing:
-        raise ConfigError(f"missing config keys: {sorted(missing)}")
+        raise ConfigError(f"missing keys in {where}: {missing}")
+    for key, value in cfg.items():
+        _check_value(value, spec[key][0], key if where == "config" else f"{where}.{key}")
     return cfg
 
 
-def _load_config(path: str, required: set[str], optional: set[str]) -> dict:
+def _check_value(value, kind, name: str) -> None:
+    if isinstance(kind, dict):
+        _check(value, kind, name)
+    elif isinstance(kind, list):
+        if not isinstance(value, list) or not value:
+            raise ConfigError(f"{name} must be a non-empty list, got {value!r}")
+        for item in value:
+            _check_value(item, kind[0], name)
+    elif not _IS[kind](value):
+        raise ConfigError(f"{name} must be {kind}, got {value!r}")
+
+
+def check(cfg, command: str) -> dict:
+    """cfg, if it fits the command's SCHEMA section; else a ConfigError
+    naming the first offending key."""
+    return _check(cfg, SCHEMA[command], "config")
+
+
+def load_config(path, command: str) -> dict:
     try:
         with open(path) as fh:
             cfg = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise ConfigError("config root must be a JSON object")
-    return _validate_keys(cfg, required, optional)
+    return check(cfg, command)
 
 
-def _grid(cfg: dict) -> GridConfig:
-    raw = dict(cfg.get("grid", {}))
-    for key in ("points_per_piece", "refine_factor", "n_oracle"):
-        value = raw.get(key)
-        if key in raw and (isinstance(value, bool) or not isinstance(value, int) or value < 1):
-            raise ConfigError(f"grid.{key} must be a positive integer, got {value!r}")
-    return GridConfig.from_dict(raw)
+def build(target: str, cfg: dict) -> tuple:
+    """(Bubble | SurgeryMetric | glued metric, metric, bound, grid) of a
+    checked bubble, surgery or glue config, as its command verifies them."""
+    grid = GridConfig(**cfg.get("grid", {}))
+    if target == "bubble":
+        b = build_bubble(**{k: cfg[k] for k in _BUBBLE if k in cfg})
+        return b, b.metric, cfg.get("bound", 0.0), grid
+    if target == "surgery":
+        s = build_surgery(**{k: cfg[k] for k in _SURGERY if k in cfg})
+        grid.r_min, grid.r_max = s.params.r_hat / 2.0, 2.0
+        bound = s.params.lambda_bound - cfg.get("ricci_constant", 150.0) * s.params.epsilon
+        return s, s.metric, bound, grid
+    s = build_surgery(**cfg["surgery"])
+    kw = {"epsilon": s.params.epsilon, **cfg["bubble"]}
+    alpha2, delta2 = kw.pop("alpha2", "auto"), kw.pop("delta2")
+    if alpha2 == "auto":
+        alpha2 = bubble_alpha2_for_alpha(s.params.alpha, **kw)
+    glued = glue_bubble(s, build_bubble(alpha2=alpha2, delta2=delta2, **kw))
+    return glued, glued, cfg.get("bound", 0.0), grid
 
 
 def _write_report(report, cfg: dict, default_name: str) -> Path:
@@ -92,58 +189,26 @@ def _maybe_descriptor(metric, cfg: dict) -> None:
             json.dump(metric.descriptor(), fh, indent=2)
 
 
-BUBBLE_KEYS = {"epsilon", "alpha2", "delta2", "r3"}
-BUBBLE_OPT = {"m", "r1", "smooth", "bound", "grid", "out_report", "out_csv",
-              "out_descriptor"}
-
-
-def _build_bubble_from(cfg: dict):
-    kwargs = dict(
-        epsilon=cfg["epsilon"], alpha2=cfg["alpha2"], delta2=cfg["delta2"],
-        r3=cfg["r3"], m=cfg.get("m", 1e-3), r1=cfg.get("r1", 2.0),
-        smooth=cfg.get("smooth", True),
-    )
-    return build_bubble(**kwargs)
-
+# `warpforge <name>` runs cmd_<name> on its checked config
 
 def cmd_bubble(cfg: dict) -> int:
-    bubble = _build_bubble_from(cfg)
-    report = verify_ric_lower(bubble.metric, cfg.get("bound", 0.0), _grid(cfg))
+    bubble, metric, bound, grid = build("bubble", cfg)
+    report = verify_ric_lower(metric, bound, grid)
     path = _write_report(report, cfg, "bubble_report.json")
-    _maybe_csv(bubble.metric, cfg)
-    _maybe_descriptor(bubble.metric, cfg)
+    _maybe_csv(metric, cfg)
+    _maybe_descriptor(metric, cfg)
     print(report.summary())
     print(f"report written to {path}")
-    blowdown = blowdown_lipschitz(bubble)
-    print(f"blow-down stretch sup: {blowdown:.6g}")
+    print(f"blow-down stretch sup: {blowdown_lipschitz(bubble):.6g}")
     return EXIT_OK if report.passed else EXIT_VIOLATION
 
 
-SURGERY_KEYS = {"kappa", "f0", "lambda_bound", "epsilon", "alpha", "r_hat",
-                "delta_hat"}
-SURGERY_OPT = {"eta", "rho", "r_m", "r3", "ricci_constant", "grid",
-               "out_report", "out_csv", "out_descriptor"}
-
-
-def _build_surgery_from(cfg: dict):
-    kwargs = {k: cfg[k] for k in SURGERY_KEYS}
-    for k in ("eta", "rho", "r_m", "r3"):
-        if k in cfg:
-            kwargs[k] = cfg[k]
-    return build_surgery(**kwargs)
-
-
 def cmd_surgery(cfg: dict) -> int:
-    s = _build_surgery_from(cfg)
-    constant = cfg.get("ricci_constant", 150.0)
-    bound = s.params.lambda_bound - constant * s.params.epsilon
-    grid = _grid(cfg)
-    grid.r_min = s.params.r_hat / 2.0
-    grid.r_max = 2.0
-    report = verify_ric_lower(s.metric, bound, grid)
+    s, metric, bound, grid = build("surgery", cfg)
+    report = verify_ric_lower(metric, bound, grid)
     path = _write_report(report, cfg, "surgery_report.json")
-    _maybe_csv(s.metric, cfg)
-    _maybe_descriptor(s.metric, cfg)
+    _maybe_csv(metric, cfg)
+    _maybe_descriptor(metric, cfg)
     print(report.summary())
 
     ok = report.passed
@@ -155,34 +220,16 @@ def cmd_surgery(cfg: dict) -> int:
         ok = False
     min_ric = min(report.block_min(k) for k in ("rr", "s3", "s2"))
     measured = (s.params.lambda_bound - min_ric) / s.params.epsilon
+    constant = (s.params.lambda_bound - bound) / s.params.epsilon
     print(f"delta = {s.params.delta:.8g}; measured Ricci constant C = {measured:.4g} "
           f"(asserted <= {constant:g})")
     print(f"report written to {path}")
     return EXIT_OK if ok else EXIT_VIOLATION
 
 
-GLUE_KEYS = {"surgery", "bubble"}
-GLUE_OPT = {"bound", "grid", "out_report", "out_csv", "out_descriptor"}
-
-
 def cmd_glue(cfg: dict) -> int:
-    s_cfg = cfg["surgery"]
-    b_cfg = cfg["bubble"]
-    unknown = set(s_cfg) - SURGERY_KEYS - {"eta", "rho", "r_m", "r3"}
-    if unknown:
-        raise ConfigError(f"unknown surgery keys: {sorted(unknown)}")
-    unknown = set(b_cfg) - {"delta2", "r3", "m", "r1", "alpha2"}
-    if unknown:
-        raise ConfigError(f"unknown bubble keys: {sorted(unknown)}")
-    s = _build_surgery_from(s_cfg)
-    m, r1, r3 = b_cfg.get("m", 1e-3), b_cfg.get("r1", 2.0), b_cfg["r3"]
-    alpha2 = b_cfg.get("alpha2", "auto")
-    if alpha2 == "auto":
-        alpha2 = bubble_alpha2_for_alpha(s.params.alpha, s.params.epsilon, m, r1, r3)
-    bubble = build_bubble(epsilon=s.params.epsilon, alpha2=alpha2,
-                          delta2=b_cfg["delta2"], m=m, r1=r1, r3=r3)
-    glued = glue_bubble(s, bubble)
-    report = verify_ric_lower(glued, cfg.get("bound", 0.0), _grid(cfg))
+    _, glued, bound, grid = build("glue", cfg)
+    report = verify_ric_lower(glued, bound, grid)
     path = _write_report(report, cfg, "glue_report.json")
     _maybe_csv(glued, cfg)
     _maybe_descriptor(glued, cfg)
@@ -193,39 +240,20 @@ def cmd_glue(cfg: dict) -> int:
     return EXIT_OK if report.passed else EXIT_VIOLATION
 
 
-VERIFY_OPT = {"bound", "grid", "out_report", "out_csv"}
-
-
-def cmd_verify(cfg_path: str) -> int:
-    head = _load_config(cfg_path, {"target"},
-                        BUBBLE_KEYS | BUBBLE_OPT | SURGERY_KEYS | SURGERY_OPT
-                        | GLUE_KEYS | GLUE_OPT | VERIFY_OPT)
-    target = head.pop("target")
-    schemas = {
-        "bubble": (cmd_bubble, BUBBLE_KEYS, BUBBLE_OPT),
-        "surgery": (cmd_surgery, SURGERY_KEYS, SURGERY_OPT),
-        "glue": (cmd_glue, GLUE_KEYS, GLUE_OPT),
-    }
-    if target not in schemas:
-        raise ConfigError(f"unknown verify target {target!r}")
-    fn, required, optional = schemas[target]
-    return fn(_validate_keys(head, required, optional | VERIFY_OPT))
-
-
-SCAN_KEYS = {"target", "ranges"}
-SCAN_OPT = {"base", "bound", "grid", "out_report"}
+def cmd_verify(cfg: dict) -> int:
+    return _run(cfg["target"], cfg)
 
 
 def cmd_scan(cfg: dict) -> int:
-    if cfg["target"] != "bubble":
-        raise ConfigError(f"scan target {cfg['target']!r} not supported")
-    base = dict(cfg.get("base", {}))
-    base.setdefault("smooth", False)
+    base = {"smooth": False, **cfg.get("base", {})}
+    first = {k: values[0] for k, values in cfg["ranges"].items()}
+    _check({**base, **first}, _SCAN_POINT, "scan base and ranges")
 
     def builder(**kw):
         return build_bubble(**kw).metric
 
-    rows = scan_params(builder, base, cfg["ranges"], cfg.get("bound", 0.0), _grid(cfg))
+    rows = scan_params(builder, base, cfg["ranges"], cfg.get("bound", 0.0),
+                       GridConfig(**cfg.get("grid", {})))
     out = Path(cfg.get("out_report", "scan_report.json"))
     with open(out, "w") as fh:
         json.dump(rows, fh, indent=2, default=float)
@@ -241,12 +269,8 @@ def cmd_scan(cfg: dict) -> int:
     return EXIT_OK
 
 
-LIMITS_KEYS = {"j", "epsilon", "delta", "lambda_plus"}
-LIMITS_OPT = {"C", "out_report"}
-
-
 def cmd_limits(cfg: dict) -> int:
-    j, eps = int(cfg["j"]), cfg["epsilon"]
+    j, eps = cfg["j"], cfg["epsilon"]
     delta, lam_plus = cfg["delta"], cfg["lambda_plus"]
     C = cfg.get("C")
     if C is None:
@@ -278,22 +302,9 @@ def cmd_limits(cfg: dict) -> int:
     return EXIT_OK
 
 
-EXPORT_KEYS = {"target", "out_csv"}
-EXPORT_OPT = (BUBBLE_KEYS | BUBBLE_OPT | SURGERY_KEYS | SURGERY_OPT
-              | {"lo", "hi", "points", "profile"}) - {"out_csv"}
-
-
 def cmd_export(cfg: dict) -> int:
-    target = cfg["target"]
-    if target == "bubble":
-        obj = _build_bubble_from(cfg)
-        metric = obj.metric
-    elif target == "surgery":
-        obj = _build_surgery_from(cfg)
-        metric = obj.metric
-    else:
-        raise ConfigError(f"unknown export target {target!r}")
-    rs = radial_grid(*metric.r_range, int(cfg.get("points", 1024)))
+    _, metric, _, _ = build(cfg["target"], cfg)
+    rs = radial_grid(*metric.r_range, cfg.get("points", 1024))
     if "lo" in cfg or "hi" in cfg:
         # geomspace returns its endpoints exactly, so rs[0] and rs[-1] are
         # the default bounds
@@ -310,14 +321,8 @@ def cmd_export(cfg: dict) -> int:
     return EXIT_OK
 
 
-_COMMANDS = {
-    "bubble": (cmd_bubble, BUBBLE_KEYS, BUBBLE_OPT),
-    "surgery": (cmd_surgery, SURGERY_KEYS, SURGERY_OPT),
-    "glue": (cmd_glue, GLUE_KEYS, GLUE_OPT),
-    "scan": (cmd_scan, SCAN_KEYS, SCAN_OPT),
-    "limits": (cmd_limits, LIMITS_KEYS, LIMITS_OPT),
-    "export": (cmd_export, EXPORT_KEYS, EXPORT_OPT),
-}
+def _run(command: str, cfg: dict) -> int:
+    return globals()[f"cmd_{command}"](cfg)
 
 
 def main(argv=None) -> int:
@@ -326,17 +331,13 @@ def main(argv=None) -> int:
         description="build and verify warped-product metrics with Ricci lower bounds",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in list(_COMMANDS) + ["verify"]:
-        p = sub.add_parser(name)
-        p.add_argument("-c", "--config", required=True, help="JSON config file")
+    for name in SCHEMA:
+        sub.add_parser(name).add_argument("-c", "--config", required=True,
+                                          help="JSON config file")
     args = parser.parse_args(argv)
 
     try:
-        if args.command == "verify":
-            return cmd_verify(args.config)
-        fn, required, optional = _COMMANDS[args.command]
-        cfg = _load_config(args.config, required, optional)
-        return fn(cfg)
+        return _run(args.command, load_config(args.config, args.command))
     except (ConfigError, ParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -219,10 +219,11 @@ def build_bubble(
     return Bubble(metric, params, 2.0 * r3, h3, base_A, base_B, f4, smooth)
 
 
-def bubble_alpha2_for_alpha(alpha: float, epsilon: float, m: float, r1: float,
-                            r3: float) -> float:
+def bubble_alpha2_for_alpha(alpha: float, epsilon: float, m: float = 1e-3, r1: float = 2.0,
+                            r3: float = 1e3) -> float:
     """Invert the exterior-exponent matching formula: the alpha2 that makes
-    the bubble's exterior warp exponent equal alpha."""
+    the bubble's exterior warp exponent equal alpha (defaults as in
+    build_bubble)."""
     A = make_A(m, r1, r_max=4 * r1)
     h3 = make_h3(m, epsilon, r1, r3, A.params["A_r1"])
     t3 = h3.params["h3_r3"] / (1.0 - epsilon)

@@ -450,6 +450,9 @@ def make_f4(
     t3 = h3_r3 / (1.0 - epsilon)  # = r3 - R3
     alpha = alpha2 * (r3 * t3) / (1.0 + r3 * r3)
     delta = delta2 * (1.0 + r3 * r3) ** (0.5 * alpha2) / t3**alpha
+    if not (math.isfinite(alpha) and math.isfinite(delta)):
+        raise ParameterError(f"r3 = {r3} gives a non-finite exterior warp: "
+                             f"alpha = {alpha}, delta = {delta}")
     if not alpha < alpha2:
         raise ConstructionError(f"alpha = {alpha} >= alpha2 = {alpha2}")
     if not R3 > 0:

@@ -35,14 +35,6 @@ class GridConfig:
     r_min: Optional[float] = None  # optional clip of the verified range
     r_max: Optional[float] = None
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "GridConfig":
-        allowed = set(cls.__dataclass_fields__)
-        unknown = set(d) - allowed
-        if unknown:
-            raise ParameterError(f"unknown grid config keys: {sorted(unknown)}")
-        return cls(**d)
-
 
 @dataclass
 class BlockStat:
@@ -218,6 +210,9 @@ def verify_ric_lower(
             report.passed = False
         if cfg.oracle:
             worst_err = max(worst_err, _oracle_pass(metric, lo, hi, i, cfg))
+    if not report.pieces:
+        raise ParameterError(f"the grid samples no piece of {metric.label} in "
+                             f"[{lo_clip:g}, {hi_clip:g}] (r_min_frac = {cfg.r_min_frac:g})")
     if cfg.oracle:
         report.oracle_max_rel_err = worst_err if np.isfinite(worst_err) else 0.0
     return report

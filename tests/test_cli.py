@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from warpforge.cli import main
+from warpforge.cli import check, main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -167,6 +167,81 @@ def test_malformed_grid_count_rejected(tmp_path, monkeypatch, capsys, grid):
     code, _ = run_in(tmp_path, monkeypatch, "surgery.json", "surgery", patch={"grid": grid})
     assert code == 1
     assert "must be a positive integer" in capsys.readouterr().err
+
+
+def shipped(name, **patch):
+    return {**json.loads((CONFIGS / name).read_text()), **patch}
+
+
+def without(cfg, key):
+    return {k: v for k, v in cfg.items() if k != key}
+
+
+GLUE, SCAN = shipped("glue.json"), shipped("scan.json")
+EXPORT_BUBBLE = {"target": "bubble", "epsilon": 0.05, "alpha2": 0.01, "delta2": 0.01,
+                 "r3": 1000.0, "out_csv": "bubble.csv"}
+EXPORT_SURGERY = {"target": "surgery", "kappa": 0.0, "f0": 1.0, "lambda_bound": -0.1,
+                  "epsilon": 0.02, "alpha": 0.01, "r_hat": 0.001, "delta_hat": 0.001,
+                  "out_csv": "surgery.csv"}
+
+
+# (command, malformed config, the key its one-line error must name)
+@pytest.mark.parametrize("command,cfg,key", [
+    pytest.param("bubble", shipped("bubble.json", epsilon="0.05"), "epsilon", id="number-string"),
+    pytest.param("bubble", shipped("bubble.json", bound="0"), "bound", id="bound-string"),
+    pytest.param("bubble", shipped("bubble.json", grid=[1]), "grid", id="grid-list"),
+    pytest.param("surgery", shipped("surgery.json", ricci_constant="150"), "ricci_constant",
+                 id="ricci-constant-string"),
+    pytest.param("glue", {**GLUE, "surgery": without(GLUE["surgery"], "delta_hat")},
+                 "delta_hat", id="glue-missing-delta-hat"),
+    pytest.param("glue", {**GLUE, "bubble": without(GLUE["bubble"], "r3")}, "r3",
+                 id="glue-missing-r3"),
+    pytest.param("scan", {**SCAN, "base": {**SCAN["base"], "bogus": 1}}, "bogus",
+                 id="scan-unknown-base-key"),
+    pytest.param("scan", {**SCAN, "ranges": {"alpha2": 0.01}}, "alpha2", id="scan-range-scalar"),
+    pytest.param("scan", {**SCAN, "base": without(SCAN["base"], "epsilon")}, "epsilon",
+                 id="scan-missing-epsilon"),
+    pytest.param("export", without(EXPORT_BUBBLE, "epsilon"), "epsilon",
+                 id="export-missing-epsilon"),
+    pytest.param("bubble", shipped("bubble.json", smooth="false"), "smooth", id="flag-string"),
+    pytest.param("bubble", shipped("bubble.json", grid={"oracle": "no"}), "grid.oracle",
+                 id="oracle-string"),
+    pytest.param("bubble", shipped("bubble.json", grid={"r_min_frac": -1}), "grid.r_min_frac",
+                 id="negative-r-min-frac"),
+    pytest.param("surgery", shipped("surgery.json", grid={"bogus": 1}), "bogus",
+                 id="unknown-grid-key"),
+    pytest.param("limits", shipped("limits.json", j=2.5), "j", id="j-fraction"),
+    pytest.param("limits", shipped("limits.json", j="3"), "j", id="j-string"),
+    pytest.param("export", {**EXPORT_BUBBLE, "points": 0}, "points", id="export-points-0"),
+    pytest.param("export", {**EXPORT_BUBBLE, "points": 2.7}, "points",
+                 id="export-points-fraction"),
+    *(pytest.param("export", {**EXPORT_SURGERY, key: value}, key, id=f"export-surgery-{key}")
+      for key, value in [("alpha2", 0.01), ("bound", 0.0), ("out_report", "r.json"),
+                         ("out_descriptor", "d.json"), ("grid", {"points_per_piece": 0})]),
+    pytest.param("bubble", shipped("bubble.json", grid={"r_min": 5.0, "r_max": 1.0}), "grid",
+                 id="empty-grid-clip"),
+    pytest.param("bubble", shipped("bubble.json", grid={"r_min_frac": 2.0}), "r_min_frac",
+                 id="grid-floor-above-range"),
+    pytest.param("bubble", shipped("bubble.json", r3=1e300), "r3", id="non-finite-f4"),
+])
+def test_malformed_config_rejected(tmp_path, monkeypatch, capsys, command, cfg, key):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    monkeypatch.chdir(tmp_path)
+    assert main([command, "-c", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and key in err and "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.stem)
+def test_shipped_config_fits_schema(path):
+    cfg = json.loads(path.read_text())
+    if path.stem == "bubble_broken":
+        check(cfg, "verify")
+        check(without(cfg, "target"), cfg["target"])
+    else:
+        check(cfg, path.stem.split("_")[0])
 
 
 def test_missing_key_rejected(tmp_path, monkeypatch):

@@ -187,6 +187,15 @@ def test_f4_jets_match_fd(f4_pair):
     fd_profile_check(f4, n=100, seed=3, lo=0.5)
 
 
+def test_f4_non_finite_exponent_names_r3(A):
+    # at r3 = 1e300, r3^2 overflows and the matching exponent is inf/inf
+    eps, alpha2, delta2, r3 = 0.05, 0.01, 0.01, 1e300
+    h3 = make_h3(M, eps, R1, r3, A.params["A_r1"])
+    f2 = make_f2(delta2, alpha2, r_max=16 * r3)
+    with pytest.raises(ParameterError, match="r3 = 1e[+]300"):
+        make_f4(alpha2, delta2, eps, r3, h3, f2)
+
+
 # -- make_lambda --------------------------------------------------------------
 
 def test_lambda_anchors():

@@ -9,7 +9,9 @@ import pytest
 from warpforge.construction import build_bubble
 from warpforge.curvature import WarpedMetric
 from warpforge.jets import jet_sin
-from warpforge.profiles import Piece, Profile, make_A, make_f2, make_h3, make_lambda, rule_const
+from warpforge.profiles import (
+    ParameterError, Piece, Profile, make_A, make_f2, make_h3, make_lambda, rule_const,
+)
 from warpforge.verify import (
     Constraint,
     GridConfig,
@@ -128,11 +130,11 @@ def test_refinement_stability(bubble):
                 assert abs(a - b) <= 1e-6 * max(1.0, abs(a)), (pa.interval, name, a, b)
 
 
-def test_grid_config_rejects_unknown_keys():
-    from warpforge.profiles import ParameterError
-
-    with pytest.raises(ParameterError):
-        GridConfig.from_dict({"points_per_piece": 64, "bogus": 1})
+@pytest.mark.parametrize("grid", [dict(r_min=2.0, r_max=1.0), dict(r_min_frac=2.0)])
+def test_grid_sampling_no_piece_is_an_error(round_s4, grid):
+    # an empty clip or a floor above the range would leave PASS vacuous
+    with pytest.raises(ParameterError, match="samples no piece"):
+        verify_ric_lower(round_s4, bound=0.0, cfg=GridConfig(points_per_piece=64, **grid))
 
 
 def test_oracle_agreement_on_passing_fixture(round_s4):
