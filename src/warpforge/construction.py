@@ -89,18 +89,15 @@ def c1_smooth(
         raise ParameterError(
             f"smoothing window [{x0}, {x1}] crosses other breakpoints {crossed}"
         )
-    i0, i1 = profile.piece_index(x0), profile.piece_index(x1)
-    j0, j1 = profile.pieces[i0](x0), profile.pieces[i1](x1)
-    d2_jump = abs(
-        float(profile.pieces[i1](at).d2) - float(profile.pieces[i0](at).d2)
-    )
+    # each side's piece once, at the window end and at the joint
+    left = profile.pieces[profile.piece_index(x0)]([x0, at])
+    right = profile.pieces[profile.piece_index(x1)]([at, x1])
+    d2_jump = abs(float(right.d2[0] - left.d2[1]))
     if eps_smooth is None:
         eps_smooth = window * (d2_jump + 1e-3)
 
-    coeffs = quintic_hermite_coeffs(
-        x0, float(j0.v), float(j0.d1), float(j0.d2),
-        x1, float(j1.v), float(j1.d1), float(j1.d2),
-    )
+    coeffs = quintic_hermite_coeffs(x0, left.v[0], left.d1[0], left.d2[0],
+                                    x1, right.v[1], right.d1[1], right.d2[1])
     hermite = Piece(x0, x1, rule_poly_in_t(coeffs, x0, x1 - x0), "smoothing_window",
                     {"at": at, "window": window})
 
@@ -422,19 +419,14 @@ def glue_bubble(s: SurgeryMetric, b: Bubble) -> WarpedMetric:
 
     # collar isometry: both descriptions must agree on [r_hat/2, r_hat]
     collar = np.linspace(shift + 0.55 * r_hat, shift + 0.95 * r_hat, 100)
-    for xs in collar:
-        t = xs - shift
-        phi_expected = (1.0 - eps_s) * t
-        f_expected = common * t**alpha
-        got_phi = float(A(xs).v)
-        got_f = float(f(xs).v)
-        if abs(got_phi - phi_expected) > 1e-10 * phi_expected:
+    t = collar - shift
+    for what, got, expected in (("base", A(collar).v, (1.0 - eps_s) * t),
+                                ("warp", f(collar).v, common * t**alpha)):
+        bad = np.abs(got - expected) > 1e-10 * expected
+        if bad.any():
+            j = int(np.argmax(bad))
             raise ConstructionError(
-                f"collar base mismatch at x={xs}: {got_phi} vs {phi_expected}"
-            )
-        if abs(got_f - f_expected) > 1e-10 * f_expected:
-            raise ConstructionError(
-                f"collar warp mismatch at x={xs}: {got_f} vs {f_expected}"
+                f"collar {what} mismatch at x={collar[j]}: {got[j]} vs {expected[j]}"
             )
 
     return WarpedMetric(

@@ -205,19 +205,21 @@ def _chart_metric(a: float, b: float, w: float, theta: float, u: float) -> np.nd
 
 class _ZoomedChart:
     """Metric as a function of 6 chart coordinates, zoomed so that the base
-    point sits at rho = 1 regardless of the physical radius."""
+    point sits at rho = 1 regardless of the physical radius.  The stencils
+    revisit few rho values, so each rho's zoomed (a, b, w) is kept."""
 
     def __init__(self, metric: WarpedMetric, r0: float):
         self.metric = metric
         self.r0 = r0
+        self.coeffs: dict[float, tuple[float, float, float]] = {}
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        r = x[0] * self.r0
-        s = 1.0 / self.r0
-        a = s * float(self.metric.A(r).v)
-        b = a if self.metric.B is None else s * float(self.metric.B(r).v)
-        w = s * float(self.metric.f(r).v)
-        return _chart_metric(a, b, w, x[1], x[4])
+        if x[0] not in self.coeffs:
+            r, s = x[:1] * self.r0, 1.0 / self.r0
+            a = s * float(self.metric.A(r).v[0])
+            b = a if self.metric.B is None else s * float(self.metric.B(r).v[0])
+            self.coeffs[x[0]] = (a, b, s * float(self.metric.f(r).v[0]))
+        return _chart_metric(*self.coeffs[x[0]], x[1], x[4])
 
 
 def _block_inverse(g: np.ndarray) -> np.ndarray:

@@ -5,8 +5,10 @@ derivatives.  All profile evaluation and curvature assembly in this package
 runs through Jet2 arithmetic, so derivatives are exact up to floating-point
 rounding (no symbolic algebra, no finite differencing on the main path).
 
-Fields may hold scalars or numpy arrays of matching shape; every operation
-is a pure function of its inputs and safe for unrestricted parallel use.
+There is one evaluation path, on numpy arrays: jet_var lifts any radius,
+a scalar included, to a 1-d array, and constants (coefficients, lifted
+numbers) stay plain floats that broadcast against it.  Every operation is
+a pure function of its inputs and safe for unrestricted parallel use.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from typing import Union
 
 import numpy as np
 
+# a field: an array of evaluation points, or a float constant that broadcasts
 Real = Union[float, np.ndarray]
 
 
@@ -24,13 +27,18 @@ class JetDomainError(ValueError):
     a nonpositive value, fractional power of a nonpositive base)."""
 
 
-def _any(mask) -> bool:
-    return bool(np.any(mask))
+def _check(values, bad, what: str) -> None:
+    """Raise for the entries flagged bad, naming the smallest offending
+    value and how many entries offend (short on arrays of any size)."""
+    if np.count_nonzero(bad):
+        hits = np.asarray(values)[bad]
+        raise JetDomainError(f"{what} (min v={float(hits.min())!r}, {hits.size} of "
+                             f"{np.size(bad)} entries)")
 
 
 @dataclass(frozen=True)
 class Jet2:
-    """Value, first derivative and second derivative at a point."""
+    """Value, first derivative and second derivative at the evaluation points."""
 
     v: Real
     d1: Real
@@ -67,8 +75,7 @@ class Jet2:
 
     def __truediv__(self, other):
         o = as_jet(other)
-        if _any(o.v == 0.0):
-            raise JetDomainError(f"jet division by zero value (divisor v={o.v!r})")
+        _check(o.v, o.v == 0.0, "jet division by zero value")
         q = self.v / o.v
         d1 = (self.d1 - q * o.d1) / o.v
         d2 = (self.d2 - 2.0 * d1 * o.d1 - q * o.d2) / o.v
@@ -82,20 +89,18 @@ class Jet2:
 
 
 def as_jet(x) -> Jet2:
-    """Lift a constant to a jet; pass jets through unchanged."""
+    """Lift a constant to a jet with zero derivatives (broadcasting against
+    whatever it meets); pass jets through unchanged."""
     if isinstance(x, Jet2):
         return x
-    return Jet2(x, 0.0 * np.asarray(x), 0.0 * np.asarray(x)) if isinstance(
-        x, np.ndarray
-    ) else Jet2(float(x), 0.0, 0.0)
+    return Jet2(x, 0.0, 0.0)
 
 
 def jet_var(r: Real) -> Jet2:
-    """The identity jet (r, 1, 0): the evaluation point itself."""
-    r = np.asarray(r, dtype=float) if isinstance(r, np.ndarray) else float(r)
-    one = np.ones_like(r) if isinstance(r, np.ndarray) else 1.0
-    zero = np.zeros_like(r) if isinstance(r, np.ndarray) else 0.0
-    return Jet2(r, one, zero)
+    """The identity jet (r, 1, 0) at the evaluation points, as 1-d arrays
+    (a scalar radius becomes one point)."""
+    r = np.array(r, dtype=float, ndmin=1)
+    return Jet2(r, np.ones(r.shape), np.zeros(r.shape))
 
 
 def jet_pow(base: Jet2, exponent: float) -> Jet2:
@@ -106,10 +111,7 @@ def jet_pow(base: Jet2, exponent: float) -> Jet2:
     """
     if float(exponent) == int(exponent):
         return _int_pow(base, int(exponent))
-    if _any(base.v <= 0.0):
-        raise JetDomainError(
-            f"fractional power of nonpositive base (v={base.v!r}, exp={exponent})"
-        )
+    _check(base.v, base.v <= 0.0, f"fractional power {exponent} of nonpositive base")
     p = float(exponent)
     w = base.v ** p
     wp = p * base.v ** (p - 1.0)
@@ -120,7 +122,7 @@ def jet_pow(base: Jet2, exponent: float) -> Jet2:
 def _int_pow(base: Jet2, n: int) -> Jet2:
     if n < 0:
         return 1.0 / _int_pow(base, -n)
-    result = as_jet(np.ones_like(base.v)) if isinstance(base.v, np.ndarray) else as_jet(1.0)
+    result = as_jet(1.0)
     acc = base
     while n:
         if n & 1:
@@ -155,15 +157,14 @@ def jet_exp(x: Jet2) -> Jet2:
 
 
 def jet_ln(x: Jet2) -> Jet2:
-    if _any(x.v <= 0.0):
-        raise JetDomainError(f"ln of nonpositive value (v={x.v!r})")
+    _check(x.v, x.v <= 0.0, "ln of nonpositive value")
     q = x.d1 / x.v
     return Jet2(np.log(x.v), q, x.d2 / x.v - q * q)
 
 
 def jet_poly(coeffs, x: Jet2) -> Jet2:
     """Evaluate a polynomial sum(coeffs[k] * x**k) by Horner's rule."""
-    acc = as_jet(0.0 * np.asarray(x.v)) if isinstance(x.v, np.ndarray) else as_jet(0.0)
-    for c in reversed(coeffs):
+    acc = as_jet(coeffs[-1])
+    for c in reversed(coeffs[:-1]):
         acc = acc * x + c
     return acc

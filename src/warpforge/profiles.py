@@ -47,6 +47,10 @@ class ConstructionError(RuntimeError):
 
 @dataclass
 class Piece:
+    """One closed form on [lo, hi].  rule maps the identity jet of a 1-d array
+    of radii to fields of the same shape; calling the piece at a radius or an
+    array of radii gives fields of the input's shape (0-d for a scalar)."""
+
     lo: float
     hi: float
     rule: Callable[[Jet2], Jet2]
@@ -55,13 +59,18 @@ class Piece:
 
     def __call__(self, r) -> Jet2:
         try:
-            return self.rule(jet_var(r))
-        except JetDomainError as exc:
-            raise JetDomainError(f"piece '{self.name}' at r={r!r}: {exc}") from exc
+            out = self.rule(jet_var(r))
+        except JetDomainError as e:
+            raise JetDomainError(f"piece '{self.name}' on [{self.lo:g}, {self.hi:g}]: {e}") from e
+        shape = np.shape(r)
+        return Jet2(out.v.reshape(shape), out.d1.reshape(shape), out.d2.reshape(shape))
 
 
 @dataclass
 class Profile:
+    """Pieces ordered by radius, each breakpoint belonging to the piece on its
+    right.  Called like a Piece: a scalar radius gives 0-d fields."""
+
     pieces: list[Piece]
     smoothness: Literal["C1", "smooth"]
     label: str
@@ -85,30 +94,29 @@ class Profile:
         return min(bisect.bisect_right(self.breakpoints, r), len(self.pieces) - 1)
 
     def __call__(self, r) -> Jet2:
-        if isinstance(r, np.ndarray):
-            return self._eval_array(r)
-        return self.pieces[self.piece_index(float(r))](float(r))
-
-    def _eval_array(self, rs: np.ndarray) -> Jet2:
-        idx = np.searchsorted(np.asarray(self.breakpoints), rs, side="right")
-        v = np.empty_like(rs)
-        d1 = np.empty_like(rs)
-        d2 = np.empty_like(rs)
-        for i, piece in enumerate(self.pieces):
+        rs = np.asarray(r, dtype=float)
+        idx = np.searchsorted(self.breakpoints, rs, side="right")
+        # visit only the pieces from the first to the last one hit (no radii: none)
+        first, last = int(idx.min(initial=len(self.pieces) - 1)), int(idx.max(initial=0))
+        if first == last:
+            return self.pieces[first](rs)
+        v, d1, d2 = np.empty_like(rs), np.empty_like(rs), np.empty_like(rs)
+        for i in range(first, last + 1):
             mask = idx == i
-            if not mask.any():
-                continue
-            out = piece(rs[mask])
-            v[mask], d1[mask], d2[mask] = out.v, out.d1, out.d2
+            if mask.any():
+                out = self.pieces[i](rs[mask])
+                v[mask], d1[mask], d2[mask] = out.v, out.d1, out.d2
         return Jet2(v, d1, d2)
 
     def validate_c1(self, tol: float = TAU_C1) -> None:
         """Check value/slope agreement of adjacent pieces at breakpoints."""
-        for i, r in enumerate(self.breakpoints):
-            left = self.pieces[i](r)
-            right = self.pieces[i + 1](r)
-            dv = abs(left.v - right.v) / max(1.0, abs(left.v))
-            dd = abs(left.d1 - right.d1) / max(1.0, abs(left.d1))
+        bps = self.breakpoints
+        # each piece once, at the breakpoints on either side of it
+        ends = [p(bps[max(i - 1, 0):i + 1]) for i, p in enumerate(self.pieces)]
+        for i, r in enumerate(bps):
+            left, right = ends[i], ends[i + 1]
+            dv = abs(left.v[-1] - right.v[0]) / max(1.0, abs(left.v[-1]))
+            dd = abs(left.d1[-1] - right.d1[0]) / max(1.0, abs(left.d1[-1]))
             if dv > tol or dd > tol:
                 raise ConstructionError(
                     f"profile '{self.label}' is not C1 at r={r}: "
@@ -220,8 +228,7 @@ def _flat_step_integral(t):
     half = 0.5 * t
     nodes = half[:, None] * (_GL_NODES[None, :] + 1.0)  # map [-1,1] -> [0,t]
     vals = _flat_step(nodes)
-    out = half * (vals @ _GL_WEIGHTS)
-    return out if out.size > 1 else float(out[0])
+    return half * (vals @ _GL_WEIGHTS)
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +336,7 @@ def make_B(m: float, r1: float, A: Profile, r_max: Optional[float] = None) -> Pr
         r_max = A.r_max
     k, A1 = A.params["k"], A.params["A_r1"]
     L = 0.5 * r1
-    T1 = _flat_step_integral(1.0)  # = 1/2 up to quadrature
+    T1 = float(_flat_step_integral(1.0)[0])  # = 1/2 up to quadrature
     b = A1 - m * L * T1
     if not b > 1.0 / (2.0 * k):
         raise ConstructionError(
@@ -411,7 +418,7 @@ def make_h3(
             + A_r1
         )
 
-    h3_r3 = float(rule_log(jet_var(r3)).v)
+    h3_r3 = float(rule_log(jet_var(r3)).v[0])
     R3 = r3 - h3_r3 / (1.0 - epsilon)
 
     prof = Profile(
@@ -697,17 +704,13 @@ def make_model_mu(kappa: float, r_max: float = 2.0) -> Profile:
         name = "sn_over_r"
 
         def rule(rj: Jet2) -> Jet2:
-            if isinstance(rj.v, np.ndarray):
-                small = rj.v < _MU_SERIES_SWITCH
-                safe = Jet2(np.where(small, _MU_SERIES_SWITCH, rj.v), rj.d1, rj.d2)
-                closed = circ(safe * s) * (1.0 / s) / safe
-                ser = jet_poly(series, rj)
-                pick = lambda a, b: np.where(small, a, b)
-                return Jet2(pick(ser.v, closed.v), pick(ser.d1, closed.d1),
-                            pick(ser.d2, closed.d2))
-            if rj.v < _MU_SERIES_SWITCH:
-                return jet_poly(series, rj)
-            return circ(rj * s) * (1.0 / s) / rj
+            small = rj.v < _MU_SERIES_SWITCH
+            safe = Jet2(np.where(small, _MU_SERIES_SWITCH, rj.v), rj.d1, rj.d2)
+            closed = circ(safe * s) * (1.0 / s) / safe
+            ser = jet_poly(series, rj)
+            pick = lambda a, b: np.where(small, a, b)
+            return Jet2(pick(ser.v, closed.v), pick(ser.d1, closed.d1),
+                        pick(ser.d2, closed.d2))
 
     return Profile(
         pieces=[Piece(0.0, r_max, rule, name, {"kappa": kappa})],

@@ -163,15 +163,15 @@ def _oracle_pass(
     if not a < b:
         return float("-inf")
     radii = np.exp(rng.uniform(np.log(a), np.log(b), size=cfg.n_oracle))
+    formula = metric.blocks(radii).as_dict(metric.is_round)
     worst = float("-inf")
-    for r in radii:
-        formula = metric.blocks(float(r))
+    for k, r in enumerate(radii):
         oracle = fd_ricci_oracle(metric, float(r), h_fd=h_fd)
-        for name, fv in formula.as_dict(metric.is_round).items():
-            fv, ov = float(fv), float(getattr(oracle, name))
+        for name, fv in formula.items():
+            fv, ov = float(fv[k]), float(getattr(oracle, name))
             worst = max(worst, abs(ov - fv) / max(0.1, abs(fv)))
         # mixed radial/sphere block must vanish in rotational symmetry
-        worst = max(worst, float(oracle.cross_ir_mag) / max(0.1, abs(float(formula.rr))))
+        worst = max(worst, float(oracle.cross_ir_mag) / max(0.1, abs(float(formula["rr"][k]))))
     return worst
 
 

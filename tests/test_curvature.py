@@ -1,10 +1,12 @@
 """Closed-form Ricci blocks vs analytic identities and the fd oracle."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from warpforge.construction import build_bubble
 from warpforge.jets import Jet2, JetDomainError, jet_var
 from warpforge.curvature import (
     RicciBlocks,
@@ -260,3 +262,23 @@ def test_oracle_rejects_breakpoint_proximity():
     m = cone_metric(phi, const_profile(0.2, r_max=3.0), (0.1, 3.0), "split")
     with pytest.raises(ParameterError):
         fd_ricci_oracle(m, 1.0005)
+
+
+def test_oracle_reads_each_profile_once_per_stencil_radius(monkeypatch):
+    # the nested 5-point stencils make 169 chart calls per radius but visit
+    # only 9 distinct radii (at most 21 once rounding splits them); the chart
+    # must read each profile once per distinct radius, not per stencil point
+    metric = build_bubble(epsilon=0.05, alpha2=0.01, delta2=0.01).metric
+    calls = Counter()
+    evaluate = Profile.__call__
+
+    def counted(self, r):
+        calls[self.label] += 1
+        return evaluate(self, r)
+
+    monkeypatch.setattr(Profile, "__call__", counted)
+    for r0 in (0.7, 50.0, 2500.0):
+        calls.clear()
+        fd_ricci_oracle(metric, r0)
+        assert set(calls) == {"bubble_base_A", "bubble_base_B", "f4"}, calls
+        assert max(calls.values()) <= 25, (r0, calls)

@@ -1,10 +1,12 @@
 """Jet arithmetic against independent finite-difference oracles."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from warpforge.cli import build, load_config
 from warpforge.jets import (
     Jet2,
     JetDomainError,
@@ -15,6 +17,9 @@ from warpforge.jets import (
     jet_sin,
     jet_var,
 )
+from warpforge.verify import radial_grid
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def fd_d1(f, x, h):
@@ -141,13 +146,37 @@ def test_add_mul_commute_bitwise():
         assert (ab.v, ab.d1, ab.d2) == (ba.v, ba.d1, ba.d2)
 
 
+def _bits(*fields):
+    return np.stack([np.asarray(f, dtype=float) for f in fields]).view(np.uint64)
+
+
 def test_array_and_scalar_agree():
-    # numpy's SIMD transcendentals may differ from the scalar path by 1 ulp,
-    # so "agree" here means to a few ulps, not bitwise
+    # one evaluation path: a scalar radius is a one-point array, so it must
+    # agree with the same radius inside an array bit for bit
     xs = np.linspace(0.2, 2.0, 17)
     arr = jet_pow(jet_sin(jet_var(xs)) + 1.5, 0.5)
     for i, x in enumerate(xs):
         s = jet_pow(jet_sin(jet_var(float(x))) + 1.5, 0.5)
-        assert arr.v[i] == pytest.approx(s.v, rel=5e-16)
-        assert arr.d1[i] == pytest.approx(s.d1, rel=5e-16)
-        assert arr.d2[i] == pytest.approx(s.d2, rel=5e-16)
+        assert np.array_equal(_bits(arr.v[i], arr.d1[i], arr.d2[i]).ravel(),
+                              _bits(s.v, s.d1, s.d2).ravel())
+
+    # every profile of the shipped metrics, on grid radii, breakpoints and the
+    # finite-difference oracle's stencil radii (1 + k 1e-4) r0 around each
+    # piece's midpoint
+    for name in ("bubble", "surgery", "glue"):
+        _, metric, _, _ = build(name, load_config(CONFIGS / f"{name}.json", name))
+        stencils = [
+            (1.0 + k * 1e-4) * math.sqrt(max(lo, 1e-3 * hi) * hi)
+            for lo, hi in metric.verification_pieces()
+            for k in range(-4, 5)
+        ]
+        rs = np.concatenate([radial_grid(*metric.r_range, 64), metric.breakpoints(), stencils])
+        for label, prof in metric.profiles().items():
+            out = prof(rs)
+            assert out.v.shape == out.d1.shape == out.d2.shape == rs.shape
+            points = [prof(float(r)) for r in rs]
+            one_by_one = _bits([p.v for p in points], [p.d1 for p in points],
+                               [p.d2 for p in points])
+            differ = int(np.sum(one_by_one != _bits(out.v, out.d1, out.d2)))
+            assert differ == 0, f"{name} {label}: {differ} of {one_by_one.size} channels differ"
+            assert all(np.shape(c) == () for p in points for c in (p.v, p.d1, p.d2))

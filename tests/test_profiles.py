@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from conftest import bisect_root, fd_profile_check
 
+from warpforge.jets import Jet2, JetDomainError, jet_ln, jet_pow
 from warpforge.profiles import (
     ConstructionError,
     ParameterError,
@@ -345,3 +346,24 @@ def test_profile_csv_roundtrip(tmp_path, A):
 def test_jets_match_fd_bubble_profiles(A, B):
     fd_profile_check(A, n=200, seed=1, lo=0.05)
     fd_profile_check(B, n=200, seed=1, lo=0.05)
+
+
+def test_domain_error_reports_worst_value_and_count():
+    # array failures name the smallest offending value, how many entries
+    # offend and the piece's radius range, never a whole array repr
+    prof = Profile([Piece(0.0, 1.0, lambda rj: jet_ln(rj - 0.5), "ln_shift", {}),
+                    Piece(1.0, 4.0, jet_ln, "ln", {})], "C1", "p")
+    cases = [
+        (lambda: prof(np.array([0.0, 0.25, 0.5, 0.75, 0.9, 2.0])),
+         r"piece 'ln_shift' on \[0, 1\]: ln of nonpositive value \(min v=-0\.5, 3 of 5 entries\)"),
+        (lambda: prof(0.25),
+         r"piece 'ln_shift' on \[0, 1\]: ln of nonpositive value \(min v=-0\.25, 1 of 1 entries\)"),
+        (lambda: Jet2(1.0, 0.0, 0.0) / Jet2(np.array([1.0, 0.0, 0.0]), 1.0, 0.0),
+         r"jet division by zero value \(min v=0\.0, 2 of 3 entries\)"),
+        (lambda: jet_pow(Jet2(np.array([-2.0, 3.0]), 1.0, 0.0), 0.5),
+         r"fractional power 0\.5 of nonpositive base \(min v=-2\.0, 1 of 2 entries\)"),
+    ]
+    for call, message in cases:
+        with pytest.raises(JetDomainError, match=f"^{message}$") as info:
+            call()
+        assert "array(" not in str(info.value)
