@@ -122,7 +122,7 @@ def jet_pow(base: Jet2, exponent: float) -> Jet2:
 def _int_pow(base: Jet2, n: int) -> Jet2:
     if n < 0:
         return 1.0 / _int_pow(base, -n)
-    result = as_jet(1.0)
+    result = Jet2(np.ones_like(base.v), np.zeros_like(base.v), np.zeros_like(base.v))
     acc = base
     while n:
         if n & 1:

@@ -17,6 +17,7 @@ from warpforge.jets import (
     jet_sin,
     jet_var,
 )
+from warpforge.profiles import Piece
 from warpforge.verify import radial_grid
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -106,6 +107,16 @@ def test_integer_pow_handles_negative_base():
     assert out.v == -8.0
     assert out.d1 == 12.0  # 3x^2
     assert out.d2 == -12.0  # 6x
+
+
+def test_integer_pow_zero_keeps_the_input_shape():
+    # x**0 is the constant jet 1, with fields shaped like x, so a piece whose
+    # rule is a zeroth power evaluates on arrays as on scalars
+    piece = Piece(0.0, 1.0, lambda rj: jet_pow(rj, 0), "one")
+    out = piece(np.array([0.25, 0.5, 0.75]))
+    assert [f.tolist() for f in (out.v, out.d1, out.d2)] == [[1.0] * 3, [0.0] * 3, [0.0] * 3]
+    out = piece(0.5)
+    assert (out.v.shape, float(out.v), float(out.d1), float(out.d2)) == ((), 1.0, 0.0, 0.0)
 
 
 @pytest.mark.parametrize(
