@@ -15,7 +15,8 @@ The closed form evaluates through exact 2-jets; `fd_ricci_oracle` is the
 independent cross-check, computing the same blocks from 5-point finite
 differences of the raw coordinate metric on an explicit 6-dimensional
 Euler-angle chart, after zooming coordinates so the chart is O(1) at any
-radius.
+radius.  It takes a batch of radii as numpy arrays and gives each radius
+the same blocks, bit for bit, as a call on that radius alone.
 """
 
 from __future__ import annotations
@@ -173,53 +174,61 @@ _W5 = np.array([-1.0, 8.0, -8.0, 1.0]) / 12.0
 _OFFS = np.array([2.0, 1.0, -1.0, -2.0])
 
 
-def _stencil_derivative(fn, x: np.ndarray, c: int, hc: float, center):
-    """5-point first derivative of a matrix field along coordinate c.
+def _by_value(fn, x: np.ndarray) -> np.ndarray:
+    """fn at each entry of x, called once per distinct value: the chart
+    takes sin and cos from math, which numpy's own need not match bit for
+    bit on every build."""
+    values, where = np.unique(x, return_inverse=True)
+    return np.array([fn(v) for v in values.tolist()])[where].reshape(x.shape)
+
+
+def _stencil_steps(h: np.ndarray) -> np.ndarray:
+    """(n, 13, 6) steps of one 5-point stencil per radius: slot 0 is the
+    center, slot 1 + 4k + j steps by _OFFS[j] * h along _VARYING[k]."""
+    steps = np.zeros((len(h), 13, 6))
+    for k, c in enumerate(_VARYING):
+        steps[:, 1 + 4 * k:5 + 4 * k, c] = _OFFS * h[:, c, None]
+    return steps
+
+
+def _derivative(f: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """5-point first derivatives of a field sampled on the stencil slots,
+    f (n, 13, ...) -> (n, 6, ...), zero along coordinates not in _VARYING.
 
     Differences are taken against the center value so entries that are
     exactly constant differentiate to exactly zero; the raw weighted sum
     would leave O(eps) residue that huge inverse-metric entries amplify.
     """
-    acc = np.zeros_like(center)
-    for wgt, off in zip(_W5, _OFFS):
-        xp = x.copy()
-        xp[c] += off * hc
-        acc += wgt * (fn(xp) - center)
-    return acc / hc
+    out = np.zeros(f.shape[:1] + (6,) + f.shape[2:])
+    for k, c in enumerate(_VARYING):
+        acc = np.zeros_like(f[:, 0])
+        for j, wgt in enumerate(_W5):
+            acc += wgt * (f[:, 1 + 4 * k + j] - f[:, 0])
+        out[:, c] = acc / h[:, c].reshape((-1,) + (1,) * (acc.ndim - 1))
+    return out
 
 
-def _chart_metric(a: float, b: float, w: float, theta: float, u: float) -> np.ndarray:
-    """Coordinate metric at (theta, u) for Berger coefficients a, b, warp w,
-    coordinates (rho, theta, phi, psi, u, v)."""
-    g = np.zeros((6, 6))
-    ct, st = math.cos(theta), math.sin(theta)
-    g[0, 0] = 1.0
-    g[1, 1] = 0.25 * b * b
-    g[2, 2] = 0.25 * (b * b * st * st + a * a * ct * ct)
-    g[3, 3] = 0.25 * a * a
-    g[2, 3] = g[3, 2] = 0.25 * a * a * ct
-    g[4, 4] = w * w
-    g[5, 5] = w * w * math.sin(u) ** 2
+def _chart_metric(metric: WarpedMetric, r0: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Coordinate metrics (..., 6, 6) at chart points x (..., 6), coordinates
+    (rho, theta, phi, psi, u, v), zoomed by 1/r0 so that the base point sits
+    at rho = 1 regardless of the physical radius.  Each profile is read
+    once, at the distinct physical radii rho * r0."""
+    rho, theta, u = x[..., 0], x[..., 1], x[..., 4]
+    radii, where = np.unique(rho * r0, return_inverse=True)
+    where, s = where.reshape(rho.shape), 1.0 / r0
+    a = s * metric.A(radii).v[where]
+    b = a if metric.B is None else s * metric.B(radii).v[where]
+    w = s * metric.f(radii).v[where]
+    ct, st = _by_value(math.cos, theta), _by_value(math.sin, theta)
+    g = np.zeros(rho.shape + (6, 6))
+    g[..., 0, 0] = 1.0
+    g[..., 1, 1] = 0.25 * b * b
+    g[..., 2, 2] = 0.25 * (b * b * st * st + a * a * ct * ct)
+    g[..., 3, 3] = 0.25 * a * a
+    g[..., 2, 3] = g[..., 3, 2] = 0.25 * a * a * ct
+    g[..., 4, 4] = w * w
+    g[..., 5, 5] = w * w * _by_value(lambda t: math.sin(t) ** 2, u)
     return g
-
-
-class _ZoomedChart:
-    """Metric as a function of 6 chart coordinates, zoomed so that the base
-    point sits at rho = 1 regardless of the physical radius.  The stencils
-    revisit few rho values, so each rho's zoomed (a, b, w) is kept."""
-
-    def __init__(self, metric: WarpedMetric, r0: float):
-        self.metric = metric
-        self.r0 = r0
-        self.coeffs: dict[float, tuple[float, float, float]] = {}
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        if x[0] not in self.coeffs:
-            r, s = x[:1] * self.r0, 1.0 / self.r0
-            a = s * float(self.metric.A(r).v[0])
-            b = a if self.metric.B is None else s * float(self.metric.B(r).v[0])
-            self.coeffs[x[0]] = (a, b, s * float(self.metric.f(r).v[0]))
-        return _chart_metric(*self.coeffs[x[0]], x[1], x[4])
 
 
 def _block_inverse(g: np.ndarray) -> np.ndarray:
@@ -228,91 +237,75 @@ def _block_inverse(g: np.ndarray) -> np.ndarray:
     entries are many orders smaller than the S^3 ones."""
     inv = np.zeros_like(g)
     for i in (0, 1, 4, 5):
-        inv[i, i] = 1.0 / g[i, i]
-    det = g[2, 2] * g[3, 3] - g[2, 3] * g[3, 2]
-    inv[2, 2] = g[3, 3] / det
-    inv[3, 3] = g[2, 2] / det
-    inv[2, 3] = inv[3, 2] = -g[2, 3] / det
+        inv[..., i, i] = 1.0 / g[..., i, i]
+    det = g[..., 2, 2] * g[..., 3, 3] - g[..., 2, 3] * g[..., 3, 2]
+    inv[..., 2, 2] = g[..., 3, 3] / det
+    inv[..., 3, 3] = g[..., 2, 2] / det
+    inv[..., 2, 3] = inv[..., 3, 2] = -g[..., 2, 3] / det
     return inv
 
 
-def _christoffel(chart, x: np.ndarray, h: np.ndarray) -> np.ndarray:
-    g = chart(x)
-    ginv = _block_inverse(g)
-    dg = np.zeros((6, 6, 6))
-    for c in _VARYING:
-        dg[c] = _stencil_derivative(chart, x, c, h[c], g)
-    # Gamma^a_{bc} = 1/2 g^{ad} (d_b g_{dc} + d_c g_{db} - d_d g_{bc})
-    return 0.5 * np.einsum("ad,bdc->abc", ginv, dg + dg.transpose(2, 1, 0) - dg.transpose(1, 0, 2))
-
-
-def _ricci_tensor(chart, x: np.ndarray, h: np.ndarray) -> np.ndarray:
-    gamma = _christoffel(chart, x, h)
-    gamma_fn = lambda xp: _christoffel(chart, xp, h)
-    dgamma = np.zeros((6, 6, 6, 6))
-    for c in _VARYING:
-        dgamma[c] = _stencil_derivative(gamma_fn, x, c, h[c], gamma)
-    # R_{bd} = d_a G^a_{bd} - d_d G^a_{ba} + G^a_{ae} G^e_{bd} - G^a_{de} G^e_{ba}
-    term1 = np.einsum("aabd->bd", dgamma)
-    term2 = np.einsum("daba->bd", dgamma)
-    term3 = np.einsum("aae,ebd->bd", gamma, gamma)
-    term4 = np.einsum("ade,eba->bd", gamma, gamma)
-    return term1 - term2 + term3 - term4
-
-
-def fd_ricci_oracle(metric: WarpedMetric, r0: float, h_fd: float = 1e-4) -> RicciBlocks:
-    """Ricci blocks at radius r0 from finite differences of the raw chart.
+def fd_ricci_oracle(metric: WarpedMetric, r0, h_fd: float = 1e-4) -> RicciBlocks:
+    """Ricci blocks at radius r0 (a float or an array of radii) from finite
+    differences of the raw chart, shaped like r0.
 
     Shares nothing with the closed-form path except the profile value
-    channel.  r0 must sit inside a smooth piece, at relative distance
-    > 10*h_fd from the nearest breakpoint.
+    channel.  Each r0 must sit inside a smooth piece, at relative distance
+    > 10*h_fd from the nearest breakpoint.  All radii are differenced in one
+    batch: the Christoffel symbols on nested 5-point stencils (13 x 13 chart
+    points per radius), then Ricci from their differences.  A radius gets
+    the same blocks, bit for bit, alone or in any batch.
     """
+    r = np.array(r0, dtype=float, ndmin=1).ravel()
     lo, hi = metric.r_range
-    if not lo < r0 < hi:
+    if not np.all((lo < r) & (r < hi)):
         raise ParameterError(f"r0 = {r0} outside metric range {metric.r_range}")
-    margin = min(
-        [abs(r0 - b) / r0 for b in metric.breakpoints()]
-        + [abs(r0 - lo) / r0, abs(hi - r0) / r0]
-    )
-    if margin <= 10.0 * h_fd:
-        raise ParameterError(
-            f"r0 = {r0} within 10*h_fd of a breakpoint (relative margin {margin:.2e})"
-        )
+    edges = np.array(metric.breakpoints() + [lo, hi])
+    margin = np.min(np.abs(r[:, None] - edges) / r[:, None], axis=1)
+    if np.any(margin <= 10.0 * h_fd):
+        raise ParameterError(f"r0 = {r[np.argmin(margin)]} within 10*h_fd of a breakpoint "
+                             f"(relative margin {np.min(margin):.2e})")
 
-    chart = _ZoomedChart(metric, r0)
-    x0 = np.array([1.0, _THETA0, _PHI0, _PSI0, _U0, _V0])
-    h = np.full(6, h_fd)
-    h[0] = min(h_fd, margin / 8.0)
+    h = np.full((r.size, 6), h_fd)
+    h[:, 0] = np.minimum(h_fd, margin / 8.0)
+    steps = _stencil_steps(h)
+    x = np.array([1.0, _THETA0, _PHI0, _PSI0, _U0, _V0]) + steps[:, :, None]
+    g = _chart_metric(metric, r[:, None, None], x + steps[:, None])  # (n, 13, 13, 6, 6)
 
-    ric = _ricci_tensor(chart, x0, h)
-    g = chart(x0)
+    # Gamma^a_{bc} = 1/2 g^{ad} (d_b g_{dc} + d_c g_{db} - d_d g_{bc}) at each stencil slot
+    dg = _derivative(g.reshape((-1,) + g.shape[2:]), np.repeat(h, 13, axis=0))
+    dg = dg.reshape(g.shape[:2] + (6, 6, 6))
+    sym = dg + dg.swapaxes(-1, -3) - dg.swapaxes(-2, -3)
+    gamma = 0.5 * np.einsum("...ad,...bdc->...abc", _block_inverse(g[:, :, 0]), sym)
+    dgamma = _derivative(gamma, h)
 
     # orthonormal frame: e_r, e_X (Hopf), e_Y, e_Z, e_u
-    a = math.sqrt(4.0 * g[3, 3])
-    b = math.sqrt(4.0 * g[1, 1])
-    w = math.sqrt(g[4, 4])
-    ct, st = math.cos(_THETA0), math.sin(_THETA0)
-    e_r = _basis(0, 1.0)
-    e_X = _basis(3, 2.0 / a)
-    e_Y = _basis(1, 2.0 / b)
-    e_Z = (2.0 / (b * st)) * (_basis(2, 1.0) - ct * _basis(3, 1.0))
-    e_u = _basis(4, 1.0 / w)
+    g0 = g[:, 0, 0]
+    a, b, w = np.sqrt(4.0 * g0[:, 3, 3]), np.sqrt(4.0 * g0[:, 1, 1]), np.sqrt(g0[:, 4, 4])
+    frame = np.zeros((r.size, 5, 6))
+    frame[:, 0, 0] = 1.0
+    frame[:, 1, 3] = 2.0 / a
+    frame[:, 2, 1] = 2.0 / b
+    frame[:, 3, 2] = 2.0 / (b * math.sin(_THETA0))
+    frame[:, 3, 3] = frame[:, 3, 2] * -math.cos(_THETA0)
+    frame[:, 4, 4] = 1.0 / w
 
-    def pair(u_, v_):
-        return float(u_ @ ric @ v_)
+    # R_{bd} = d_a G^a_{bd} - d_d G^a_{ba} + G^a_{ae} G^e_{bd} - G^a_{de} G^e_{ba}
+    gam = gamma[:, 0]
+    ricci = (np.einsum("...aabd->...bd", dgamma) - np.einsum("...daba->...bd", dgamma)
+             + np.einsum("...aae,...ebd->...bd", gam, gam)
+             - np.einsum("...ade,...eba->...bd", gam, gam))
+    pairs = np.empty((r.size, 8))  # rr, XX, YY, ZZ, uu, rX, rY, rZ
+    for i, (e, ric) in enumerate(zip(frame, ricci)):
+        pairs[i] = [e[j] @ ric @ e[l] for j, l in
+                    ((0, 0), (1, 1), (2, 2), (3, 3), (4, 4), (0, 1), (0, 2), (0, 3))]
 
-    scale = 1.0 / (r0 * r0)  # undo the zoom: Ric(g) = s^2 Ric(s^2 g), s = 1/r0
-    cross = max(abs(pair(e_r, e_X)), abs(pair(e_r, e_Y)), abs(pair(e_r, e_Z)))
+    scale = 1.0 / (r * r)  # undo the zoom: Ric(g) = s^2 Ric(s^2 g), s = 1/r0
+    shape = np.shape(r0)
     return RicciBlocks(
-        rr=pair(e_r, e_r) * scale,
-        sX=pair(e_X, e_X) * scale,
-        sYZ=0.5 * (pair(e_Y, e_Y) + pair(e_Z, e_Z)) * scale,
-        s2=pair(e_u, e_u) * scale,
-        cross_ir_mag=cross * scale,
+        rr=(pairs[:, 0] * scale).reshape(shape),
+        sX=(pairs[:, 1] * scale).reshape(shape),
+        sYZ=(0.5 * (pairs[:, 2] + pairs[:, 3]) * scale).reshape(shape),
+        s2=(pairs[:, 4] * scale).reshape(shape),
+        cross_ir_mag=(np.max(np.abs(pairs[:, 5:]), axis=1) * scale).reshape(shape),
     )
-
-
-def _basis(i: int, c: float) -> np.ndarray:
-    v = np.zeros(6)
-    v[i] = c
-    return v

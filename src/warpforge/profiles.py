@@ -223,12 +223,17 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(80)
 
 
 def _flat_step_integral(t):
-    """Integral of _flat_step from 0 to t by 80-point Gauss-Legendre."""
+    """Integral of _flat_step from 0 to t by 80-point Gauss-Legendre.
+
+    One dot product per row: a matrix-vector product can round a row
+    differently depending on how many rows share the call, and a radius
+    must get the same value alone as inside a grid.
+    """
     t = np.atleast_1d(np.asarray(t, dtype=float))
     half = 0.5 * t
-    nodes = half[:, None] * (_GL_NODES[None, :] + 1.0)  # map [-1,1] -> [0,t]
+    nodes = half[..., None] * (_GL_NODES + 1.0)  # map [-1,1] -> [0,t]
     vals = _flat_step(nodes)
-    return half * (vals @ _GL_WEIGHTS)
+    return half * (vals[..., None, :] @ _GL_WEIGHTS[:, None])[..., 0, 0]
 
 
 # ---------------------------------------------------------------------------

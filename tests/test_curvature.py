@@ -2,10 +2,12 @@
 
 import math
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from warpforge.cli import build, load_config
 from warpforge.construction import build_bubble
 from warpforge.jets import Jet2, JetDomainError, jet_var
 from warpforge.curvature import (
@@ -23,6 +25,8 @@ from warpforge.profiles import (
     rule_const,
 )
 from warpforge.jets import jet_sin, jet_pow
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def single_piece(rule, name, r_max=4.0):
@@ -264,10 +268,9 @@ def test_oracle_rejects_breakpoint_proximity():
         fd_ricci_oracle(m, 1.0005)
 
 
-def test_oracle_reads_each_profile_once_per_stencil_radius(monkeypatch):
-    # the nested 5-point stencils make 169 chart calls per radius but visit
-    # only 9 distinct radii (at most 21 once rounding splits them); the chart
-    # must read each profile once per distinct radius, not per stencil point
+def test_oracle_reads_each_profile_once_per_call(monkeypatch):
+    # the nested 5-point stencils make 169 chart points per radius; the chart
+    # reads each profile once per fd_ricci_oracle call, at all their radii
     metric = build_bubble(epsilon=0.05, alpha2=0.01, delta2=0.01).metric
     calls = Counter()
     evaluate = Profile.__call__
@@ -277,8 +280,35 @@ def test_oracle_reads_each_profile_once_per_stencil_radius(monkeypatch):
         return evaluate(self, r)
 
     monkeypatch.setattr(Profile, "__call__", counted)
-    for r0 in (0.7, 50.0, 2500.0):
+    for r0 in (0.7, 50.0, 2500.0, np.array([0.7, 1.4, 50.0, 2500.0])):
         calls.clear()
         fd_ricci_oracle(metric, r0)
-        assert set(calls) == {"bubble_base_A", "bubble_base_B", "f4"}, calls
-        assert max(calls.values()) <= 25, (r0, calls)
+        assert calls == {"bubble_base_A": 1, "bubble_base_B": 1, "f4": 1}, (r0, calls)
+
+
+def _block_bits(blocks):
+    return np.stack([np.asarray(getattr(blocks, k), dtype=float)
+                     for k in ("rr", "sX", "sYZ", "s2", "cross_ir_mag")]).view(np.uint64)
+
+
+@pytest.mark.parametrize("name", ["bubble", "surgery", "glue"])
+def test_oracle_batch_equals_one_radius_calls(name):
+    # one batched call per piece must give every radius the blocks of a call
+    # on that radius alone, bit for bit, with fields shaped like the input
+    _, metric, _, _ = build(name, load_config(CONFIGS / f"{name}.json", name))
+    rng = np.random.default_rng(5)
+    for lo, hi in metric.verification_pieces():
+        lo = max(lo, 0.04 * hi)
+        h_fd = min(1e-4, (hi - lo) / hi / 50.0)
+        if h_fd < 1e-7:
+            continue
+        rs = np.exp(rng.uniform(np.log(lo * (1 + 12 * h_fd)), np.log(hi * (1 - 12 * h_fd)), 6))
+        batch = fd_ricci_oracle(metric, rs, h_fd=h_fd)
+        assert all(np.shape(getattr(batch, k)) == rs.shape
+                   for k in ("rr", "sX", "sYZ", "s2", "cross_ir_mag"))
+        alone = [fd_ricci_oracle(metric, float(r), h_fd=h_fd) for r in rs]
+        assert all(np.shape(b.rr) == () for b in alone)
+        assert np.array_equal(_block_bits(batch), np.stack([_block_bits(b) for b in alone], 1)), \
+            (name, lo, hi)
+        grid = fd_ricci_oracle(metric, rs.reshape(2, 3), h_fd=h_fd)
+        assert np.array_equal(_block_bits(grid).reshape(5, -1), _block_bits(batch))

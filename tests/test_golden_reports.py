@@ -5,7 +5,8 @@ pin every report field.  Verdicts, intervals, grid sizes and block keys
 must match exactly; block minima and margins may move by rounding only
 (relative 1e-12), and a moved argmin must be a grid point of the same
 piece whose value ties the minimum within that tolerance.  Oracle errors
-are compared at relative 1e-9.
+are compared at relative 1e-9 (of max(1, |golden|)), and the oracle table
+of three targets x 20 seeds at relative 1e-9 of each entry.
 """
 
 import json
@@ -18,7 +19,7 @@ from warpforge.verify import _piece_grid, verify_ric_lower
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 sys.path.insert(0, str(GOLDEN))
-from make_golden import NAMES, case  # noqa: E402
+from make_golden import NAMES, case, oracle_table  # noqa: E402
 
 ROUNDING = 1e-12
 
@@ -56,3 +57,14 @@ def test_report_matches_golden(name):
                 at = rs == stat["argmin"]
                 assert at.any(), (where, block, stat["argmin"])
                 assert close(float(values[at][0]), ref["min"], ROUNDING), (where, block)
+
+
+def test_oracle_table_matches_golden():
+    golden = json.loads((GOLDEN / "oracle_table.json").read_text())
+    fresh = oracle_table()
+    assert set(fresh) == set(golden["oracle_max_rel_err"])
+    for config, errs in fresh.items():
+        want = golden["oracle_max_rel_err"][config]
+        assert len(errs) == len(want) == len(golden["seeds"]), config
+        for seed, got, ref in zip(golden["seeds"], errs, want):
+            assert abs(got - ref) <= 1e-9 * abs(ref), (config, seed, got, ref)

@@ -17,7 +17,7 @@ from warpforge.jets import (
     jet_sin,
     jet_var,
 )
-from warpforge.profiles import Piece
+from warpforge.profiles import Piece, _flat_step_integral
 from warpforge.verify import radial_grid
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -161,6 +161,17 @@ def _bits(*fields):
     return np.stack([np.asarray(f, dtype=float) for f in fields]).view(np.uint64)
 
 
+def _assert_batch_matches_points(prof, rs, where):
+    """prof on the batch rs equals prof on each radius alone, bit for bit."""
+    out = prof(rs)
+    assert out.v.shape == out.d1.shape == out.d2.shape == rs.shape
+    points = [prof(float(r)) for r in rs]
+    one_by_one = _bits([p.v for p in points], [p.d1 for p in points], [p.d2 for p in points])
+    differ = int(np.sum(one_by_one != _bits(out.v, out.d1, out.d2)))
+    assert differ == 0, f"{where}: {differ} of {one_by_one.size} channels differ"
+    assert all(np.shape(c) == () for p in points for c in (p.v, p.d1, p.d2))
+
+
 def test_array_and_scalar_agree():
     # one evaluation path: a scalar radius is a one-point array, so it must
     # agree with the same radius inside an array bit for bit
@@ -173,9 +184,15 @@ def test_array_and_scalar_agree():
 
     # every profile of the shipped metrics, on grid radii, breakpoints and the
     # finite-difference oracle's stencil radii (1 + k 1e-4) r0 around each
-    # piece's midpoint
+    # piece's midpoint; then random batches of 2-64 radii on every bump
+    # bridge, whose quadrature once rounded a row by how many rows it had.
+    # Adding the quadrature to the plateau hides most such roundings in B,
+    # so the bridge's quadrature rows are compared too
+    rng = np.random.default_rng(8)
+    metrics = {}
     for name in ("bubble", "surgery", "glue"):
-        _, metric, _, _ = build(name, load_config(CONFIGS / f"{name}.json", name))
+        _, metrics[name], _, _ = build(name, load_config(CONFIGS / f"{name}.json", name))
+        metric = metrics[name]
         stencils = [
             (1.0 + k * 1e-4) * math.sqrt(max(lo, 1e-3 * hi) * hi)
             for lo, hi in metric.verification_pieces()
@@ -183,11 +200,21 @@ def test_array_and_scalar_agree():
         ]
         rs = np.concatenate([radial_grid(*metric.r_range, 64), metric.breakpoints(), stencils])
         for label, prof in metric.profiles().items():
-            out = prof(rs)
-            assert out.v.shape == out.d1.shape == out.d2.shape == rs.shape
-            points = [prof(float(r)) for r in rs]
-            one_by_one = _bits([p.v for p in points], [p.d1 for p in points],
-                               [p.d2 for p in points])
-            differ = int(np.sum(one_by_one != _bits(out.v, out.d1, out.d2)))
-            assert differ == 0, f"{name} {label}: {differ} of {one_by_one.size} channels differ"
-            assert all(np.shape(c) == () for p in points for c in (p.v, p.d1, p.d2))
+            _assert_batch_matches_points(prof, rs, f"{name} {label}")
+            for piece in prof.pieces:
+                if "bump_bridge" not in piece.name:
+                    continue
+                for size in range(2, 65):
+                    batch = np.sort(rng.uniform(piece.lo, piece.hi, size))
+                    _assert_batch_matches_points(prof, batch, f"{name} {label} {piece.name}")
+                    t = (batch - piece.lo) / (piece.hi - piece.lo)
+                    rows = [_flat_step_integral(x)[0] for x in t]
+                    assert np.array_equal(_bits(_flat_step_integral(t)), _bits(rows)), \
+                        f"{name} {label}: quadrature of a {size}-radius batch"
+
+    # the 9 distinct radii of the oracle's nested stencils around one glue
+    # radius, where B once differed by 5.3e-23 from its value alone
+    r0 = 4.962481358130372e-07
+    stencil = r0 * np.unique([(1.0 + i * 1e-4) + j * 1e-4 for i in range(-2, 3)
+                              for j in range(-2, 3)])
+    _assert_batch_matches_points(metrics["glue"].B, stencil, "glue B stencil")
