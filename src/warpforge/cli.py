@@ -78,8 +78,7 @@ _SURGERY = {"kappa": (NUMBER, True), "f0": (NUMBER, True), "lambda_bound": (NUMB
 # a scan point (base plus one value per range) is a bubble config, r3 optional
 _SCAN_POINT = {**_BUBBLE, "r3": (NUMBER, False)}
 _GRID = {"points_per_piece": (COUNT, False), "refine_factor": (COUNT, False),
-         "refine_frac": (NUMBER, False), "r_min_frac": (NONNEG, False),
-         "oracle": (FLAG, False), "n_oracle": (COUNT, False), "h_fd": (NUMBER, False),
+         "r_min_frac": (NONNEG, False), "oracle": (FLAG, False), "n_oracle": (COUNT, False),
          "seed": (INTEGER, False), "r_min": (NUMBER, False), "r_max": (NUMBER, False)}
 _OUT = {"grid": (_GRID, False), "out_report": (TEXT, False), "out_csv": (TEXT, False),
         "out_descriptor": (TEXT, False)}
@@ -161,7 +160,7 @@ def build(target: str, cfg: dict) -> tuple:
         return b, b.metric, cfg.get("bound", 0.0), grid
     if target == "surgery":
         s = build_surgery(**{k: cfg[k] for k in _SURGERY if k in cfg})
-        grid.r_min, grid.r_max = s.params.r_hat / 2.0, 2.0
+        grid.r_min, grid.r_max = s.params.r_hat / 2.0, s.metric.r_range[1]
         bound = s.params.lambda_bound - cfg.get("ricci_constant", 150.0) * s.params.epsilon
         return s, s.metric, bound, grid
     s = build_surgery(**cfg["surgery"])

@@ -14,9 +14,10 @@ Three pipelines are assembled from the profile constructors:
     surgery's interior cone and splices the two, equalizing the warp
     coefficients by the min-rule.
 
-Every structural claim a builder makes (C1 joints, exactness of the outer
-and inner pieces, bi-Lipschitz distortion, blow-down factors) is
-re-measured on grids; Ricci lower bounds are the verify module's job.
+Every profile checks its own C1 joints when it is built; every other
+structural claim a builder makes (exactness of the outer and inner pieces,
+bi-Lipschitz distortion, blow-down factors) is re-measured on grids.
+Ricci lower bounds are the verify module's job.
 """
 
 from __future__ import annotations
@@ -59,28 +60,22 @@ class SmoothingError(ConstructionError):
     """c1_smooth left a larger footprint than its declared degradation."""
 
 
+DISTORTION_POINTS = 4096  # radii per region in the distortion checks
+
+
 # ---------------------------------------------------------------------------
 # C1 -> smooth joints
 # ---------------------------------------------------------------------------
 
-def c1_smooth(
-    profile: Profile,
-    at: float,
-    window: Optional[float] = None,
-    eps_smooth: Optional[float] = None,
-) -> Profile:
-    """Replace profile on [at - w, at + w] by the quintic Hermite matching
-    value/d1/d2 at the window ends.
+def c1_smooth(profile: Profile, at: float, window: float) -> Profile:
+    """Replace profile on [at - window, at + window] by the quintic Hermite
+    matching value/d1/d2 at the window ends.
 
     The C1 deviation over the window scales like window * |d2 jump| at the
-    joint; eps_smooth defaults to window * (|d2 jump| + 1e-3) and the
-    measured deviation is stored in params['smooth_dev'].
+    joint; a deviation above window * (|d2 jump| + 1e-3) raises
+    SmoothingError, and the measured one is stored in
+    params['smooth_dev@<at>'].
     """
-    idx = profile.piece_index(at)
-    if window is None:
-        left_len = at - profile.pieces[max(idx - 1, 0)].lo
-        right_len = profile.pieces[idx].hi - at
-        window = 1e-3 * min(left_len, right_len)
     x0, x1 = at - window, at + window
     if not profile.r_min < x0 < x1 < profile.r_max:
         raise ParameterError(f"smoothing window [{x0}, {x1}] leaves the profile")
@@ -92,9 +87,7 @@ def c1_smooth(
     # each side's piece once, at the window end and at the joint
     left = profile.pieces[profile.piece_index(x0)]([x0, at])
     right = profile.pieces[profile.piece_index(x1)]([at, x1])
-    d2_jump = abs(float(right.d2[0] - left.d2[1]))
-    if eps_smooth is None:
-        eps_smooth = window * (d2_jump + 1e-3)
+    eps_smooth = window * (abs(float(right.d2[0] - left.d2[1])) + 1e-3)
 
     coeffs = quintic_hermite_coeffs(x0, left.v[0], left.d1[0], left.d2[0],
                                     x1, right.v[1], right.d1[1], right.d2[1])
@@ -116,13 +109,19 @@ def c1_smooth(
             f"at r={at}; use a smaller window"
         )
     out.params[f"smooth_dev@{at:g}"] = dev
-    out.validate_c1()
     return out
 
 
 # ---------------------------------------------------------------------------
 # the bubble
 # ---------------------------------------------------------------------------
+
+# Smoothing windows are this fraction of the shorter adjacent piece.  Below
+# ~5e-3 the curvature signal inside a window sinks under the finite-difference
+# oracle's noise floor (the window's metric variation is Ric * width^2), so
+# windows stay independently checkable.
+WINDOW_FRAC = 1e-2
+
 
 @dataclass
 class Bubble:
@@ -133,7 +132,6 @@ class Bubble:
     base_A: Profile
     base_B: Profile
     warp: Profile
-    smoothed: bool
     lam: Profile = field(default=None)
 
     def blowdown(self) -> Profile:
@@ -143,14 +141,13 @@ class Bubble:
         return self.lam
 
 
-def build_berger_core(m: float = 1e-3, r1: float = 2.0, r_max: float = 1e3,
-                      fiber_radius: float = 1.0) -> WarpedMetric:
+def build_berger_core(m: float = 1e-3, r1: float = 2.0, r_max: float = 1e3) -> WarpedMetric:
     """The unwarped core metric: Berger pair (A, B) continued affinely, with
-    a constant-radius sphere factor.  On (0, r1/2) the radial block equals
+    a unit-radius sphere factor.  On (0, r1/2) the radial block equals
     k^2 exactly; beyond r1 it vanishes and the Hopf block is 2(1-m^2)/A^2."""
     A = make_A(m, r1, r_max=r_max)
     B = make_B(m, r1, A, r_max=r_max)
-    f = Profile([Piece(0.0, r_max, rule_const(fiber_radius), "const", {})],
+    f = Profile([Piece(0.0, r_max, rule_const(1.0), "const", {})],
                 "smooth", "f_const")
     return WarpedMetric(A, B, f, (0.0, r_max), "berger_core",
                         {"k": A.params["k"], "m": m, "r1": r1})
@@ -164,27 +161,19 @@ def build_bubble(
     r1: float = 2.0,
     r3: float = 1e3,
     smooth: bool = True,
-    window_frac: float = 1e-2,
-    r_max: Optional[float] = None,
 ) -> Bubble:
-    """Assemble the full bubble: Berger core, cone flattening, warped-cone
-    exterior; optionally smooth the r1 and r3 joints.
+    """Assemble the full bubble on [0, 16 r3]: Berger core, cone flattening,
+    warped-cone exterior; optionally smooth the r1 and r3 joints, each with
+    a window of WINDOW_FRAC times the shorter adjacent piece.
 
     Structural parameter-domain violations raise; qualitative curvature
     budgets (which the source constructions leave as 'small enough'
     thresholds) are left to grid verification, so a bubble that builds can
     still fail verify_ric_lower.
-
-    window_frac sizes smoothing windows relative to the adjacent pieces.
-    Below ~5e-3 the curvature signal inside a window sinks under the
-    finite-difference oracle's noise floor (the window's metric variation
-    is Ric * width^2), so the default keeps windows independently
-    checkable.
     """
     if not 0.0 < epsilon < 0.1:
         raise ParameterError(f"epsilon = {epsilon} outside (0, 1/10)")
-    if r_max is None:
-        r_max = 16.0 * r3
+    r_max = 16.0 * r3
     A = make_A(m, r1, r_max=r_max)
     B = make_B(m, r1, A, r_max=r_max)
     h3 = make_h3(m, epsilon, r1, r3, A.params["A_r1"], r_max=r_max)
@@ -195,12 +184,10 @@ def build_bubble(
                      {**A.params, **h3.params})
     base_B = Profile(B.trimmed(0.0, r1) + h3.pieces, "C1", "bubble_base_B",
                      {**B.params, **h3.params})
-    base_A.validate_c1()
-    base_B.validate_c1()
 
     if smooth:
-        w1 = window_frac * min(r1 / 2.0, r3 - r1)
-        w3 = window_frac * min(r3 - r1, r_max - r3)
+        w1 = WINDOW_FRAC * min(r1 / 2.0, r3 - r1)
+        w3 = WINDOW_FRAC * min(r3 - r1, r_max - r3)
         base_A = c1_smooth(c1_smooth(base_A, r1, w1), r3, w3)
         base_B = c1_smooth(c1_smooth(base_B, r1, w1), r3, w3)
         f4 = c1_smooth(f4, r3, w3)
@@ -216,7 +203,7 @@ def build_bubble(
         "bubble", {"epsilon": epsilon, "alpha": params.alpha, "delta": params.delta,
                    "R3": params.R3, "smoothed": smooth},
     )
-    return Bubble(metric, params, 2.0 * r3, h3, base_A, base_B, f4, smooth)
+    return Bubble(metric, params, 2.0 * r3, h3, base_A, base_B, f4)
 
 
 def bubble_alpha2_for_alpha(alpha: float, epsilon: float, m: float = 1e-3, r1: float = 2.0,
@@ -243,9 +230,6 @@ def bubble_alpha2_for_alpha(alpha: float, epsilon: float, m: float = 1e-3, r1: f
 class SurgeryMetric:
     metric: WarpedMetric
     params: SurgeryParams
-    mu: Profile
-    h: Profile
-    xi: Profile
     warp: Profile
 
 
@@ -261,7 +245,6 @@ def build_surgery(
     rho: float = 1.0 / 32.0,
     r_m: float = 0.125,
     r3: Optional[float] = None,
-    r_max: float = 2.0,
 ) -> SurgeryMetric:
     """Conical surgery on the curvature-kappa model base ball of radius 2
     with constant ambient warp f0.
@@ -278,7 +261,10 @@ def build_surgery(
         raise ParameterError(f"delta_hat = {delta_hat} outside (0, 1]")
     if f0 <= 0:
         raise ParameterError(f"f0 = {f0} must be positive")
+    if not r_hat > 0:
+        raise ParameterError(f"r_hat = {r_hat} must be positive")
 
+    r_max = 2.0  # radius of the model base ball
     mu = make_model_mu(kappa, r_max=r_max)
     h = make_step2_h(epsilon, r_max=r_max)
     f_plus = Profile(
@@ -325,7 +311,6 @@ def build_surgery(
         "surgery_phi",
         {"epsilon": epsilon, "kappa": kappa},
     )
-    phi.validate_c1()
 
     params = SurgeryParams(
         lambda_bound=lambda_bound, epsilon=epsilon, alpha=alpha, r_hat=r_hat,
@@ -337,13 +322,13 @@ def build_surgery(
         phi, None, warp, (0.0, r_max), "surgery",
         {"epsilon": epsilon, "alpha": alpha, "delta": delta, "kappa": kappa},
     )
-    return SurgeryMetric(metric, params, mu, h, xi_profile, warp)
+    return SurgeryMetric(metric, params, warp)
 
 
-def bilipschitz_check(s: SurgeryMetric, points: int = 4096) -> float:
+def bilipschitz_check(s: SurgeryMetric) -> float:
     """sup over (0, 2] of the spherical stretch max(phi_hat/phi, phi/phi_hat)
     between the surgery base and the ambient model base; must be <= 1+2 eps."""
-    rs = radial_grid(*s.metric.r_range, points)
+    rs = radial_grid(*s.metric.r_range, DISTORTION_POINTS)
     phi_hat = s.metric.A(rs).v
     phi_base = sn_jet(s.params.kappa, jet_var(rs)).v
     ratio = np.maximum(phi_hat / phi_base, phi_base / phi_hat)
@@ -414,8 +399,6 @@ def glue_bubble(s: SurgeryMetric, b: Bubble) -> WarpedMetric:
     B = Profile(bub_B + sur_phi, "C1", "glued_B", {"s_B": s_B, "shift": shift})
     f = Profile(bub_f + sur_f, "C1", "glued_f",
                 {"delta_I": delta_I, "delta_II": delta_II, "common": common})
-    for prof in (A, B, f):
-        prof.validate_c1()
 
     # collar isometry: both descriptions must agree on [r_hat/2, r_hat]
     collar = np.linspace(shift + 0.55 * r_hat, shift + 0.95 * r_hat, 100)
@@ -440,8 +423,7 @@ def glue_bubble(s: SurgeryMetric, b: Bubble) -> WarpedMetric:
 # blow-down map distortion
 # ---------------------------------------------------------------------------
 
-def blowdown_lipschitz(b: Bubble, lam: Optional[Profile] = None,
-                       points: int = 4096) -> float:
+def blowdown_lipschitz(b: Bubble, lam: Optional[Profile] = None) -> float:
     """sup of the blow-down differential norms over the bubble, asserting
     the regional bounds: pi/2 (1-eps) for the Hopf direction and pi (1-eps)
     for the orthogonal sphere directions on [0, r1], (1-eps)/m on [r1, r3],
@@ -452,7 +434,7 @@ def blowdown_lipschitz(b: Bubble, lam: Optional[Profile] = None,
 
     sup = 0.0
     # core region [0, r1]
-    rs = np.geomspace(1e-8 * r1, r1, points)
+    rs = np.geomspace(1e-8 * r1, r1, DISTORTION_POINTS)
     lj, aj, bj = lam(rs), b.base_A(rs), b.base_B(rs)
     fac_r = np.abs(lj.d1)
     fac_x = one_m_eps * lj.v / aj.v
@@ -466,7 +448,7 @@ def blowdown_lipschitz(b: Bubble, lam: Optional[Profile] = None,
     sup = max(sup, float(fac_r.max()), float(fac_x.max()), float(fac_yz.max()))
 
     # flattening region [r1, r3]
-    rs = np.geomspace(r1, r3, points)
+    rs = np.geomspace(r1, r3, DISTORTION_POINTS)
     lj, hj = lam(rs), b.base_A(rs)
     fac = one_m_eps * lj.v / hj.v
     if fac.max() > one_m_eps / m * (1 + 1e-9):

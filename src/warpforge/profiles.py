@@ -69,12 +69,20 @@ class Piece:
 @dataclass
 class Profile:
     """Pieces ordered by radius, each breakpoint belonging to the piece on its
-    right.  Called like a Piece: a scalar radius gives 0-d fields."""
+    right.  Called like a Piece: a scalar radius gives 0-d fields.
+
+    Every joint is C^1: constructing a profile of two or more pieces runs
+    validate_c1, which raises ConstructionError at the first joint that is
+    not.  A one-piece profile has no joint and is not evaluated."""
 
     pieces: list[Piece]
     smoothness: Literal["C1", "smooth"]
     label: str
     params: dict = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        if len(self.pieces) > 1:
+            self.validate_c1()
 
     @property
     def breakpoints(self) -> list[float]:
@@ -108,7 +116,7 @@ class Profile:
                 v[mask], d1[mask], d2[mask] = out.v, out.d1, out.d2
         return Jet2(v, d1, d2)
 
-    def validate_c1(self, tol: float = TAU_C1) -> None:
+    def validate_c1(self) -> None:
         """Check value/slope agreement of adjacent pieces at breakpoints."""
         bps = self.breakpoints
         # each piece once, at the breakpoints on either side of it
@@ -117,10 +125,10 @@ class Profile:
             left, right = ends[i], ends[i + 1]
             dv = abs(left.v[-1] - right.v[0]) / max(1.0, abs(left.v[-1]))
             dd = abs(left.d1[-1] - right.d1[0]) / max(1.0, abs(left.d1[-1]))
-            if dv > tol or dd > tol:
+            if dv > TAU_C1 or dd > TAU_C1:
                 raise ConstructionError(
                     f"profile '{self.label}' is not C1 at r={r}: "
-                    f"|dv|={dv:.3e}, |dd1|={dd:.3e} (tol {tol:.1e})"
+                    f"|dv|={dv:.3e}, |dd1|={dd:.3e} (tol {TAU_C1:.1e})"
                 )
 
     def trimmed(self, lo: float, hi: float) -> list[Piece]:
@@ -310,6 +318,8 @@ def make_A(m: float, r1: float = 2.0, r_max: Optional[float] = None) -> Profile:
     """Hopf-fiber warp: sin(k r)/k up to r1, then affine with slope m."""
     if not 0.0 < m < 0.01:
         raise ParameterError(f"m = {m} outside (0, 1/100)")
+    if not r1 > 0:
+        raise ParameterError(f"r1 = {r1} must be positive")
     if r_max is None:
         r_max = 8.0 * r1
     k = solve_cone_slope(m, r1)
@@ -318,7 +328,7 @@ def make_A(m: float, r1: float = 2.0, r_max: Optional[float] = None) -> Profile:
     def rule_sin(rj: Jet2) -> Jet2:
         return jet_sin(rj * k) * (1.0 / k)
 
-    prof = Profile(
+    return Profile(
         pieces=[
             Piece(0.0, r1, rule_sin, "sin_over_k", {"k": k}),
             Piece(r1, r_max, rule_affine(A1, m, r1), "affine", {"value": A1, "slope": m}),
@@ -327,8 +337,6 @@ def make_A(m: float, r1: float = 2.0, r_max: Optional[float] = None) -> Profile:
         label="A",
         params={"k": k, "m": m, "r1": r1, "A_r1": A1},
     )
-    prof.validate_c1()
-    return prof
 
 
 def make_B(m: float, r1: float, A: Profile, r_max: Optional[float] = None) -> Profile:
@@ -356,7 +364,7 @@ def make_B(m: float, r1: float, A: Profile, r_max: Optional[float] = None) -> Pr
             (m / L) * _flat_step_d(t) * rj.d1 * rj.d1 + m * _flat_step(t) * rj.d2,
         )
 
-    prof = Profile(
+    return Profile(
         pieces=[
             Piece(0.0, L, rule_const(b), "const", {"value": b}),
             Piece(L, r1, rule_bridge, "bump_bridge", {"b": b, "m": m}),
@@ -366,8 +374,6 @@ def make_B(m: float, r1: float, A: Profile, r_max: Optional[float] = None) -> Pr
         label="B",
         params={"b": b, "m": m, "r1": r1, "k": k},
     )
-    prof.validate_c1()
-    return prof
 
 
 def make_f2(delta2: float, alpha2: float, r_max: float) -> Profile:
@@ -426,7 +432,7 @@ def make_h3(
     h3_r3 = float(rule_log(jet_var(r3)).v[0])
     R3 = r3 - h3_r3 / (1.0 - epsilon)
 
-    prof = Profile(
+    return Profile(
         pieces=[
             Piece(r1, r3, rule_log, "log_flatten", {"c": c, "m": m, "A_r1": A_r1}),
             Piece(
@@ -441,8 +447,6 @@ def make_h3(
         label="h3",
         params={"c": c, "R3": R3, "h3_r3": h3_r3, "r3": r3, "epsilon": epsilon, "m": m},
     )
-    prof.validate_c1()
-    return prof
 
 
 def make_f4(
@@ -473,18 +477,18 @@ def make_f4(
     def rule_tail(rj: Jet2) -> Jet2:
         return jet_pow(rj - R3, alpha) * delta
 
-    prof = Profile(
-        pieces=f2.trimmed(0.0, r3)
-        + [Piece(r3, r_max, rule_tail, "power_tail", {"delta": delta, "alpha": alpha, "R3": R3})],
-        smoothness="C1",
-        label="f4",
-        params={"alpha": alpha, "delta": delta, "R3": R3, "alpha2": alpha2, "delta2": delta2},
-    )
+    pieces = f2.trimmed(0.0, r3) + [
+        Piece(r3, r_max, rule_tail, "power_tail", {"delta": delta, "alpha": alpha, "R3": R3})
+    ]
     try:
-        prof.validate_c1()
+        return Profile(
+            pieces,
+            smoothness="C1",
+            label="f4",
+            params={"alpha": alpha, "delta": delta, "R3": R3, "alpha2": alpha2, "delta2": delta2},
+        )
     except ConstructionError as exc:
         raise ConstructionError(f"f4 matching formulas failed C1 check: {exc}") from exc
-    return prof
 
 
 def make_lambda(r3: float, R3: float, r_max: Optional[float] = None) -> Profile:
@@ -500,7 +504,7 @@ def make_lambda(r3: float, R3: float, r_max: Optional[float] = None) -> Profile:
     def rule_power(rj: Jet2) -> Jet2:
         return jet_pow(rj * (1.0 / r3), p) * C0
 
-    prof = Profile(
+    return Profile(
         pieces=[
             Piece(0.0, r3, rule_power, "power_law", {"p": p, "coeff": C0}),
             Piece(r3, r_max, rule_affine(C0, 1.0, r3), "shift", {"R3": R3}),
@@ -509,8 +513,6 @@ def make_lambda(r3: float, R3: float, r_max: Optional[float] = None) -> Profile:
         label="lambda",
         params={"p": p, "r3": r3, "R3": R3},
     )
-    prof.validate_c1()
-    return prof
 
 
 # ---------------------------------------------------------------------------
@@ -543,7 +545,6 @@ def make_step2_h(epsilon: float, r_max: float = 2.0) -> Profile:
         label="step2_h",
         params={"epsilon": epsilon},
     )
-    prof.validate_c1()
 
     rs = np.linspace(lo, hi, 4001)
     out = prof(rs)
@@ -558,13 +559,18 @@ def make_step2_h(epsilon: float, r_max: float = 2.0) -> Profile:
     return prof
 
 
-def cubic_logwarp_smallness_checks(
-    alpha: float, r_m: float, rho: float, eta: float, c_universal: float = 8.0
-) -> None:
+C_UNIVERSAL = 8.0  # the universal constant C of the smallness inequalities
+
+
+def cubic_logwarp_smallness_checks(alpha: float, r_m: float, rho: float, eta: float) -> None:
     """The 'r_m small enough' regime, materialized as named inequalities."""
-    if not (-1.0 / (2.0 * rho) + c_universal / (1.0 - rho) < -4.0 / (1.0 - rho)):
+    if not 0.0 < rho < 1.0:
+        raise ParameterError(f"rho = {rho} outside (0, 1)")
+    if not r_m > 0:
+        raise ParameterError(f"r_m = {r_m} must be positive")
+    if not (-1.0 / (2.0 * rho) + C_UNIVERSAL / (1.0 - rho) < -4.0 / (1.0 - rho)):
         raise ParameterError(
-            f"rho = {rho} too large: need -1/(2 rho) + C/(1-rho) < -4/(1-rho) with C = {c_universal}"
+            f"rho = {rho} too large: need -1/(2 rho) + C/(1-rho) < -4/(1-rho) with C = {C_UNIVERSAL}"
         )
     if not alpha <= ((1.0 - rho) / (1.0 + rho)) ** 2:
         raise ParameterError(
@@ -582,7 +588,7 @@ def cubic_logwarp_smallness_checks(
         )
     lhs = eta / r_m
     rhs = alpha / (
-        (1.0 / (2.0 * rho) + 1.0 / (1.0 - rho) + c_universal * r_m)
+        (1.0 / (2.0 * rho) + 1.0 / (1.0 - rho) + C_UNIVERSAL * r_m)
         * (1.0 - rho) ** 2
         * r_m**2
     )
@@ -644,7 +650,6 @@ def make_cubic_logwarp(
         label="f2_surgery",
         params={"delta": delta, "alpha": alpha, "r_m": r_m, "rho": rho, "eta": eta},
     )
-    prof.validate_c1()
 
     rs = np.linspace(r2, r2p, 10_001)[1:-1]
     out = prof(rs)
@@ -678,7 +683,6 @@ def make_xi(r3: float, r_max: Optional[float] = None) -> Profile:
         label="xi",
         params={"r3": r3},
     )
-    prof.validate_c1()
     rs = np.linspace(r3, 2.0 * r3, 2001)
     out = prof(rs)
     if float((np.abs(out.d1) * rs).max()) > 4.0 or float(
@@ -702,16 +706,14 @@ def make_model_mu(kappa: float, r_max: float = 2.0) -> Profile:
         rule = rule_const(1.0)
         name = "flat"
     else:
-        s = math.sqrt(abs(kappa))
         series = [1.0, 0.0, -kappa / 6.0, 0.0, kappa**2 / 120.0, 0.0,
                   -kappa**3 / 5040.0, 0.0, kappa**4 / 362880.0]
-        circ = jet_sin if kappa > 0 else jet_sinh
         name = "sn_over_r"
 
         def rule(rj: Jet2) -> Jet2:
             small = rj.v < _MU_SERIES_SWITCH
             safe = Jet2(np.where(small, _MU_SERIES_SWITCH, rj.v), rj.d1, rj.d2)
-            closed = circ(safe * s) * (1.0 / s) / safe
+            closed = sn_jet(kappa, safe) / safe
             ser = jet_poly(series, rj)
             pick = lambda a, b: np.where(small, a, b)
             return Jet2(pick(ser.v, closed.v), pick(ser.d1, closed.d1),

@@ -22,15 +22,23 @@ from .jets import JetDomainError
 from .profiles import ConstructionError, ParameterError, Profile
 
 
+REFINE_FRAC = 0.01  # share of a piece's width refined geometrically at each end
+H_FD = 1e-4  # oracle step in the chart zoomed by 1/r0; narrow pieces take less
+
+
 @dataclass
 class GridConfig:
+    """Sampling of verify_ric_lower: per piece, points_per_piece log-spaced
+    radii plus max(8 refine_factor, 32) within REFINE_FRAC of its width at
+    each end, none below r_min_frac * r_max; with oracle, n_oracle random
+    radii per piece (drawn from seed) are checked against the
+    finite-difference oracle."""
+
     points_per_piece: int = 4096
     refine_factor: int = 16
-    refine_frac: float = 0.01
     r_min_frac: float = 1e-8     # innermost sample at r_min_frac * r_max
     oracle: bool = False
     n_oracle: int = 32
-    h_fd: float = 1e-4
     seed: int = 0
     r_min: Optional[float] = None  # optional clip of the verified range
     r_max: Optional[float] = None
@@ -134,8 +142,8 @@ def _piece_grid(lo: float, hi: float, cfg: GridConfig, global_max: float) -> np.
     base = np.geomspace(a, b, cfg.points_per_piece)
     width = hi - lo_eff
     n_ref = max(cfg.refine_factor * 8, 32)
-    near_lo = np.geomspace(a, min(a + cfg.refine_frac * width, b), n_ref)
-    near_hi = np.geomspace(max(b - cfg.refine_frac * width, a), b, n_ref)
+    near_lo = np.geomspace(a, min(a + REFINE_FRAC * width, b), n_ref)
+    near_hi = np.geomspace(max(b - REFINE_FRAC * width, a), b, n_ref)
     return np.unique(np.concatenate([base, near_lo, near_hi]))
 
 
@@ -151,7 +159,7 @@ def _oracle_pass(
     |o - f| <= max(1e-5, 1e-4 |f|) scaled to 1e-4.  Returns -inf when the
     piece is too narrow to difference."""
     rel_width = (hi - lo) / hi
-    h_fd = min(cfg.h_fd, rel_width / 50.0)
+    h_fd = min(H_FD, rel_width / 50.0)
     if h_fd < 1e-7:
         return float("-inf")
     rng = np.random.default_rng(cfg.seed + 1_000_003 * (piece_index + 1))

@@ -223,6 +223,18 @@ EXPORT_SURGERY = {"target": "surgery", "kappa": 0.0, "f0": 1.0, "lambda_bound": 
     pytest.param("bubble", shipped("bubble.json", grid={"r_min_frac": 2.0}), "r_min_frac",
                  id="grid-floor-above-range"),
     pytest.param("bubble", shipped("bubble.json", r3=1e300), "r3", id="non-finite-f4"),
+    pytest.param("surgery", shipped("surgery.json", r_m=-0.125), "r_m", id="negative-r-m"),
+    pytest.param("surgery", shipped("surgery.json", r_m=0), "r_m", id="zero-r-m"),
+    pytest.param("surgery", shipped("surgery.json", rho=0), "rho", id="zero-rho"),
+    pytest.param("surgery", shipped("surgery.json", r_hat=-0.001), "r_hat", id="negative-r-hat"),
+    pytest.param("bubble", shipped("bubble.json", r1=0), "r1", id="zero-r1"),
+    pytest.param("bubble", shipped("bubble.json", r1=-2), "r1", id="negative-r1"),
+    pytest.param("glue", {**GLUE, "surgery": {**GLUE["surgery"], "rho": 0}}, "rho",
+                 id="glue-zero-rho"),
+    pytest.param("bubble", shipped("bubble.json", grid={"h_fd": 1e-4}), "h_fd",
+                 id="grid-h-fd"),
+    pytest.param("bubble", shipped("bubble.json", grid={"refine_frac": 0.01}), "refine_frac",
+                 id="grid-refine-frac"),
 ])
 def test_malformed_config_rejected(tmp_path, monkeypatch, capsys, command, cfg, key):
     path = tmp_path / "config.json"

@@ -283,11 +283,12 @@ def test_blowdown_regional_bounds(bubble):
     assert sup < math.pi * (1 - eps)  # the YZ bound dominates in practice
 
 
-def test_blowdown_flat_degenerate_case():
-    # lambda(r) = r against A = B = r: every factor is 1
-    lam = Profile([Piece(0.0, 10.0, lambda rj: rj, "id", {})], "smooth", "lam")
-    ident = Profile([Piece(0.0, 10.0, lambda rj: rj, "id", {})], "smooth", "id")
-    rs = np.geomspace(1e-6, 9.9, 200)
-    lj = lam(rs)
-    assert np.allclose(lj.v / ident(rs).v, 1.0, rtol=1e-14)
-    assert np.allclose(lj.d1, 1.0, rtol=1e-14)
+def test_blowdown_flat_degenerate_case(bubble):
+    # lambda(r) = r keeps every core stretch in bounds but is not the exterior
+    # isometry r - R3; the bubble's own blow-down gives the default sup
+    ident = Profile([Piece(0.0, 1.5 * bubble.metric.r_range[1], lambda rj: rj, "id", {})],
+                    "smooth", "id")
+    with pytest.raises(ConstructionError, match="not an isometry beyond r3"):
+        blowdown_lipschitz(bubble, lam=ident)
+    sup = blowdown_lipschitz(bubble, lam=bubble.blowdown())
+    assert sup == blowdown_lipschitz(bubble) == pytest.approx(1.3822539846954487, rel=1e-12)

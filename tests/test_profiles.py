@@ -332,6 +332,21 @@ def test_every_constructed_profile_passes_c1(A, B, f4_pair):
         prof.validate_c1()
 
 
+def test_profile_checks_its_joints_when_constructed():
+    pieces = [Piece(0.0, 1.0, lambda rj: rj, "id", {}),
+              Piece(1.0, 2.0, lambda rj: rj + 0.5, "jump", {})]
+    with pytest.raises(ConstructionError, match=r"profile 'p' is not C1 at r=1\.0"):
+        Profile(pieces, "C1", "p")
+
+
+def test_one_piece_profile_is_not_evaluated_when_constructed():
+    def rule(rj):
+        raise AssertionError("rule evaluated")
+
+    prof = Profile([Piece(0.0, 1.0, rule, "never", {})], "smooth", "p")
+    assert prof.breakpoints == []
+
+
 def test_profile_csv_roundtrip(tmp_path, A):
     rs = np.geomspace(0.1, 30.0, 57)
     path = tmp_path / "a.csv"
@@ -352,7 +367,7 @@ def test_domain_error_reports_worst_value_and_count():
     # array failures name the smallest offending value, how many entries
     # offend and the piece's radius range, never a whole array repr
     prof = Profile([Piece(0.0, 1.0, lambda rj: jet_ln(rj - 0.5), "ln_shift", {}),
-                    Piece(1.0, 4.0, jet_ln, "ln", {})], "C1", "p")
+                    Piece(1.0, 4.0, lambda rj: jet_ln(rj - 0.5), "ln", {})], "C1", "p")
     cases = [
         (lambda: prof(np.array([0.0, 0.25, 0.5, 0.75, 0.9, 2.0])),
          r"piece 'ln_shift' on \[0, 1\]: ln of nonpositive value \(min v=-0\.5, 3 of 5 entries\)"),
