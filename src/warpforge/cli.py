@@ -160,7 +160,9 @@ def build(target: str, cfg: dict) -> tuple:
         return b, b.metric, cfg.get("bound", 0.0), grid
     if target == "surgery":
         s = build_surgery(**{k: cfg[k] for k in _SURGERY if k in cfg})
-        grid.r_min, grid.r_max = s.params.r_hat / 2.0, s.metric.r_range[1]
+        # the clip defaults to the collar's inner edge and the metric's end
+        grid = GridConfig(**{"r_min": s.params.r_hat / 2.0, "r_max": s.metric.r_range[1],
+                             **cfg.get("grid", {})})
         bound = s.params.lambda_bound - cfg.get("ricci_constant", 150.0) * s.params.epsilon
         return s, s.metric, bound, grid
     s = build_surgery(**cfg["surgery"])

@@ -36,6 +36,19 @@ def test_surgery_fixture_passes(tmp_path, monkeypatch):
     assert report["passed"] is True
 
 
+@pytest.mark.parametrize("grid, interval", [
+    ({}, [0.0005, 2.0]),                             # defaults: r_hat/2, the metric's end
+    ({"r_min": 0.5}, [0.5, 2.0]),
+    ({"r_min": 0.03, "r_max": 0.75}, [0.03, 0.75]),
+])
+def test_surgery_grid_clip_defaults_yield_to_config(tmp_path, monkeypatch, grid, interval):
+    code, cfg = run_in(tmp_path, monkeypatch, "surgery.json", "surgery",
+                       patch={"grid": {"points_per_piece": 64, **grid}})
+    assert code == 0
+    pieces = json.loads((tmp_path / cfg["out_report"]).read_text())["pieces"]
+    assert [pieces[0]["interval"][0], pieces[-1]["interval"][1]] == interval
+
+
 def test_bubble_fixture_reports_violation(tmp_path, monkeypatch):
     # the r3 = 1e3 bubble cannot hold Ric > 0 through the flattening region;
     # the CLI must exit 2 and still write the full report

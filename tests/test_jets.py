@@ -185,9 +185,9 @@ def test_array_and_scalar_agree():
     # every profile of the shipped metrics, on grid radii, breakpoints and the
     # finite-difference oracle's stencil radii (1 + k 1e-4) r0 around each
     # piece's midpoint; then random batches of 2-64 radii on every bump
-    # bridge, whose quadrature once rounded a row by how many rows it had.
-    # Adding the quadrature to the plateau hides most such roundings in B,
-    # so the bridge's quadrature rows are compared too
+    # bridge, whose integral once rounded a row by how many rows it had.
+    # Adding the integral to the plateau hides most such roundings in B,
+    # so the bridge's integral rows are compared too
     rng = np.random.default_rng(8)
     metrics = {}
     for name in ("bubble", "surgery", "glue"):
@@ -210,7 +210,7 @@ def test_array_and_scalar_agree():
                     t = (batch - piece.lo) / (piece.hi - piece.lo)
                     rows = [_flat_step_integral(x)[0] for x in t]
                     assert np.array_equal(_bits(_flat_step_integral(t)), _bits(rows)), \
-                        f"{name} {label}: quadrature of a {size}-radius batch"
+                        f"{name} {label}: integral of a {size}-radius batch"
 
     # the 9 distinct radii of the oracle's nested stencils around one glue
     # radius, where B once differed by 5.3e-23 from its value alone

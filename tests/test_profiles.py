@@ -1,13 +1,17 @@
 """Profile constructors: matching conditions, budgets, derivative checks."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import bisect_root, fd_profile_check
 
+from warpforge import profiles
+from warpforge.cli import build, load_config
 from warpforge.jets import Jet2, JetDomainError, jet_ln, jet_pow
 from warpforge.profiles import (
+    BRIDGE_PANELS,
     ConstructionError,
     ParameterError,
     make_A,
@@ -23,7 +27,14 @@ from warpforge.profiles import (
     rule_const,
     Piece,
     Profile,
+    _flat_step,
+    _flat_step_d,
+    _flat_step_integral,
+    _flat_step_quadrature,
 )
+from warpforge.verify import verify_ric_lower
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 M, R1 = 1e-3, 2.0
 
@@ -98,6 +109,56 @@ def test_B_ordering_invariants(A, B):
     assert np.all(b.v >= a.v - 1e-12)
     assert np.all(b.d1 >= -1e-15) and np.all(b.d1 <= M + 1e-12)
     assert np.all(a.d1 >= M - 1e-12)
+
+
+def test_bridge_table_matches_quadrature():
+    t = np.random.default_rng(10).uniform(0.0, 1.0, 100_000)
+    err = np.abs(_flat_step_integral(t) - _flat_step_quadrature(t))
+    assert err.max() <= 2.3e-16
+    # every table node gives the quadrature's value exactly
+    nodes = np.arange(BRIDGE_PANELS + 1) / BRIDGE_PANELS
+    assert np.array_equal(_flat_step_integral(nodes), _flat_step_quadrature(nodes))
+    # clamped to 0 below t = 0, extended with slope 1 above t = 1
+    T1 = _flat_step_quadrature(1.0)[0]
+    outside = np.array([-1.0, -1e-300, 1.0 + 2.0**-52, 1.5, 3.0])
+    expect = [0.0, 0.0, T1 + 2.0**-52, T1 + 0.5, T1 + 2.0]
+    assert np.array_equal(_flat_step_integral(outside), expect)
+
+
+@pytest.mark.parametrize("command, name", [
+    ("bubble", "bubble.json"), ("verify", "bubble_broken.json"), ("glue", "glue.json"),
+])
+def test_bridge_B_within_one_ulp_of_quadrature(monkeypatch, command, name):
+    # B on every radius the shipped config's verification samples, table
+    # against the quadrature the table was built from
+    cfg = load_config(CONFIGS / name, command)
+    _, metric, bound, grid = build(cfg.get("target", command), cfg)
+    seen, blocks = [], metric.blocks
+    monkeypatch.setattr(metric, "blocks", lambda rs: seen.append(rs) or blocks(rs))
+    verify_ric_lower(metric, bound, grid)
+    rs = np.concatenate(seen)
+    on_bridge = sum(((rs >= p.lo) & (rs < p.hi)).sum()
+                    for p in metric.B.pieces if "bump_bridge" in p.name)
+    assert on_bridge > 1000
+    table = metric.B(rs).v
+    monkeypatch.setattr(profiles, "_flat_step_integral", _flat_step_quadrature)
+    quad = metric.B(rs).v
+    assert np.all(np.abs(table - quad) <= np.spacing(np.abs(quad)))
+
+
+def test_bridge_slope_channels_are_the_step_and_its_derivative(B):
+    # the bridge reads the step once for both channels: bit for bit the
+    # expressions that read it once per use
+    bridge = B.pieces[1]
+    L, m = bridge.lo, bridge.params["m"]
+    rs = np.concatenate([np.linspace(L, R1, 4097),
+                         np.random.default_rng(11).uniform(L, R1, 4096)])
+    t = (rs - L) / L
+    out = bridge(rs)
+    d1 = m * _flat_step(t) * 1.0
+    d2 = (m / L) * _flat_step_d(t) * 1.0 * 1.0 + m * _flat_step(t) * 0.0
+    assert np.array_equal(out.d1.view(np.int64), d1.view(np.int64))
+    assert np.array_equal(out.d2.view(np.int64), d2.view(np.int64))
 
 
 # -- make_f2 ------------------------------------------------------------------
