@@ -23,7 +23,7 @@ Ricci lower bounds are the verify module's job.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -51,7 +51,6 @@ from .profiles import (
     rule_const,
     rule_poly_in_t,
     sn_jet,
-    solve_cone_slope,
 )
 from .verify import radial_grid
 
@@ -97,7 +96,7 @@ def c1_smooth(profile: Profile, at: float, window: float) -> Profile:
     pieces = profile.trimmed(profile.r_min, x0) + [hermite] + profile.trimmed(
         x1, profile.r_max
     )
-    out = Profile(pieces, profile.smoothness, profile.label, dict(profile.params))
+    out = Profile(pieces, profile.label, dict(profile.params))
 
     rs = np.linspace(x0, x1, 257)[1:-1]
     new = out(rs)
@@ -132,13 +131,9 @@ class Bubble:
     base_A: Profile
     base_B: Profile
     warp: Profile
-    lam: Profile = field(default=None)
 
     def blowdown(self) -> Profile:
-        if self.lam is None:
-            self.lam = make_lambda(self.params.r3, self.params.R3,
-                                   r_max=self.metric.r_range[1] * 1.5)
-        return self.lam
+        return make_lambda(self.params.r3, self.params.R3, r_max=self.metric.r_range[1] * 1.5)
 
 
 def build_berger_core(m: float = 1e-3, r1: float = 2.0, r_max: float = 1e3) -> WarpedMetric:
@@ -147,8 +142,7 @@ def build_berger_core(m: float = 1e-3, r1: float = 2.0, r_max: float = 1e3) -> W
     k^2 exactly; beyond r1 it vanishes and the Hopf block is 2(1-m^2)/A^2."""
     A = make_A(m, r1, r_max=r_max)
     B = make_B(m, r1, A, r_max=r_max)
-    f = Profile([Piece(0.0, r_max, rule_const(1.0), "const", {})],
-                "smooth", "f_const")
+    f = Profile([Piece(0.0, r_max, rule_const(1.0), "const", {})], "f_const")
     return WarpedMetric(A, B, f, (0.0, r_max), "berger_core",
                         {"k": A.params["k"], "m": m, "r1": r1})
 
@@ -180,9 +174,9 @@ def build_bubble(
     f2 = make_f2(delta2, alpha2, r_max=r_max)
     f4 = make_f4(alpha2, delta2, epsilon, r3, h3, f2, r_max=r_max)
 
-    base_A = Profile(A.trimmed(0.0, r1) + h3.pieces, "C1", "bubble_base_A",
+    base_A = Profile(A.trimmed(0.0, r1) + h3.pieces, "bubble_base_A",
                      {**A.params, **h3.params})
-    base_B = Profile(B.trimmed(0.0, r1) + h3.pieces, "C1", "bubble_base_B",
+    base_B = Profile(B.trimmed(0.0, r1) + h3.pieces, "bubble_base_B",
                      {**B.params, **h3.params})
 
     if smooth:
@@ -269,7 +263,7 @@ def build_surgery(
     h = make_step2_h(epsilon, r_max=r_max)
     f_plus = Profile(
         [Piece(0.0, r_max, rule_const(delta_hat * f0), "const", {})],
-        "smooth", "f_plus", {"delta_hat": delta_hat, "f0": f0},
+        "f_plus", {"delta_hat": delta_hat, "f0": f0},
     )
     warp, delta = make_cubic_logwarp(f_plus, alpha, r_m, rho=rho, eta=eta)
     r2, r2p = (1 - rho) * r_m, (1 + rho) * r_m
@@ -307,7 +301,6 @@ def build_surgery(
             Piece(0.5, 1.0, rule_bridge, "angle_bridge", {"epsilon": epsilon}),
             Piece(1.0, r_max, rule_ambient, "ambient", {"kappa": kappa}),
         ],
-        "C1",
         "surgery_phi",
         {"epsilon": epsilon, "kappa": kappa},
     )
@@ -395,9 +388,9 @@ def glue_bubble(s: SurgeryMetric, b: Bubble) -> WarpedMetric:
     sur_f = _affine_pieces(s.metric.f, 1.0, shift, x_switch, x_max,
                            warp_factor=common / delta_I)
 
-    A = Profile(bub_A + sur_phi, "C1", "glued_A", {"s_B": s_B, "shift": shift})
-    B = Profile(bub_B + sur_phi, "C1", "glued_B", {"s_B": s_B, "shift": shift})
-    f = Profile(bub_f + sur_f, "C1", "glued_f",
+    A = Profile(bub_A + sur_phi, "glued_A", {"s_B": s_B, "shift": shift})
+    B = Profile(bub_B + sur_phi, "glued_B", {"s_B": s_B, "shift": shift})
+    f = Profile(bub_f + sur_f, "glued_f",
                 {"delta_I": delta_I, "delta_II": delta_II, "common": common})
 
     # collar isometry: both descriptions must agree on [r_hat/2, r_hat]

@@ -33,18 +33,14 @@ from .profiles import ParameterError, Profile
 
 @dataclass
 class RicciBlocks:
-    """Diagonal Ricci components; s3 names sX, and sX == sYZ (up to
-    rounding) in round symmetry."""
+    """Diagonal Ricci components.  In round symmetry sX == sYZ (up to
+    rounding), and as_dict reports the pair as the one S^3 block "s3"."""
 
     rr: object
     sX: object
     sYZ: object
     s2: object
     cross_ir_mag: object = 0.0
-
-    @property
-    def s3(self):
-        return self.sX
 
     def as_dict(self, is_round: bool) -> dict:
         if is_round:

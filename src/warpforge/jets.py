@@ -141,11 +141,6 @@ def jet_sin(x: Jet2) -> Jet2:
     return Jet2(s, c * x.d1, -s * x.d1 * x.d1 + c * x.d2)
 
 
-def jet_cos(x: Jet2) -> Jet2:
-    s, c = np.sin(x.v), np.cos(x.v)
-    return Jet2(c, -s * x.d1, -c * x.d1 * x.d1 - s * x.d2)
-
-
 def jet_sinh(x: Jet2) -> Jet2:
     s, c = np.sinh(x.v), np.cosh(x.v)
     return Jet2(s, c * x.d1, s * x.d1 * x.d1 + c * x.d2)

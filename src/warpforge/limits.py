@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .profiles import ParameterError
+from .profiles import ConstructionError, ParameterError
 
 
 @dataclass(frozen=True)
@@ -31,9 +31,13 @@ def schedule(j: int, eps: float, delta: float, lambda_plus: float) -> Schedule:
         raise ParameterError(f"stage j = {j} must be nonnegative")
     if not 0.0 < delta < 1.0:
         raise ParameterError(f"delta = {delta} outside (0, 1)")
+    if not eps > 0.0:
+        raise ParameterError(f"epsilon = {eps} must be positive")
     eps_spent = eps * sum(2.0 ** (-k) for k in range(1, j + 1))
     lam = lambda_plus - eps_spent
-    assert lam > lambda_plus - eps
+    if not lam > lambda_plus - eps:
+        raise ConstructionError(f"lambda_{j} = {lam!r} does not stay above "
+                                f"lambda_plus - epsilon = {lambda_plus - eps!r}")
     return Schedule(
         j=j,
         r_j=2.0 ** (-j),
@@ -67,7 +71,7 @@ def compose_distortion(r: float, j: int, delta: float, C: float) -> float:
         out *= C if r <= dk * 2.0 ** (-k) else (1.0 + dk)
     bound = (1.0 + delta) * r ** holder_exponent(delta, C)
     if out > bound:
-        raise AssertionError(
+        raise ConstructionError(
             f"distortion product {out:.6g} exceeds Holder bound {bound:.6g} "
             f"(r={r}, j={j}, delta={delta}, C={C})"
         )
@@ -88,6 +92,8 @@ def gh_error(i: int, j: Optional[int], delta: float, C: float) -> float:
         total = C * delta ** (i + 2) / (1.0 - delta)
     else:
         total = C * sum(delta ** (1 + k) for k in range(i + 1, j + 1))
-    if delta <= 0.5:
-        assert total <= C * 2.0 ** (-i) * delta * (1 + 1e-12)
+    collapse = C * 2.0 ** (-i) * delta
+    if delta <= 0.5 and not total <= collapse * (1 + 1e-12):
+        raise ConstructionError(f"GH error {total:.6g} exceeds the collapse bound {collapse:.6g} "
+                                f"(i={i}, j={j}, delta={delta}, C={C})")
     return total

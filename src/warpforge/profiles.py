@@ -14,7 +14,7 @@ import bisect
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Literal, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -27,7 +27,6 @@ from .jets import (
     jet_pow,
     jet_sin,
     jet_sinh,
-    jet_sqrt,
     jet_var,
 )
 
@@ -74,16 +73,20 @@ class Profile:
 
     Every joint is C^1: constructing a profile of two or more pieces runs
     validate_c1, which raises ConstructionError at the first joint that is
-    not.  A one-piece profile has no joint and is not evaluated."""
+    not, and its smoothness reads "C1".  A one-piece profile has no joint,
+    is not evaluated, and reads "smooth"."""
 
     pieces: list[Piece]
-    smoothness: Literal["C1", "smooth"]
     label: str
     params: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if len(self.pieces) > 1:
             self.validate_c1()
+
+    @property
+    def smoothness(self) -> str:
+        return "smooth" if len(self.pieces) == 1 else "C1"
 
     @property
     def breakpoints(self) -> list[float]:
@@ -212,30 +215,19 @@ def smoothstep_jet(t: Jet2) -> Jet2:
 def _flat_step(t):
     """C-infinity step 1/(1 + exp(1/t - 1/(1-t))): 0 at t<=0, 1 at t>=1,
     all derivatives vanishing at both ends."""
-    t = np.asarray(t, dtype=float)
-    s = _flat_step_inside(np.clip(t, 1e-12, 1.0 - 1e-12))
-    return np.where(t <= 0.0, 0.0, np.where(t >= 1.0, 1.0, s))
-
-
-def _flat_step_inside(inner):
-    """The step's closed form at t already clipped into [1e-12, 1 - 1e-12]."""
-    g = np.clip(1.0 / inner - 1.0 / (1.0 - inner), -700.0, 700.0)
-    return 1.0 / (1.0 + np.exp(g))
+    return _flat_step_jet(t)[0]
 
 
 def _flat_step_jet(t):
-    """(_flat_step(t), _flat_step_d(t)) from one exp."""
+    """(_flat_step(t), its derivative) from one exp; the derivative peaks at
+    exactly 2 at t = 1/2."""
     t = np.asarray(t, dtype=float)
     inner = np.clip(t, 1e-12, 1.0 - 1e-12)
-    s = _flat_step_inside(inner)
+    g = np.clip(1.0 / inner - 1.0 / (1.0 - inner), -700.0, 700.0)
+    s = 1.0 / (1.0 + np.exp(g))
     d = (1.0 / inner**2 + 1.0 / (1.0 - inner) ** 2) * s * (1.0 - s)
     below, above = t <= 0.0, t >= 1.0
     return np.where(below, 0.0, np.where(above, 1.0, s)), np.where(below | above, 0.0, d)
-
-
-def _flat_step_d(t):
-    """Derivative of _flat_step (peaks at exactly 2 at t = 1/2)."""
-    return _flat_step_jet(t)[1]
 
 
 def _flat_step_quadrature(t):
@@ -387,7 +379,6 @@ def make_A(m: float, r1: float = 2.0, r_max: Optional[float] = None) -> Profile:
             Piece(0.0, r1, rule_sin, "sin_over_k", {"k": k}),
             Piece(r1, r_max, rule_affine(A1, m, r1), "affine", {"value": A1, "slope": m}),
         ],
-        smoothness="C1",
         label="A",
         params={"k": k, "m": m, "r1": r1, "A_r1": A1},
     )
@@ -427,7 +418,6 @@ def make_B(m: float, r1: float, A: Profile, r_max: Optional[float] = None) -> Pr
             Piece(L, r1, rule_bridge, "bump_bridge", {"b": b, "m": m}),
             Piece(r1, r_max, rule_affine(A1, m, r1), "affine", {"value": A1, "slope": m}),
         ],
-        smoothness="C1",
         label="B",
         params={"b": b, "m": m, "r1": r1, "k": k},
     )
@@ -445,7 +435,6 @@ def make_f2(delta2: float, alpha2: float, r_max: float) -> Profile:
 
     return Profile(
         pieces=[Piece(0.0, r_max, rule, "poly_warp", {"delta2": delta2, "alpha2": alpha2})],
-        smoothness="smooth",
         label="f2",
         params={"delta2": delta2, "alpha2": alpha2},
     )
@@ -500,7 +489,6 @@ def make_h3(
                 {"slope": 1.0 - epsilon, "R3": R3},
             ),
         ],
-        smoothness="C1",
         label="h3",
         params={"c": c, "R3": R3, "h3_r3": h3_r3, "r3": r3, "epsilon": epsilon, "m": m},
     )
@@ -540,7 +528,6 @@ def make_f4(
     try:
         return Profile(
             pieces,
-            smoothness="C1",
             label="f4",
             params={"alpha": alpha, "delta": delta, "R3": R3, "alpha2": alpha2, "delta2": delta2},
         )
@@ -566,7 +553,6 @@ def make_lambda(r3: float, R3: float, r_max: Optional[float] = None) -> Profile:
             Piece(0.0, r3, rule_power, "power_law", {"p": p, "coeff": C0}),
             Piece(r3, r_max, rule_affine(C0, 1.0, r3), "shift", {"R3": R3}),
         ],
-        smoothness="C1",
         label="lambda",
         params={"p": p, "r3": r3, "R3": R3},
     )
@@ -598,7 +584,6 @@ def make_step2_h(epsilon: float, r_max: float = 2.0) -> Profile:
             Piece(lo, hi, bridge, "hermite_bridge", {"epsilon": epsilon}),
             Piece(hi, r_max, rule_affine(hi, 1.0, hi), "identity", {}),
         ],
-        smoothness="C1",
         label="step2_h",
         params={"epsilon": epsilon},
     )
@@ -703,7 +688,6 @@ def make_cubic_logwarp(
             Piece(r2, r2p, rule_interp, "log_cubic", {"alpha": alpha}),
         ]
         + f_plus.trimmed(r2p, f_plus.r_max),
-        smoothness="C1",
         label="f2_surgery",
         params={"delta": delta, "alpha": alpha, "r_m": r_m, "rho": rho, "eta": eta},
     )
@@ -736,7 +720,6 @@ def make_xi(r3: float, r_max: Optional[float] = None) -> Profile:
             Piece(r3, 2.0 * r3, rule_bridge, "smoothstep", {"r3": r3}),
             Piece(2.0 * r3, r_max, rule_const(1.0), "one", {}),
         ],
-        smoothness="C1",
         label="xi",
         params={"r3": r3},
     )
@@ -778,7 +761,6 @@ def make_model_mu(kappa: float, r_max: float = 2.0) -> Profile:
 
     return Profile(
         pieces=[Piece(0.0, r_max, rule, name, {"kappa": kappa})],
-        smoothness="smooth",
         label="mu",
         params={"kappa": kappa},
     )

@@ -1,4 +1,4 @@
-"""Dense-grid verification of Ricci lower bounds and profile constraints.
+"""Dense-grid verification of Ricci lower bounds, parameter scans and CSV export.
 
 Verification never trusts a builder's postconditions: each metric is
 sampled piece by piece on log-spaced grids (with geometric refinement near
@@ -19,7 +19,7 @@ import numpy as np
 
 from .curvature import WarpedMetric, fd_ricci_oracle
 from .jets import JetDomainError
-from .profiles import ConstructionError, ParameterError, Profile
+from .profiles import ConstructionError, ParameterError
 
 
 REFINE_FRAC = 0.01  # share of a piece's width refined geometrically at each end
@@ -174,8 +174,8 @@ def _oracle_pass(
     radii = np.exp(rng.uniform(np.log(a), np.log(b), size=cfg.n_oracle))
     formula = metric.blocks(radii).as_dict(metric.is_round)
     oracle = fd_ricci_oracle(metric, radii, h_fd=h_fd)
-    errs = [np.abs(getattr(oracle, name) - fv) / np.maximum(0.1, np.abs(fv))
-            for name, fv in formula.items()]
+    fd = oracle.as_dict(metric.is_round)
+    errs = [np.abs(fd[name] - fv) / np.maximum(0.1, np.abs(fv)) for name, fv in formula.items()]
     # mixed radial/sphere block must vanish in rotational symmetry
     errs.append(oracle.cross_ir_mag / np.maximum(0.1, np.abs(formula["rr"])))
     return float(np.max(errs))
@@ -222,64 +222,6 @@ def verify_ric_lower(
     if cfg.oracle:
         report.oracle_max_rel_err = worst_err if np.isfinite(worst_err) else 0.0
     return report
-
-
-# ---------------------------------------------------------------------------
-# profile constraint checks
-# ---------------------------------------------------------------------------
-
-@dataclass
-class Constraint:
-    """expr(r, jet) op bound(r), with op one of '<=', '>='."""
-
-    name: str
-    expr: Callable[[np.ndarray, object], np.ndarray]
-    op: str
-    bound: Callable[[np.ndarray], np.ndarray] | float
-    lo: Optional[float] = None
-    hi: Optional[float] = None
-
-
-@dataclass
-class ConstraintResult:
-    name: str
-    passed: bool
-    worst: float      # most violating value of expr - bound (op <=) or bound - expr
-    arg_worst: float
-    min: float
-    max: float
-
-    def as_dict(self) -> dict:
-        return self.__dict__.copy()
-
-
-def check_profile_constraints(
-    profile: Profile,
-    constraints: list[Constraint],
-    points: int = 4096,
-) -> list[ConstraintResult]:
-    out = []
-    for con in constraints:
-        if con.op not in ("<=", ">="):
-            raise ParameterError(f"constraint '{con.name}': bad comparator {con.op!r}")
-        lo = profile.r_min if con.lo is None else con.lo
-        hi = profile.r_max if con.hi is None else con.hi
-        rs = radial_grid(lo, hi, points)
-        vals = con.expr(rs, profile(rs))
-        bnd = con.bound(rs) if callable(con.bound) else np.full_like(rs, con.bound)
-        excess = vals - bnd if con.op == "<=" else bnd - vals
-        j = int(np.argmax(excess))
-        out.append(
-            ConstraintResult(
-                name=con.name,
-                passed=bool(excess[j] <= 0.0),
-                worst=float(excess[j]),
-                arg_worst=float(rs[j]),
-                min=float(vals.min()),
-                max=float(vals.max()),
-            )
-        )
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,8 @@ finite-difference oracle's `oracle_max_rel_err` for bubble, surgery and
 glue at acceptance criterion 5's grid with 8 oracle radii per piece, seeds
 0-19 (the benchmark's oracle-crosscheck runs).  It pins the known finding
 that glue seed 12 reads 1.0751e-04, above criterion 5's 1e-4.
+<config>_descriptor.json holds the metric descriptor that bubble, surgery
+and glue write to `out_descriptor`, as the CLI writes it.
 Regenerate only when a change is meant to alter reports, from the
 repository root:
 
@@ -65,10 +67,19 @@ def oracle_table() -> dict:
     return table
 
 
+def descriptor_text(config: str) -> str:
+    """The out_descriptor file the CLI writes for a shipped config."""
+    metric, _, _ = cli_case(config)
+    return json.dumps(metric.descriptor(), indent=2)
+
+
 def main() -> None:
     for name in NAMES:
         verify_ric_lower(*case(name)).write(HERE / f"{name}.json")
         print(f"wrote {name}.json")
+    for config in ORACLE_CASES:
+        (HERE / f"{config}_descriptor.json").write_text(descriptor_text(config))
+        print(f"wrote {config}_descriptor.json")
     table = {"grid": TABLE_GRID, "seeds": list(TABLE_SEEDS), "oracle_max_rel_err": oracle_table()}
     (HERE / "oracle_table.json").write_text(json.dumps(table, indent=2) + "\n")
     print("wrote oracle_table.json")

@@ -34,7 +34,7 @@ from warpforge.construction import (
     glue_bubble,
 )
 from warpforge.curvature import WarpedMetric, fd_ricci_oracle, scale_warp
-from warpforge.jets import jet_sin, jet_var
+from warpforge.jets import jet_sin
 from warpforge.limits import compose_distortion, gh_error, holder_exponent
 from warpforge.profiles import Piece, Profile, make_model_mu, rule_const
 from warpforge.verify import GridConfig, verify_ric_lower
@@ -51,7 +51,7 @@ def verdict(num: int, ok: bool, detail: str) -> None:
 
 
 def single(rule, name, r_max):
-    return Profile([Piece(0.0, r_max, rule, name, {})], "smooth", name)
+    return Profile([Piece(0.0, r_max, rule, name, {})], name)
 
 
 @pytest.fixture(scope="module")

@@ -1,7 +1,6 @@
 """CLI exit-code contract and artifact round-trips on the shipped configs."""
 
 import json
-import shutil
 from pathlib import Path
 
 import numpy as np
@@ -84,6 +83,17 @@ def test_limits_fixture_prints_schedule(tmp_path, monkeypatch, capsys):
     assert data["lambda_j"] == pytest.approx(0.95625)
 
 
+@pytest.mark.parametrize("delta", [0.6, 0.9])
+def test_limits_certificate_failure_is_one_error_line(tmp_path, monkeypatch, capsys, delta):
+    # above delta = 1/2 the composed distortion outgrows its Holder bound
+    code, _ = run_in(tmp_path, monkeypatch, "limits.json", "limits", patch={"delta": delta})
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("construction error: distortion product") and "Traceback" not in err
+    assert all(f"{key}=" in err for key in ("r", "j", "delta", "C"))
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_scan_fixture(tmp_path, monkeypatch):
     code, cfg = run_in(
         tmp_path, monkeypatch, "scan.json", "scan",
@@ -122,7 +132,6 @@ def test_export_roundtrip_bit_exact(tmp_path, monkeypatch):
     assert main(["export", "-c", str(path)]) == 0
 
     from warpforge.construction import build_surgery
-    from warpforge.verify import export_curvature_csv
 
     s = build_surgery(kappa=0.0, f0=1.0, lambda_bound=-0.1, epsilon=0.02,
                       alpha=0.01, r_hat=0.001, delta_hat=0.001)
@@ -225,6 +234,8 @@ EXPORT_SURGERY = {"target": "surgery", "kappa": 0.0, "f0": 1.0, "lambda_bound": 
                  id="unknown-grid-key"),
     pytest.param("limits", shipped("limits.json", j=2.5), "j", id="j-fraction"),
     pytest.param("limits", shipped("limits.json", j="3"), "j", id="j-string"),
+    pytest.param("limits", {"j": 3, "epsilon": 0, "delta": 0.1, "lambda_plus": 0, "C": 2},
+                 "epsilon", id="limits-epsilon-0"),
     pytest.param("export", {**EXPORT_BUBBLE, "points": 0}, "points", id="export-points-0"),
     pytest.param("export", {**EXPORT_BUBBLE, "points": 2.7}, "points",
                  id="export-points-fraction"),

@@ -6,8 +6,6 @@ import numpy as np
 import pytest
 
 from warpforge.construction import (
-    Bubble,
-    SmoothingError,
     bilipschitz_check,
     blowdown_lipschitz,
     bubble_alpha2_for_alpha,
@@ -52,14 +50,20 @@ def surgery():
 # -- c1_smooth ---------------------------------------------------------------
 
 def test_smooth_of_smooth_piece_is_identity():
-    prof = Profile(
-        [Piece(0.0, 4.0, lambda rj: jet_sin(rj) + 2.0, "sin", {})], "smooth", "s"
-    )
+    prof = Profile([Piece(0.0, 4.0, lambda rj: jet_sin(rj) + 2.0, "sin", {})], "s")
     out = c1_smooth(prof, 2.0, window=0.01)
     rs = np.linspace(1.99, 2.01, 101)
     a, b = prof(rs), out(rs)
     assert np.max(np.abs(a.v - b.v)) < 1e-12
     assert np.max(np.abs(a.d1 - b.d1)) < 1e-10
+
+
+def test_smoothing_a_one_piece_profile_reports_C1():
+    # the window adds two joints, and the quintic is only C2 at its ends
+    prof = Profile([Piece(0.0, 4.0, lambda rj: jet_sin(rj) + 2.0, "sin", {})], "s")
+    out = c1_smooth(prof, 2.0, window=0.01)
+    assert (prof.smoothness, len(out.pieces)) == ("smooth", 3)
+    assert out.smoothness == out.descriptor()["smoothness"] == "C1"
 
 
 def test_smooth_deviation_scales_with_window_and_jump(bubble_raw):
@@ -154,7 +158,7 @@ def test_bubble_known_negative_flattening_region(bubble):
     # radial block must dip negative just beyond r1 (measured, not assumed)
     blocks = bubble.metric.blocks(np.geomspace(2.01, 990.0, 512))
     assert blocks.rr.min() < -0.1
-    assert blocks.s3.min() > 0  # the sphere blocks stay positive at alpha2 = 0.01
+    assert blocks.sX.min() > 0  # the sphere blocks stay positive at alpha2 = 0.01
     assert blocks.s2.min() > 0
 
 
@@ -286,8 +290,7 @@ def test_blowdown_regional_bounds(bubble):
 def test_blowdown_flat_degenerate_case(bubble):
     # lambda(r) = r keeps every core stretch in bounds but is not the exterior
     # isometry r - R3; the bubble's own blow-down gives the default sup
-    ident = Profile([Piece(0.0, 1.5 * bubble.metric.r_range[1], lambda rj: rj, "id", {})],
-                    "smooth", "id")
+    ident = Profile([Piece(0.0, 1.5 * bubble.metric.r_range[1], lambda rj: rj, "id", {})], "id")
     with pytest.raises(ConstructionError, match="not an isometry beyond r3"):
         blowdown_lipschitz(bubble, lam=ident)
     sup = blowdown_lipschitz(bubble, lam=bubble.blowdown())

@@ -1,6 +1,5 @@
 """Closed-form Ricci blocks vs analytic identities and the fd oracle."""
 
-import math
 from collections import Counter
 from pathlib import Path
 
@@ -30,7 +29,7 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def single_piece(rule, name, r_max=4.0):
-    return Profile([Piece(0.0, r_max, rule, name, {})], "smooth", name)
+    return Profile([Piece(0.0, r_max, rule, name, {})], name)
 
 
 def sin_profile(r_max=3.0):
@@ -58,7 +57,7 @@ def test_round_s4_blocks_are_three():
         phi = jet_at(sin_profile(), r)
         blocks = ricci_berger(phi, phi, Jet2(0.5, 0.0, 0.0))
         assert blocks.rr == pytest.approx(3.0, abs=1e-12)
-        assert blocks.s3 == pytest.approx(3.0, abs=1e-9)
+        assert blocks.sX == pytest.approx(3.0, abs=1e-9)
         assert blocks.s2 == pytest.approx(1 / 0.25, rel=1e-12)
 
 
@@ -66,7 +65,7 @@ def test_flat_cone_with_small_sphere():
     phi = jet_var(1.7)
     blocks = ricci_berger(phi, phi, Jet2(0.1, 0.0, 0.0))
     assert blocks.rr == 0.0
-    assert blocks.s3 == pytest.approx(0.0, abs=1e-14)
+    assert blocks.sX == pytest.approx(0.0, abs=1e-14)
     assert blocks.s2 == pytest.approx(100.0, rel=1e-12)
 
 
@@ -79,7 +78,7 @@ def test_warped_cone_closed_form():
         f = jet_pow(tj, alpha) * delta
         blocks = ricci_berger(phi, phi, f)
         assert blocks.rr == pytest.approx(-2 * alpha * (alpha - 1) / t**2, rel=1e-10)
-        assert blocks.s3 == pytest.approx(
+        assert blocks.sX == pytest.approx(
             2 * (1 / (1 - eps) ** 2 - 1 - alpha) / t**2, rel=1e-10
         )
         s2_expected = (
@@ -260,7 +259,6 @@ def test_oracle_rejects_breakpoint_proximity():
             Piece(0.0, 1.0, lambda rj: rj, "id", {}),
             Piece(1.0, 3.0, rule_affine(1.0, 1.0, 1.0), "affine", {}),
         ],
-        "C1",
         "split",
     )
     m = cone_metric(phi, const_profile(0.2, r_max=3.0), (0.1, 3.0), "split")

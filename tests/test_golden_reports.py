@@ -6,7 +6,8 @@ must match exactly; block minima and margins may move by rounding only
 (relative 1e-12), and a moved argmin must be a grid point of the same
 piece whose value ties the minimum within that tolerance.  Oracle errors
 are compared at relative 1e-9 (of max(1, |golden|)), and the oracle table
-of three targets x 20 seeds at relative 1e-9 of each entry.
+of three targets x 20 seeds at relative 1e-9 of each entry.  The metric
+descriptors of bubble, surgery and glue must match byte for byte.
 """
 
 import json
@@ -19,7 +20,9 @@ from warpforge.verify import _piece_grid, verify_ric_lower
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 sys.path.insert(0, str(GOLDEN))
-from make_golden import NAMES, case, oracle_table  # noqa: E402
+from make_golden import (  # noqa: E402
+    NAMES, ORACLE_CASES, case, descriptor_text, oracle_table,
+)
 
 ROUNDING = 1e-12
 
@@ -53,7 +56,7 @@ def test_report_matches_golden(name):
                 # a tie broken differently: the new argmin must be a sample of
                 # this piece whose value ties the golden minimum
                 rs = _piece_grid(*got["interval"], grid, hi_clip)
-                values = getattr(metric.blocks(rs), block)
+                values = metric.blocks(rs).as_dict(metric.is_round)[block]
                 at = rs == stat["argmin"]
                 assert at.any(), (where, block, stat["argmin"])
                 assert close(float(values[at][0]), ref["min"], ROUNDING), (where, block)
@@ -68,3 +71,8 @@ def test_oracle_table_matches_golden():
         assert len(errs) == len(want) == len(golden["seeds"]), config
         for seed, got, ref in zip(golden["seeds"], errs, want):
             assert abs(got - ref) <= 1e-9 * abs(ref), (config, seed, got, ref)
+
+
+@pytest.mark.parametrize("config", ORACLE_CASES)
+def test_descriptor_matches_golden(config):
+    assert descriptor_text(config) == (GOLDEN / f"{config}_descriptor.json").read_text()

@@ -1,0 +1,45 @@
+"""Source hygiene of src/warpforge: every imported name is used, and no
+module checks a condition with `assert`, which `python -O` strips."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "warpforge"
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names an import binds that the module never reads.  `__future__`
+    imports and statements marked `# noqa: F401` (re-exports) are exempt."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    imported = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if getattr(node, "module", None) == "__future__" or any(
+            "# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]
+        ):
+            continue
+        imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return sorted(imported - read)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_assert_statements(path):
+    tree = ast.parse(path.read_text())
+    lines = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)]
+    assert lines == [], f"{path.name}: assert at lines {lines}"
+
+
+def test_unused_import_is_found():
+    source = "import math\nfrom os import path, sep\nfrom . import x  # noqa: F401\nsep\n"
+    assert unused_imports(source) == ["math", "path"]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from warpforge.limits import compose_distortion, gh_error, holder_exponent, schedule
-from warpforge.profiles import ParameterError
+from warpforge.profiles import ConstructionError, ParameterError
 
 
 def test_schedule_stage_three():
@@ -19,6 +19,13 @@ def test_schedule_stage_zero_spends_nothing():
     s = schedule(0, eps=0.3, delta=0.2, lambda_plus=-1.5)
     assert s.lambda_j == -1.5
     assert s.r_j == 1.0
+
+
+def test_schedule_rounding_onto_the_floor_is_an_error():
+    # at j = 60, sum 2^-k rounds to exactly 1, so lambda_j would equal
+    # lambda_plus - eps instead of staying above it
+    with pytest.raises(ConstructionError, match="lambda_60"):
+        schedule(60, eps=0.05, delta=0.1, lambda_plus=1.0)
 
 
 def test_schedule_monotone_bounded():

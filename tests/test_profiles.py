@@ -28,8 +28,8 @@ from warpforge.profiles import (
     Piece,
     Profile,
     _flat_step,
-    _flat_step_d,
     _flat_step_integral,
+    _flat_step_jet,
     _flat_step_quadrature,
 )
 from warpforge.verify import verify_ric_lower
@@ -156,7 +156,7 @@ def test_bridge_slope_channels_are_the_step_and_its_derivative(B):
     t = (rs - L) / L
     out = bridge(rs)
     d1 = m * _flat_step(t) * 1.0
-    d2 = (m / L) * _flat_step_d(t) * 1.0 * 1.0 + m * _flat_step(t) * 0.0
+    d2 = (m / L) * _flat_step_jet(t)[1] * 1.0 * 1.0 + m * _flat_step(t) * 0.0
     assert np.array_equal(out.d1.view(np.int64), d1.view(np.int64))
     assert np.array_equal(out.d2.view(np.int64), d2.view(np.int64))
 
@@ -302,7 +302,7 @@ def test_step2_h_jets_match_fd():
 # -- make_cubic_logwarp ---------------------------------------------------------
 
 def constant_profile(c, r_max=2.0, label="fplus"):
-    return Profile([Piece(0.0, r_max, rule_const(c), "const", {})], "smooth", label)
+    return Profile([Piece(0.0, r_max, rule_const(c), "const", {})], label)
 
 
 def test_cubic_logwarp_constant_ambient():
@@ -397,14 +397,14 @@ def test_profile_checks_its_joints_when_constructed():
     pieces = [Piece(0.0, 1.0, lambda rj: rj, "id", {}),
               Piece(1.0, 2.0, lambda rj: rj + 0.5, "jump", {})]
     with pytest.raises(ConstructionError, match=r"profile 'p' is not C1 at r=1\.0"):
-        Profile(pieces, "C1", "p")
+        Profile(pieces, "p")
 
 
 def test_one_piece_profile_is_not_evaluated_when_constructed():
     def rule(rj):
         raise AssertionError("rule evaluated")
 
-    prof = Profile([Piece(0.0, 1.0, rule, "never", {})], "smooth", "p")
+    prof = Profile([Piece(0.0, 1.0, rule, "never", {})], "p")
     assert prof.breakpoints == []
 
 
@@ -428,7 +428,7 @@ def test_domain_error_reports_worst_value_and_count():
     # array failures name the smallest offending value, how many entries
     # offend and the piece's radius range, never a whole array repr
     prof = Profile([Piece(0.0, 1.0, lambda rj: jet_ln(rj - 0.5), "ln_shift", {}),
-                    Piece(1.0, 4.0, lambda rj: jet_ln(rj - 0.5), "ln", {})], "C1", "p")
+                    Piece(1.0, 4.0, lambda rj: jet_ln(rj - 0.5), "ln", {})], "p")
     cases = [
         (lambda: prof(np.array([0.0, 0.25, 0.5, 0.75, 0.9, 2.0])),
          r"piece 'ln_shift' on \[0, 1\]: ln of nonpositive value \(min v=-0\.5, 3 of 5 entries\)"),

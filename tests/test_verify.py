@@ -1,4 +1,4 @@
-"""Grid verification: reports, determinism, refinement, constraints, scans."""
+"""Grid verification: reports, determinism, refinement, profile bounds, scans."""
 
 import json
 import math
@@ -13,10 +13,9 @@ from warpforge.profiles import (
     ParameterError, Piece, Profile, make_A, make_f2, make_h3, make_lambda, rule_const,
 )
 from warpforge.verify import (
-    Constraint,
     GridConfig,
-    check_profile_constraints,
     export_curvature_csv,
+    radial_grid,
     scan_params,
     verify_ric_lower,
 )
@@ -24,8 +23,8 @@ from warpforge.verify import (
 
 def cone(phi_rule, f_rule, r_range, label, r_max=None):
     r_max = r_max or r_range[1]
-    phi = Profile([Piece(0.0, r_max, phi_rule, "phi", {})], "smooth", label + "_phi")
-    f = Profile([Piece(0.0, r_max, f_rule, "f", {})], "smooth", label + "_f")
+    phi = Profile([Piece(0.0, r_max, phi_rule, "phi", {})], label + "_phi")
+    f = Profile([Piece(0.0, r_max, f_rule, "f", {})], label + "_f")
     return WarpedMetric(phi, None, f, r_range, label)
 
 
@@ -144,47 +143,26 @@ def test_oracle_agreement_on_passing_fixture(round_s4):
     assert report.oracle_max_rel_err < 1e-4
 
 
-# -- constraints -------------------------------------------------------------
+# -- profile bounds, sampled on radial_grid ------------------------------------
 
 def test_h3_budget_constraint():
     A = make_A(1e-3, 2.0)
     h3 = make_h3(1e-3, 0.05, 2.0, 1e3, A.params["A_r1"])
-    results = check_profile_constraints(
-        h3,
-        [
-            Constraint("r h3'' <= 10/ln r3", lambda r, j: r * j.d2, "<=",
-                       10.0 / math.log(1e3), lo=2.0, hi=1e3),
-            Constraint("r h3'' >= 0", lambda r, j: r * j.d2, ">=", 0.0, lo=2.0, hi=1e3),
-        ],
-    )
-    assert all(r.passed for r in results)
+    rs = radial_grid(2.0, 1e3, 4096)
+    r_h3pp = rs * h3(rs).d2
+    assert np.all((0.0 <= r_h3pp) & (r_h3pp <= 10.0 / math.log(1e3)))
 
 
 def test_f2_log_slope_constraint():
     f2 = make_f2(0.01, 0.01, r_max=10.0)
-    results = check_profile_constraints(
-        f2,
-        [Constraint("f2'/f2 <= alpha2/2", lambda r, j: j.d1 / j.v, "<=", 0.005)],
-    )
-    assert results[0].passed
+    jet = f2(radial_grid(f2.r_min, f2.r_max, 4096))
+    assert np.all(jet.d1 / jet.v <= 0.01 / 2)  # f2'/f2 <= alpha2/2
 
 
 def test_lambda_below_identity_constraint():
     lam = make_lambda(1e3, 159.0)
-    results = check_profile_constraints(
-        lam, [Constraint("lambda <= r", lambda r, j: j.v - r, "<=", 0.0)]
-    )
-    assert results[0].passed
-
-
-def test_malformed_constraint_rejected():
-    lam = make_lambda(1e3, 159.0)
-    from warpforge.profiles import ParameterError
-
-    with pytest.raises(ParameterError):
-        check_profile_constraints(
-            lam, [Constraint("bad", lambda r, j: j.v, "==", 0.0)]
-        )
+    rs = radial_grid(lam.r_min, lam.r_max, 4096)
+    assert np.all(lam(rs).v <= rs)
 
 
 # -- scans ----------------------------------------------------------------------
