@@ -66,48 +66,51 @@ DISTORTION_POINTS = 4096  # radii per region in the distortion checks
 # C1 -> smooth joints
 # ---------------------------------------------------------------------------
 
-def c1_smooth(profile: Profile, at: float, window: float) -> Profile:
-    """Replace profile on [at - window, at + window] by the quintic Hermite
-    matching value/d1/d2 at the window ends.
+def c1_smooth(profile: Profile, windows: list[tuple[float, float]]) -> Profile:
+    """Replace profile on [at - window, at + window], for each (at, window)
+    pair, by the quintic Hermite matching value/d1/d2 at the window ends;
+    the result is built, and its joints checked, once.
 
-    The C1 deviation over the window scales like window * |d2 jump| at the
+    The C1 deviation over a window scales like window * |d2 jump| at the
     joint; a deviation above window * (|d2 jump| + 1e-3) raises
     SmoothingError, and the measured one is stored in
     params['smooth_dev@<at>'].
     """
-    x0, x1 = at - window, at + window
-    if not profile.r_min < x0 < x1 < profile.r_max:
-        raise ParameterError(f"smoothing window [{x0}, {x1}] leaves the profile")
-    crossed = [bp for bp in profile.breakpoints if x0 < bp < x1]
-    if not set(crossed) <= {at}:
-        raise ParameterError(
-            f"smoothing window [{x0}, {x1}] crosses other breakpoints {crossed}"
-        )
-    # each side's piece once, at the window end and at the joint
-    left = profile.pieces[profile.piece_index(x0)]([x0, at])
-    right = profile.pieces[profile.piece_index(x1)]([at, x1])
-    eps_smooth = window * (abs(float(right.d2[0] - left.d2[1])) + 1e-3)
+    pieces, hermites, start = [], [], profile.r_min
+    for at, window in sorted(windows):
+        x0, x1 = at - window, at + window
+        if not start < x0 < x1 < profile.r_max:
+            raise ParameterError(f"smoothing window [{x0}, {x1}] leaves the profile "
+                                 f"or overlaps another window")
+        crossed = [bp for bp in profile.breakpoints if x0 < bp < x1]
+        if not set(crossed) <= {at}:
+            raise ParameterError(
+                f"smoothing window [{x0}, {x1}] crosses other breakpoints {crossed}"
+            )
+        # each side's piece once, at the window end and at the joint
+        left = profile.pieces[profile.piece_index(x0)]([x0, at])
+        right = profile.pieces[profile.piece_index(x1)]([at, x1])
+        coeffs = quintic_hermite_coeffs(x0, left.v[0], left.d1[0], left.d2[0],
+                                        x1, right.v[1], right.d1[1], right.d2[1])
+        hermite = Piece(x0, x1, rule_poly_in_t(coeffs, x0, x1 - x0), "smoothing_window",
+                        {"at": at, "window": window})
+        hermites.append((at, window, hermite, abs(float(right.d2[0] - left.d2[1]))))
+        pieces += profile.trimmed(start, x0) + [hermite]
+        start = x1
+    out = Profile(pieces + profile.trimmed(start, profile.r_max), profile.label,
+                  dict(profile.params))
 
-    coeffs = quintic_hermite_coeffs(x0, left.v[0], left.d1[0], left.d2[0],
-                                    x1, right.v[1], right.d1[1], right.d2[1])
-    hermite = Piece(x0, x1, rule_poly_in_t(coeffs, x0, x1 - x0), "smoothing_window",
-                    {"at": at, "window": window})
-
-    pieces = profile.trimmed(profile.r_min, x0) + [hermite] + profile.trimmed(
-        x1, profile.r_max
-    )
-    out = Profile(pieces, profile.label, dict(profile.params))
-
-    rs = np.linspace(x0, x1, 257)[1:-1]
-    new = out(rs)
-    old = profile(rs)
-    dev = float(np.max(np.abs(new.v - old.v) + np.abs(new.d1 - old.d1)))
-    if dev > eps_smooth:
-        raise SmoothingError(
-            f"C1 deviation {dev:.3e} exceeds declared degradation {eps_smooth:.3e} "
-            f"at r={at}; use a smaller window"
-        )
-    out.params[f"smooth_dev@{at:g}"] = dev
+    for at, window, hermite, jump in hermites:
+        rs = np.linspace(hermite.lo, hermite.hi, 257)[1:-1]
+        new, old = hermite(rs), profile(rs)
+        dev = float(np.max(np.abs(new.v - old.v) + np.abs(new.d1 - old.d1)))
+        eps_smooth = window * (jump + 1e-3)
+        if dev > eps_smooth:
+            raise SmoothingError(
+                f"C1 deviation {dev:.3e} exceeds declared degradation {eps_smooth:.3e} "
+                f"at r={at}; use a smaller window"
+            )
+        out.params[f"smooth_dev@{at:g}"] = dev
     return out
 
 
@@ -182,9 +185,9 @@ def build_bubble(
     if smooth:
         w1 = WINDOW_FRAC * min(r1 / 2.0, r3 - r1)
         w3 = WINDOW_FRAC * min(r3 - r1, r_max - r3)
-        base_A = c1_smooth(c1_smooth(base_A, r1, w1), r3, w3)
-        base_B = c1_smooth(c1_smooth(base_B, r1, w1), r3, w3)
-        f4 = c1_smooth(f4, r3, w3)
+        base_A = c1_smooth(base_A, [(r1, w1), (r3, w3)])
+        base_B = c1_smooth(base_B, [(r1, w1), (r3, w3)])
+        f4 = c1_smooth(f4, [(r3, w3)])
 
     params = BubbleParams(
         m=m, r1=r1, k=A.params["k"], b=B.params["b"], epsilon=epsilon,

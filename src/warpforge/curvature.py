@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .jets import Jet2, JetDomainError
-from .profiles import ParameterError, Profile
+from .profiles import ParameterError, Piece, Profile
 
 
 @dataclass
@@ -59,27 +59,17 @@ def ricci_berger(A: Jet2, B: Jet2, f: Jet2) -> RicciBlocks:
     _require_positive("B", B.v)
     _require_positive("f", f.v)
     a, b, w = A.v, B.v, f.v
-    rr = -A.d2 / a - 2.0 * B.d2 / b - 2.0 * f.d2 / w
-    sX = (
-        -A.d2 / a
-        - 2.0 * A.d1 * B.d1 / (a * b)
-        + 2.0 * a * a / b**4
-        - 2.0 * A.d1 * f.d1 / (a * w)
-    )
-    sYZ = (
-        -B.d2 / b
-        - A.d1 * B.d1 / (a * b)
-        - (B.d1 / b) ** 2
-        + 2.0 * (2.0 * b * b - a * a) / b**4
-        - 2.0 * B.d1 * f.d1 / (b * w)
-    )
-    s2 = (
-        1.0 / (w * w)
-        - f.d2 / w
-        - (f.d1 / w) ** 2
-        - A.d1 * f.d1 / (a * w)
-        - 2.0 * B.d1 * f.d1 / (b * w)
-    )
+    # each term shared between blocks is computed once; doubling a shared
+    # term is exact, so every block rounds as the textbook expression does
+    ad2, bd2, fd2 = A.d2 / a, B.d2 / b, f.d2 / w
+    ab = A.d1 * B.d1 / (a * b)
+    af = A.d1 * f.d1 / (a * w)
+    bf = B.d1 * f.d1 / (b * w)
+    aa, b4 = a * a, b**4
+    rr = -ad2 - 2.0 * bd2 - 2.0 * fd2
+    sX = -ad2 - 2.0 * ab + 2.0 * (aa / b4) - 2.0 * af
+    sYZ = -bd2 - ab - (B.d1 / b) ** 2 + 2.0 * (2.0 * b * b - aa) / b4 - 2.0 * bf
+    s2 = 1.0 / (w * w) - fd2 - (f.d1 / w) ** 2 - af - 2.0 * bf
     return RicciBlocks(rr, sX, sYZ, s2)
 
 
@@ -142,10 +132,15 @@ class WarpedMetric:
             pts.update(b for b in prof.breakpoints if lo < b < hi)
         return sorted(pts)
 
-    def verification_pieces(self) -> list[tuple[float, float]]:
+    def verification_pieces(self) -> list[tuple[float, float, Piece, Optional[Piece], Piece]]:
+        """(lo, hi, A's piece, B's piece, f's piece) per smooth piece of the
+        metric, B's piece None when round.  [lo, hi] lies inside one piece of
+        each profile, so its blocks come from those closed forms alone; the
+        glue's A and B share their surgery pieces (B's piece is A's)."""
         lo, hi = self.r_range
         edges = [lo] + self.breakpoints() + [hi]
-        return list(zip(edges[:-1], edges[1:]))
+        return [(a, b, *(p and p.pieces[p.piece_index(a)] for p in (self.A, self.B, self.f)))
+                for a, b in zip(edges[:-1], edges[1:])]
 
     def descriptor(self) -> dict:
         return {

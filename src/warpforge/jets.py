@@ -63,13 +63,11 @@ class Jet2:
         return as_jet(other) - self
 
     def __mul__(self, other):
+        if not isinstance(other, Jet2):  # a constant scales each field
+            return Jet2(self.v * other, self.d1 * other, self.d2 * other)
         # grouping keeps a*b == b*a bit-for-bit
-        o = as_jet(other)
-        return Jet2(
-            self.v * o.v,
-            self.d1 * o.v + self.v * o.d1,
-            (self.d2 * o.v + self.v * o.d2) + 2.0 * (self.d1 * o.d1),
-        )
+        return Jet2(self.v * other.v, self.d1 * other.v + self.v * other.d1,
+                    (self.d2 * other.v + self.v * other.d2) + 2.0 * (self.d1 * other.d1))
 
     __rmul__ = __mul__
 

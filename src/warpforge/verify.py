@@ -6,6 +6,12 @@ breakpoints and near r -> 0), block minima and their locations are
 reported with margins against the requested bound, and an optional pass
 cross-checks random radii against the finite-difference oracle.  The same
 configuration always produces a bit-identical report.
+
+A verification piece lies inside one piece of every profile, so its blocks
+come straight from those pieces' closed forms (a jet shared by A and B is
+evaluated once); the profiles' own dispatch is never used.  All pieces'
+grids are built together, in three np.geomspace calls, on every call:
+nothing is cached between calls.
 """
 
 from __future__ import annotations
@@ -17,9 +23,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .curvature import WarpedMetric, fd_ricci_oracle
+from .curvature import RicciBlocks, WarpedMetric, fd_ricci_oracle, ricci_berger
 from .jets import JetDomainError
-from .profiles import ConstructionError, ParameterError
+from .profiles import ConstructionError, ParameterError, Piece
 
 
 REFINE_FRAC = 0.01  # share of a piece's width refined geometrically at each end
@@ -131,29 +137,41 @@ def radial_grid(lo: float, hi: float, n: int) -> np.ndarray:
     return np.geomspace(max(lo, 1e-8 * hi), hi * (1 - 1e-12), n)
 
 
-def _piece_grid(lo: float, hi: float, cfg: GridConfig, global_max: float) -> np.ndarray:
-    floor = cfg.r_min_frac * global_max
-    lo_eff = max(lo, floor)
-    if lo_eff >= hi:
-        return np.array([])
-    # inset endpoints so samples stay strictly inside the piece
-    inset = 1e-12 * (hi - lo_eff)
-    a, b = lo_eff + inset, hi - inset
-    base = np.geomspace(a, b, cfg.points_per_piece)
-    width = hi - lo_eff
+def _piece_grids(lo, hi, cfg: GridConfig, global_max: float) -> list[np.ndarray]:
+    """The sorted, distinct radii of each span [lo[i], hi[i]), inset by 1e-12
+    of its width and none below cfg.r_min_frac * global_max (empty when the
+    floor cuts the whole span), as GridConfig describes.  Every span shares
+    three np.geomspace calls and gets the radii of its own calls, unless a
+    row spans no log10 distance: numpy then rounds all rows of that call
+    differently."""
+    lo = np.maximum(np.asarray(lo, dtype=float), cfg.r_min_frac * global_max)
+    hi = np.asarray(hi, dtype=float)
+    live = lo < hi
+    lo, hi = lo[live], hi[live]
+    width = hi - lo
+    a, b = lo + 1e-12 * width, hi - 1e-12 * width
     n_ref = max(cfg.refine_factor * 8, 32)
-    near_lo = np.geomspace(a, min(a + REFINE_FRAC * width, b), n_ref)
-    near_hi = np.geomspace(max(b - REFINE_FRAC * width, a), b, n_ref)
-    return np.unique(np.concatenate([base, near_lo, near_hi]))
+    rows = np.concatenate([
+        np.geomspace(a, b, cfg.points_per_piece, axis=1),
+        np.geomspace(a, np.minimum(a + REFINE_FRAC * width, b), n_ref, axis=1),
+        np.geomspace(np.maximum(b - REFINE_FRAC * width, a), b, n_ref, axis=1),
+    ], axis=1)
+    rows.sort(axis=1)
+    first = np.ones(rows.shape, dtype=bool)
+    first[:, 1:] = rows[:, 1:] != rows[:, :-1]
+    grids = iter([row[keep] for row, keep in zip(rows, first)])
+    return [next(grids) if ok else np.array([]) for ok in live]
 
 
-def _oracle_pass(
-    metric: WarpedMetric,
-    lo: float,
-    hi: float,
-    piece_index: int,
-    cfg: GridConfig,
-) -> float:
+def _piece_blocks(A: Piece, B: Optional[Piece], f: Piece, rs: np.ndarray) -> RicciBlocks:
+    """Blocks at radii inside one verification piece, from its closed forms;
+    a round metric's B (None) and a B shared with A reuse A's jet."""
+    aj = A(rs)
+    return ricci_berger(aj, aj if B is None or B is A else B(rs), f(rs))
+
+
+def _oracle_pass(metric: WarpedMetric, lo: float, hi: float, forms: list, piece_index: int,
+                 cfg: GridConfig) -> float:
     """Max scaled error |oracle - formula| / max(0.1, |formula|) over random
     radii of one piece, all differenced in one oracle call; equivalent to
     |o - f| <= max(1e-5, 1e-4 |f|) scaled to 1e-4.  Returns -inf when the
@@ -172,7 +190,7 @@ def _oracle_pass(
     if not a < b:
         return float("-inf")
     radii = np.exp(rng.uniform(np.log(a), np.log(b), size=cfg.n_oracle))
-    formula = metric.blocks(radii).as_dict(metric.is_round)
+    formula = _piece_blocks(*forms, radii).as_dict(metric.is_round)
     oracle = fd_ricci_oracle(metric, radii, h_fd=h_fd)
     fd = oracle.as_dict(metric.is_round)
     errs = [np.abs(fd[name] - fv) / np.maximum(0.1, np.abs(fv)) for name, fv in formula.items()]
@@ -197,14 +215,16 @@ def verify_ric_lower(
         oracle_max_rel_err=0.0,
     )
     worst_err = float("-inf")
-    for i, (plo, phi_) in enumerate(metric.verification_pieces()):
+    spans = []  # (index among the metric's pieces, lo, hi, (A, B, f) pieces)
+    for i, (plo, phi_, *forms) in enumerate(metric.verification_pieces()):
         lo, hi = max(plo, lo_clip), min(phi_, hi_clip)
-        if lo >= hi:
-            continue
-        rs = _piece_grid(lo, hi, cfg, hi_clip)
+        if lo < hi:
+            spans.append((i, lo, hi, forms))
+    grids = _piece_grids([s[1] for s in spans], [s[2] for s in spans], cfg, hi_clip)
+    for (i, lo, hi, forms), rs in zip(spans, grids):
         if rs.size == 0:
             continue
-        blocks = metric.blocks(rs)
+        blocks = _piece_blocks(*forms, rs)
         stats = {}
         for name, values in blocks.as_dict(metric.is_round).items():
             j = int(np.argmin(values))
@@ -215,7 +235,7 @@ def verify_ric_lower(
         if not piece.passed:
             report.passed = False
         if cfg.oracle:
-            worst_err = max(worst_err, _oracle_pass(metric, lo, hi, i, cfg))
+            worst_err = max(worst_err, _oracle_pass(metric, lo, hi, forms, i, cfg))
     if not report.pieces:
         raise ParameterError(f"the grid samples no piece of {metric.label} in "
                              f"[{lo_clip:g}, {hi_clip:g}] (r_min_frac = {cfg.r_min_frac:g})")

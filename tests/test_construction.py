@@ -51,7 +51,7 @@ def surgery():
 
 def test_smooth_of_smooth_piece_is_identity():
     prof = Profile([Piece(0.0, 4.0, lambda rj: jet_sin(rj) + 2.0, "sin", {})], "s")
-    out = c1_smooth(prof, 2.0, window=0.01)
+    out = c1_smooth(prof, [(2.0, 0.01)])
     rs = np.linspace(1.99, 2.01, 101)
     a, b = prof(rs), out(rs)
     assert np.max(np.abs(a.v - b.v)) < 1e-12
@@ -61,7 +61,7 @@ def test_smooth_of_smooth_piece_is_identity():
 def test_smoothing_a_one_piece_profile_reports_C1():
     # the window adds two joints, and the quintic is only C2 at its ends
     prof = Profile([Piece(0.0, 4.0, lambda rj: jet_sin(rj) + 2.0, "sin", {})], "s")
-    out = c1_smooth(prof, 2.0, window=0.01)
+    out = c1_smooth(prof, [(2.0, 0.01)])
     assert (prof.smoothness, len(out.pieces)) == ("smooth", 3)
     assert out.smoothness == out.descriptor()["smoothness"] == "C1"
 
@@ -72,7 +72,7 @@ def test_smooth_deviation_scales_with_window_and_jump(bubble_raw):
     base = bubble_raw.base_A
     devs = {}
     for w in (1e-3, 2e-3, 4e-3):
-        sm = c1_smooth(base, 2.0, window=w)
+        sm = c1_smooth(base, [(2.0, w)])
         devs[w] = sm.params["smooth_dev@2"]
     jump = abs(float(base.pieces[1](2.0).d2) - float(base.pieces[0](2.0).d2))
     for w, dev in devs.items():
@@ -84,7 +84,7 @@ def test_smooth_window_cannot_cross_breakpoints(bubble_raw):
     # base_B has joints at r1/2 = 1 and r1 = 2; a window of 1.5 around r1
     # would swallow the first one
     with pytest.raises(ParameterError):
-        c1_smooth(bubble_raw.base_B, 2.0, window=1.5)
+        c1_smooth(bubble_raw.base_B, [(2.0, 1.5)])
 
 
 # -- bubble -------------------------------------------------------------------

@@ -131,6 +131,37 @@ def test_warp_from_base_gaussian_vs_oracle():
         assert abs(float(oracle.rr) - float(formula.rr)) <= 1e-5
 
 
+def ricci_berger_textbook(A, B, f):
+    """The blocks written out term by term, each shared term recomputed in
+    every block: the reference ricci_berger must round exactly like."""
+    a, b, w = A.v, B.v, f.v
+    rr = -A.d2 / a - 2.0 * B.d2 / b - 2.0 * f.d2 / w
+    sX = (-A.d2 / a - 2.0 * A.d1 * B.d1 / (a * b) + 2.0 * a * a / b**4
+          - 2.0 * A.d1 * f.d1 / (a * w))
+    sYZ = (-B.d2 / b - A.d1 * B.d1 / (a * b) - (B.d1 / b) ** 2
+           + 2.0 * (2.0 * b * b - a * a) / b**4 - 2.0 * B.d1 * f.d1 / (b * w))
+    s2 = (1.0 / (w * w) - f.d2 / w - (f.d1 / w) ** 2 - A.d1 * f.d1 / (a * w)
+          - 2.0 * B.d1 * f.d1 / (b * w))
+    return rr, sX, sYZ, s2
+
+
+def random_jet(rng, n):
+    v = np.exp(rng.uniform(np.log(1e-6), np.log(1e6), n))
+    return Jet2(v, rng.normal(size=n) * v ** rng.uniform(-1, 1, n),
+                rng.normal(size=n) * v ** rng.uniform(-2, 1, n))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_ricci_berger_bit_identical_to_textbook(seed):
+    rng = np.random.default_rng(seed)
+    A, B, f = (random_jet(rng, 20_000) for _ in range(3))
+    for b in (B, A):  # Berger, and the round case B is A
+        got = ricci_berger(A, b, f)
+        want = ricci_berger_textbook(A, b, f)
+        for name, w in zip(("rr", "sX", "sYZ", "s2"), want):
+            assert np.array_equal(getattr(got, name).view(np.uint64), w.view(np.uint64)), name
+
+
 # -- scale_warp -----------------------------------------------------------------
 
 
@@ -295,7 +326,7 @@ def test_oracle_batch_equals_one_radius_calls(name):
     # on that radius alone, bit for bit, with fields shaped like the input
     _, metric, _, _ = build(name, load_config(CONFIGS / f"{name}.json", name))
     rng = np.random.default_rng(5)
-    for lo, hi in metric.verification_pieces():
+    for lo, hi, *_ in metric.verification_pieces():
         lo = max(lo, 0.04 * hi)
         h_fd = min(1e-4, (hi - lo) / hi / 50.0)
         if h_fd < 1e-7:

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from warpforge.verify import _piece_grid, verify_ric_lower
+from warpforge.verify import _piece_grids, verify_ric_lower
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 sys.path.insert(0, str(GOLDEN))
@@ -55,7 +55,8 @@ def test_report_matches_golden(name):
             if stat["argmin"] != ref["argmin"]:
                 # a tie broken differently: the new argmin must be a sample of
                 # this piece whose value ties the golden minimum
-                rs = _piece_grid(*got["interval"], grid, hi_clip)
+                lo, hi = got["interval"]
+                (rs,) = _piece_grids([lo], [hi], grid, hi_clip)
                 values = metric.blocks(rs).as_dict(metric.is_round)[block]
                 at = rs == stat["argmin"]
                 assert at.any(), (where, block, stat["argmin"])

@@ -40,6 +40,20 @@ def test_mul_constant_factor():
     assert (out.v, out.d1, out.d2) == (6.0, 3.0, 0.0)
 
 
+def test_mul_by_a_float_scales_each_field():
+    # a plain constant scales v, d1 and d2, on either side, as the product
+    # with its zero-derivative lift does (up to the sign of an exact zero)
+    rng = np.random.default_rng(2)
+    x = Jet2(*rng.normal(size=(3, 64)))
+    for c in (2.5, -0.75, 0.0):
+        for out in (x * c, c * x):
+            lifted = x * Jet2(c, 0.0, 0.0)
+            for got, want, raw in ((out.v, lifted.v, x.v), (out.d1, lifted.d1, x.d1),
+                                   (out.d2, lifted.d2, x.d2)):
+                assert np.array_equal(got.view(np.uint64), (raw * c).view(np.uint64))
+                assert np.array_equal(got, want)
+
+
 def test_pow_sqrt_at_4():
     out = jet_pow(jet_var(4.0), 0.5)
     assert out.v == pytest.approx(2.0, abs=1e-15)
@@ -188,7 +202,7 @@ def test_array_and_scalar_agree():
         metric = metrics[name]
         stencils = [
             (1.0 + k * 1e-4) * math.sqrt(max(lo, 1e-3 * hi) * hi)
-            for lo, hi in metric.verification_pieces()
+            for lo, hi, *_ in metric.verification_pieces()
             for k in range(-4, 5)
         ]
         rs = np.concatenate([radial_grid(*metric.r_range, 64), metric.breakpoints(), stencils])

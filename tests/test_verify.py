@@ -2,10 +2,13 @@
 
 import json
 import math
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from warpforge.cli import build, load_config
 from warpforge.construction import build_bubble
 from warpforge.curvature import WarpedMetric
 from warpforge.jets import jet_sin
@@ -13,12 +16,26 @@ from warpforge.profiles import (
     ParameterError, Piece, Profile, make_A, make_f2, make_h3, make_lambda, rule_const,
 )
 from warpforge.verify import (
+    REFINE_FRAC,
     GridConfig,
+    _piece_grids,
     export_curvature_csv,
     radial_grid,
     scan_params,
     verify_ric_lower,
 )
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+SHIPPED = (("bubble", "bubble"), ("surgery", "surgery"), ("surgery", "surgery_curved"),
+           ("glue", "glue"), ("verify", "bubble_broken"))
+
+
+def shipped(command, config):
+    """(metric, bound, grid) of a shipped config, as its CLI command builds it."""
+    cfg = load_config(CONFIGS / f"{config}.json", command)
+    _, metric, bound, grid = build(cfg.get("target", command), cfg)
+    return metric, bound, grid
 
 
 def cone(phi_rule, f_rule, r_range, label, r_max=None):
@@ -141,6 +158,100 @@ def test_oracle_agreement_on_passing_fixture(round_s4):
     report = verify_ric_lower(round_s4, bound=2.9, cfg=cfg)
     assert report.oracle_checked
     assert report.oracle_max_rel_err < 1e-4
+
+
+# -- verification evaluates pieces, not profiles ---------------------------------
+
+def test_verify_never_evaluates_a_profile(monkeypatch):
+    # every verification piece lies inside one piece of each profile, so the
+    # dense path calls the pieces' closed forms and never Profile.__call__
+    targets = [(config, shipped(command, config)) for command, config in SHIPPED]
+
+    def refuse(self, r):
+        raise AssertionError(f"profile {self.label} evaluated")
+
+    monkeypatch.setattr(Profile, "__call__", refuse)
+    for config, (metric, bound, grid) in targets:
+        assert not grid.oracle, config
+        report = verify_ric_lower(metric, bound, grid)
+        golden = json.loads((Path(__file__).parent / "golden" / f"{config}.json").read_text())
+        assert report.passed == golden["passed"], config
+        assert [list(p.interval) for p in report.pieces] == \
+            [p["interval"] for p in golden["pieces"]], config
+
+
+def test_glue_evaluates_each_shared_phi_piece_once(monkeypatch):
+    # glued A and B share the surgery's phi pieces: one jet serves both
+    metric, bound, grid = shipped("glue", "glue")
+    shared = [p for p in metric.A.pieces if any(p is q for q in metric.B.pieces)]
+    assert len(shared) == 5
+    calls, call = Counter(), Piece.__call__
+    monkeypatch.setattr(Piece, "__call__",
+                        lambda self, r: calls.update([id(self)]) or call(self, r))
+    report = verify_ric_lower(metric, bound, grid)
+    reported = [p.interval for p in report.pieces]
+    pieces = metric.verification_pieces()
+    for piece in shared:
+        mine = [(lo, hi, B) for lo, hi, A, B, _ in pieces if A is piece]
+        assert mine and all(B is piece for *_, B in mine), piece.name
+        spans = sum((lo, hi) in reported for lo, hi, _ in mine)
+        assert spans and calls[id(piece)] == spans, (piece.name, calls[id(piece)], spans)
+
+
+# -- the batched grid builder against the per-piece reference ------------------
+
+def piece_grid_reference(lo, hi, cfg, global_max):
+    """One span's grid as verify built it before the grids were batched."""
+    lo_eff = max(lo, cfg.r_min_frac * global_max)
+    if lo_eff >= hi:
+        return np.array([])
+    inset = 1e-12 * (hi - lo_eff)
+    a, b = lo_eff + inset, hi - inset
+    base = np.geomspace(a, b, cfg.points_per_piece)
+    width = hi - lo_eff
+    n_ref = max(cfg.refine_factor * 8, 32)
+    near_lo = np.geomspace(a, min(a + REFINE_FRAC * width, b), n_ref)
+    near_hi = np.geomspace(max(b - REFINE_FRAC * width, a), b, n_ref)
+    return np.unique(np.concatenate([base, near_lo, near_hi]))
+
+
+def random_spans(rng, k):
+    """k spans with log-uniform left ends, some at 0 and some of relative
+    width 1e-6; global_max is their largest right end."""
+    lo = np.exp(rng.uniform(np.log(1e-10), np.log(1e3), k))
+    lo[rng.random(k) < 0.2] = 0.0
+    rel = np.exp(rng.uniform(np.log(1e-6), np.log(10.0), k))
+    rel[rng.random(k) < 0.2] = 1e-6
+    hi = np.where(lo > 0, lo * (1.0 + rel), np.exp(rng.uniform(np.log(1e-6), 1.0, k)))
+    return lo, hi
+
+
+@pytest.mark.parametrize("points", [1, 2, 3, 64, 4096])
+def test_batched_grids_equal_per_piece_reference(points):
+    rng = np.random.default_rng(points)
+    for trial in range(40):
+        lo, hi = random_spans(rng, int(rng.integers(1, 12)))
+        cfg = GridConfig(points_per_piece=points, refine_factor=int(rng.choice([1, 4, 16])),
+                         r_min_frac=float(rng.choice([1e-8, 1e-4, 0.3])))
+        global_max = float(hi.max())
+        grids = _piece_grids(lo, hi, cfg, global_max)
+        assert len(grids) == lo.size
+        for l, h, got in zip(lo, hi, grids):
+            want = piece_grid_reference(l, h, cfg, global_max)
+            assert got.shape == want.shape and np.array_equal(
+                got.view(np.uint64), want.view(np.uint64)), (trial, l, h, cfg)
+
+
+def test_batched_grids_cut_by_the_floor():
+    # a span below the floor is empty, a span across it starts at the floor
+    cfg = GridConfig(points_per_piece=16, refine_factor=1, r_min_frac=1e-2)
+    lo, hi = np.array([0.0, 1e-3, 5e-3, 0.5]), np.array([1e-3, 5e-3, 0.5, 1.0])
+    grids = _piece_grids(lo, hi, cfg, 1.0)
+    assert [g.size for g in grids[:2]] == [0, 0]
+    assert grids[2][0] == pytest.approx(1e-2) and grids[3].size > 0
+    for l, h, got in zip(lo, hi, grids):
+        assert np.array_equal(got, piece_grid_reference(l, h, cfg, 1.0))
+    assert all(g.size == 0 for g in _piece_grids(lo[:2], hi[:2], cfg, 1.0))
 
 
 # -- profile bounds, sampled on radial_grid ------------------------------------
