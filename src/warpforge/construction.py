@@ -127,13 +127,12 @@ WINDOW_FRAC = 1e-2
 
 @dataclass
 class Bubble:
+    """The bubble metric (base A, B and warp f are metric.A/B/f), its
+    parameter record and its cone-flattening profile h3."""
+
     metric: WarpedMetric
     params: BubbleParams
-    exterior_start: float
     h3: Profile
-    base_A: Profile
-    base_B: Profile
-    warp: Profile
 
     def blowdown(self) -> Profile:
         return make_lambda(self.params.r3, self.params.R3, r_max=self.metric.r_range[1] * 1.5)
@@ -177,10 +176,8 @@ def build_bubble(
     f2 = make_f2(delta2, alpha2, r_max=r_max)
     f4 = make_f4(alpha2, delta2, epsilon, r3, h3, f2, r_max=r_max)
 
-    base_A = Profile(A.trimmed(0.0, r1) + h3.pieces, "bubble_base_A",
-                     {**A.params, **h3.params})
-    base_B = Profile(B.trimmed(0.0, r1) + h3.pieces, "bubble_base_B",
-                     {**B.params, **h3.params})
+    base_A = Profile(A.trimmed(0.0, r1) + h3.pieces, "bubble_base_A")
+    base_B = Profile(B.trimmed(0.0, r1) + h3.pieces, "bubble_base_B")
 
     if smooth:
         w1 = WINDOW_FRAC * min(r1 / 2.0, r3 - r1)
@@ -195,12 +192,7 @@ def build_bubble(
         alpha=f4.params["alpha"], delta=f4.params["delta"],
     )
     params.validate()
-    metric = WarpedMetric(
-        base_A, base_B, f4, (0.0, 3.0 * r3),
-        "bubble", {"epsilon": epsilon, "alpha": params.alpha, "delta": params.delta,
-                   "R3": params.R3, "smoothed": smooth},
-    )
-    return Bubble(metric, params, 2.0 * r3, h3, base_A, base_B, f4)
+    return Bubble(WarpedMetric(base_A, base_B, f4, (0.0, 3.0 * r3), "bubble"), params, h3)
 
 
 def bubble_alpha2_for_alpha(alpha: float, epsilon: float, m: float = 1e-3, r1: float = 2.0,
@@ -227,7 +219,6 @@ def bubble_alpha2_for_alpha(alpha: float, epsilon: float, m: float = 1e-3, r1: f
 class SurgeryMetric:
     metric: WarpedMetric
     params: SurgeryParams
-    warp: Profile
 
 
 def build_surgery(
@@ -264,10 +255,7 @@ def build_surgery(
     r_max = 2.0  # radius of the model base ball
     mu = make_model_mu(kappa, r_max=r_max)
     h = make_step2_h(epsilon, r_max=r_max)
-    f_plus = Profile(
-        [Piece(0.0, r_max, rule_const(delta_hat * f0), "const", {})],
-        "f_plus", {"delta_hat": delta_hat, "f0": f0},
-    )
+    f_plus = Profile([Piece(0.0, r_max, rule_const(delta_hat * f0), "const", {})], "f_plus")
     warp, delta = make_cubic_logwarp(f_plus, alpha, r_m, rho=rho, eta=eta)
     r2, r2p = (1 - rho) * r_m, (1 + rho) * r_m
     if r3 is None:
@@ -305,7 +293,6 @@ def build_surgery(
             Piece(1.0, r_max, rule_ambient, "ambient", {"kappa": kappa}),
         ],
         "surgery_phi",
-        {"epsilon": epsilon, "kappa": kappa},
     )
 
     params = SurgeryParams(
@@ -313,12 +300,7 @@ def build_surgery(
         delta_hat=delta_hat, rho=rho, r_m=r_m, r2=r2, r2plus=r2p, r3=r3,
         delta=delta, eta=eta, kappa=kappa, f0=f0,
     )
-    params.validate()
-    metric = WarpedMetric(
-        phi, None, warp, (0.0, r_max), "surgery",
-        {"epsilon": epsilon, "alpha": alpha, "delta": delta, "kappa": kappa},
-    )
-    return SurgeryMetric(metric, params, warp)
+    return SurgeryMetric(WarpedMetric(phi, None, warp, (0.0, r_max), "surgery"), params)
 
 
 def bilipschitz_check(s: SurgeryMetric) -> float:
@@ -373,7 +355,7 @@ def glue_bubble(s: SurgeryMetric, b: Bubble) -> WarpedMetric:
         )
     alpha = s.params.alpha
     r_hat = s.params.r_hat
-    t_ext = b.exterior_start - b.params.R3  # exterior-exact in t = r - R3
+    t_ext = 2.0 * b.params.r3 - b.params.R3  # exterior-exact from 2 r3, in t = r - R3
     s_B = (r_hat / 2.0) / t_ext
     shift = s_B * b.params.R3
 
@@ -384,9 +366,9 @@ def glue_bubble(s: SurgeryMetric, b: Bubble) -> WarpedMetric:
     x_switch = shift + 0.75 * r_hat
     x_max = s.metric.r_range[1] + shift
 
-    bub_A = _affine_pieces(b.base_A, s_B, 0.0, 0.0, x_switch)
-    bub_B = _affine_pieces(b.base_B, s_B, 0.0, 0.0, x_switch)
-    bub_f = _affine_pieces(b.warp, s_B, 0.0, 0.0, x_switch, warp_factor=common / delta_II)
+    bub_A = _affine_pieces(b.metric.A, s_B, 0.0, 0.0, x_switch)
+    bub_B = _affine_pieces(b.metric.B, s_B, 0.0, 0.0, x_switch)
+    bub_f = _affine_pieces(b.metric.f, s_B, 0.0, 0.0, x_switch, warp_factor=common / delta_II)
     sur_phi = _affine_pieces(s.metric.A, 1.0, shift, x_switch, x_max)
     sur_f = _affine_pieces(s.metric.f, 1.0, shift, x_switch, x_max,
                            warp_factor=common / delta_I)
@@ -431,7 +413,7 @@ def blowdown_lipschitz(b: Bubble, lam: Optional[Profile] = None) -> float:
     sup = 0.0
     # core region [0, r1]
     rs = np.geomspace(1e-8 * r1, r1, DISTORTION_POINTS)
-    lj, aj, bj = lam(rs), b.base_A(rs), b.base_B(rs)
+    lj, aj, bj = lam(rs), b.metric.A(rs), b.metric.B(rs)
     fac_r = np.abs(lj.d1)
     fac_x = one_m_eps * lj.v / aj.v
     fac_yz = one_m_eps * lj.v / bj.v
@@ -445,16 +427,16 @@ def blowdown_lipschitz(b: Bubble, lam: Optional[Profile] = None) -> float:
 
     # flattening region [r1, r3]
     rs = np.geomspace(r1, r3, DISTORTION_POINTS)
-    lj, hj = lam(rs), b.base_A(rs)
+    lj, hj = lam(rs), b.metric.A(rs)
     fac = one_m_eps * lj.v / hj.v
     if fac.max() > one_m_eps / m * (1 + 1e-9):
         raise ConstructionError(f"stretch {fac.max():.6g} > (1-eps)/m on [r1, r3]")
     sup = max(sup, float(fac.max()), float(np.abs(lj.d1).max()))
 
     # exterior: isometry, starting past any smoothing window around r3
-    start = max([r3] + [bp for bp in b.base_A.breakpoints if bp > r3 * 0.9])
+    start = max([r3] + [bp for bp in b.metric.A.breakpoints if bp > r3 * 0.9])
     rs = np.geomspace(start * (1 + 1e-9), b.metric.r_range[1], 256)
-    lj, hj = lam(rs), b.base_A(rs)
+    lj, hj = lam(rs), b.metric.A(rs)
     fac = one_m_eps * lj.v / hj.v
     if np.max(np.abs(fac - 1.0)) > 1e-9 or np.max(np.abs(lj.d1 - 1.0)) > 1e-12:
         raise ConstructionError("blow-down is not an isometry beyond r3")

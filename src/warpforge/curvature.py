@@ -202,14 +202,12 @@ def _derivative(f: np.ndarray, h: np.ndarray) -> np.ndarray:
 def _chart_metric(metric: WarpedMetric, r0: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Coordinate metrics (..., 6, 6) at chart points x (..., 6), coordinates
     (rho, theta, phi, psi, u, v), zoomed by 1/r0 so that the base point sits
-    at rho = 1 regardless of the physical radius.  Each profile is read
-    once, at the distinct physical radii rho * r0."""
+    at rho = 1 regardless of the physical radius.  The coefficients are
+    read once, at the distinct physical radii rho * r0."""
     rho, theta, u = x[..., 0], x[..., 1], x[..., 4]
     radii, where = np.unique(rho * r0, return_inverse=True)
     where, s = where.reshape(rho.shape), 1.0 / r0
-    a = s * metric.A(radii).v[where]
-    b = a if metric.B is None else s * metric.B(radii).v[where]
-    w = s * metric.f(radii).v[where]
+    a, b, w = (s * c[where] for c in metric.coefficients(radii))
     ct, st = _by_value(math.cos, theta), _by_value(math.sin, theta)
     g = np.zeros(rho.shape + (6, 6))
     g[..., 0, 0] = 1.0

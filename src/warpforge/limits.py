@@ -78,6 +78,20 @@ def compose_distortion(r: float, j: int, delta: float, C: float) -> float:
     return out
 
 
+def max_distortion(j: int, delta: float, C: float) -> float:
+    """Largest compose_distortion over r in (0, 1] and every stage up to j,
+    each point certified against its Holder bound.
+
+    Between the breakpoints r = delta_k r_k the product is a constant times
+    r and the bound a constant times r^alpha with alpha <= 1, so their ratio
+    grows with r and peaks at a breakpoint (where the C side holds: each is
+    computed by compose_distortion's own expression) or at r = 1.  A
+    breakpoint that underflows to 0 bounds no separation and is skipped."""
+    radii = [1.0] + [delta ** (1 + k) * 2.0 ** (-k) for k in range(1, j + 1)]
+    return max(compose_distortion(r, jj, delta, C)
+               for jj in range(j + 1) for r in radii if r > 0.0)
+
+
 def gh_error(i: int, j: Optional[int], delta: float, C: float) -> float:
     """Accumulated GH error of the composed maps from stage j down to i:
     C * sum_{k=i+1}^{j} delta^(1+k), with j = None for the full tail.

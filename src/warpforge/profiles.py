@@ -309,16 +309,14 @@ class BubbleParams:
     delta: float
 
     def validate(self) -> None:
+        """The checks no builder step makes first (epsilon, delta2, alpha <
+        alpha2 and b > 1/2k are checked where they are computed)."""
         if not (math.pi / 3 <= self.k * self.r1 < math.pi / 2):
             raise ParameterError(f"k*r1 = {self.k * self.r1} outside [pi/3, pi/2)")
-        if not (1.0 / (2.0 * self.k) < self.b < math.sqrt(1 - self.m**2) / self.k):
+        if not self.b < math.sqrt(1 - self.m**2) / self.k:
             raise ParameterError(f"b = {self.b} outside (1/2k, sqrt(1-m^2)/k)")
-        if not self.alpha < self.alpha2:
-            raise ParameterError(f"alpha = {self.alpha} >= alpha2 = {self.alpha2}")
-        if not (0 < self.delta2 < 1 and 0 < self.delta < 1):
+        if not 0 < self.delta < 1:
             raise ParameterError("delta, delta2 must lie in (0, 1)")
-        if not 0 < self.epsilon < 0.1:
-            raise ParameterError(f"epsilon = {self.epsilon} outside (0, 1/10)")
 
 
 @dataclass
@@ -337,18 +335,6 @@ class SurgeryParams:
     eta: float
     kappa: float
     f0: float
-
-    def validate(self) -> None:
-        if abs(self.r2 - (1 - self.rho) * self.r_m) > 1e-12 * self.r_m:
-            raise ParameterError("r2 != (1 - rho) * r_m")
-        if abs(self.r2plus - (1 + self.rho) * self.r_m) > 1e-12 * self.r_m:
-            raise ParameterError("r2plus != (1 + rho) * r_m")
-        if not self.r_hat < self.r3 < self.r2:
-            raise ParameterError(
-                f"need r_hat < r3 < r2, got {self.r_hat}, {self.r3}, {self.r2}"
-            )
-        if not 0 < self.epsilon < 0.5:
-            raise ParameterError(f"epsilon = {self.epsilon} outside (0, 1/2)")
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +366,7 @@ def make_A(m: float, r1: float = 2.0, r_max: Optional[float] = None) -> Profile:
             Piece(r1, r_max, rule_affine(A1, m, r1), "affine", {"value": A1, "slope": m}),
         ],
         label="A",
-        params={"k": k, "m": m, "r1": r1, "A_r1": A1},
+        params={"k": k, "A_r1": A1},
     )
 
 
@@ -419,7 +405,7 @@ def make_B(m: float, r1: float, A: Profile, r_max: Optional[float] = None) -> Pr
             Piece(r1, r_max, rule_affine(A1, m, r1), "affine", {"value": A1, "slope": m}),
         ],
         label="B",
-        params={"b": b, "m": m, "r1": r1, "k": k},
+        params={"b": b},
     )
 
 
@@ -433,11 +419,8 @@ def make_f2(delta2: float, alpha2: float, r_max: float) -> Profile:
     def rule(rj: Jet2) -> Jet2:
         return jet_pow(rj * rj + 1.0, 0.5 * alpha2) * delta2
 
-    return Profile(
-        pieces=[Piece(0.0, r_max, rule, "poly_warp", {"delta2": delta2, "alpha2": alpha2})],
-        label="f2",
-        params={"delta2": delta2, "alpha2": alpha2},
-    )
+    piece = Piece(0.0, r_max, rule, "poly_warp", {"delta2": delta2, "alpha2": alpha2})
+    return Profile([piece], "f2")
 
 
 def make_h3(
@@ -490,7 +473,7 @@ def make_h3(
             ),
         ],
         label="h3",
-        params={"c": c, "R3": R3, "h3_r3": h3_r3, "r3": r3, "epsilon": epsilon, "m": m},
+        params={"c": c, "R3": R3, "h3_r3": h3_r3, "m": m},
     )
 
 
@@ -526,11 +509,7 @@ def make_f4(
         Piece(r3, r_max, rule_tail, "power_tail", {"delta": delta, "alpha": alpha, "R3": R3})
     ]
     try:
-        return Profile(
-            pieces,
-            label="f4",
-            params={"alpha": alpha, "delta": delta, "R3": R3, "alpha2": alpha2, "delta2": delta2},
-        )
+        return Profile(pieces, label="f4", params={"alpha": alpha, "delta": delta})
     except ConstructionError as exc:
         raise ConstructionError(f"f4 matching formulas failed C1 check: {exc}") from exc
 
@@ -554,7 +533,6 @@ def make_lambda(r3: float, R3: float, r_max: Optional[float] = None) -> Profile:
             Piece(r3, r_max, rule_affine(C0, 1.0, r3), "shift", {"R3": R3}),
         ],
         label="lambda",
-        params={"p": p, "r3": r3, "R3": R3},
     )
 
 
@@ -585,7 +563,6 @@ def make_step2_h(epsilon: float, r_max: float = 2.0) -> Profile:
             Piece(hi, r_max, rule_affine(hi, 1.0, hi), "identity", {}),
         ],
         label="step2_h",
-        params={"epsilon": epsilon},
     )
 
     rs = np.linspace(lo, hi, 4001)
@@ -689,7 +666,6 @@ def make_cubic_logwarp(
         ]
         + f_plus.trimmed(r2p, f_plus.r_max),
         label="f2_surgery",
-        params={"delta": delta, "alpha": alpha, "r_m": r_m, "rho": rho, "eta": eta},
     )
 
     rs = np.linspace(r2, r2p, 10_001)[1:-1]
@@ -721,7 +697,6 @@ def make_xi(r3: float, r_max: Optional[float] = None) -> Profile:
             Piece(2.0 * r3, r_max, rule_const(1.0), "one", {}),
         ],
         label="xi",
-        params={"r3": r3},
     )
     rs = np.linspace(r3, 2.0 * r3, 2001)
     out = prof(rs)
@@ -759,11 +734,7 @@ def make_model_mu(kappa: float, r_max: float = 2.0) -> Profile:
             return Jet2(pick(ser.v, closed.v), pick(ser.d1, closed.d1),
                         pick(ser.d2, closed.d2))
 
-    return Profile(
-        pieces=[Piece(0.0, r_max, rule, name, {"kappa": kappa})],
-        label="mu",
-        params={"kappa": kappa},
-    )
+    return Profile([Piece(0.0, r_max, rule, name, {"kappa": kappa})], "mu")
 
 
 def sn_jet(kappa: float, rj: Jet2) -> Jet2:

@@ -10,8 +10,8 @@ configuration always produces a bit-identical report.
 A verification piece lies inside one piece of every profile, so its blocks
 come straight from those pieces' closed forms (a jet shared by A and B is
 evaluated once); the profiles' own dispatch is never used.  All pieces'
-grids are built together, in three np.geomspace calls, on every call:
-nothing is cached between calls.
+grids are built together, in three batched np.geomspace calls, on every
+call: nothing is cached between calls.
 """
 
 from __future__ import annotations
@@ -137,13 +137,25 @@ def radial_grid(lo: float, hi: float, n: int) -> np.ndarray:
     return np.geomspace(max(lo, 1e-8 * hi), hi * (1 - 1e-12), n)
 
 
+def _geomspace_rows(start: np.ndarray, stop: np.ndarray, n: int) -> np.ndarray:
+    """np.geomspace(start, stop, n, axis=1), each row as its own call gives
+    it: once any row of a call has equal log10 ends, numpy rounds every row
+    of that call differently, so such rows get a call of their own (and
+    the usual batch without one skips the masked copies)."""
+    flat = np.log10(start) == np.log10(stop)
+    if not flat.any():
+        return np.geomspace(start, stop, n, axis=1)
+    out = np.empty((start.size, n))
+    for rows in (flat, ~flat):
+        out[rows] = np.geomspace(start[rows], stop[rows], n, axis=1)
+    return out
+
+
 def _piece_grids(lo, hi, cfg: GridConfig, global_max: float) -> list[np.ndarray]:
     """The sorted, distinct radii of each span [lo[i], hi[i]), inset by 1e-12
     of its width and none below cfg.r_min_frac * global_max (empty when the
     floor cuts the whole span), as GridConfig describes.  Every span shares
-    three np.geomspace calls and gets the radii of its own calls, unless a
-    row spans no log10 distance: numpy then rounds all rows of that call
-    differently."""
+    three batched geomspace calls and gets the radii of its own calls."""
     lo = np.maximum(np.asarray(lo, dtype=float), cfg.r_min_frac * global_max)
     hi = np.asarray(hi, dtype=float)
     live = lo < hi
@@ -152,9 +164,9 @@ def _piece_grids(lo, hi, cfg: GridConfig, global_max: float) -> list[np.ndarray]
     a, b = lo + 1e-12 * width, hi - 1e-12 * width
     n_ref = max(cfg.refine_factor * 8, 32)
     rows = np.concatenate([
-        np.geomspace(a, b, cfg.points_per_piece, axis=1),
-        np.geomspace(a, np.minimum(a + REFINE_FRAC * width, b), n_ref, axis=1),
-        np.geomspace(np.maximum(b - REFINE_FRAC * width, a), b, n_ref, axis=1),
+        _geomspace_rows(a, b, cfg.points_per_piece),
+        _geomspace_rows(a, np.minimum(a + REFINE_FRAC * width, b), n_ref),
+        _geomspace_rows(np.maximum(b - REFINE_FRAC * width, a), b, n_ref),
     ], axis=1)
     rows.sort(axis=1)
     first = np.ones(rows.shape, dtype=bool)

@@ -83,6 +83,37 @@ def test_limits_fixture_prints_schedule(tmp_path, monkeypatch, capsys):
     assert data["lambda_j"] == pytest.approx(0.95625)
 
 
+def test_limits_without_C_measures_it_from_the_bubble(tmp_path, monkeypatch, capsys):
+    cfg = json.loads((CONFIGS / "limits.json").read_text())
+    del cfg["C"]
+    path = tmp_path / "limits.json"
+    path.write_text(json.dumps(cfg))
+    monkeypatch.chdir(tmp_path)
+    assert main(["limits", "-c", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "C measured from the default bubble blow-down: 1.38225"
+    assert "max distortion product over stages <= 3, at every breakpoint: 1.0001" in lines
+    data = json.loads((tmp_path / cfg["out_report"]).read_text())
+    assert data["C"] == pytest.approx(1.38225, rel=1e-5)
+    assert data["alpha"] == pytest.approx(0.938902, rel=1e-6)
+
+
+@pytest.mark.parametrize("command, config", [("bubble", "bubble.json"),
+                                             ("surgery", "surgery.json"),
+                                             ("glue", "glue.json")])
+def test_verifying_commands_end_with_the_report_line(tmp_path, monkeypatch, capsys,
+                                                     command, config):
+    # the lines after the summary, then where the report went
+    _, cfg = run_in(tmp_path, monkeypatch, config, command,
+                    patch={"grid": {"points_per_piece": 64, "refine_factor": 1}})
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("metric ")
+    assert out[-1] == f"report written to {cfg['out_report']}"
+    assert out[-2].startswith({"bubble": "blow-down stretch sup: ",
+                               "surgery": "delta = ",
+                               "glue": "common warp coefficient: "}[command])
+
+
 @pytest.mark.parametrize("delta", [0.6, 0.9])
 def test_limits_certificate_failure_is_one_error_line(tmp_path, monkeypatch, capsys, delta):
     # above delta = 1/2 the composed distortion outgrows its Holder bound

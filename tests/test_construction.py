@@ -69,7 +69,7 @@ def test_smoothing_a_one_piece_profile_reports_C1():
 def test_smooth_deviation_scales_with_window_and_jump(bubble_raw):
     # C1 deviation ~ window * |d2 jump| across the joint (pieces 0 and 1
     # meet at r1 = 2)
-    base = bubble_raw.base_A
+    base = bubble_raw.metric.A
     devs = {}
     for w in (1e-3, 2e-3, 4e-3):
         sm = c1_smooth(base, [(2.0, w)])
@@ -81,10 +81,10 @@ def test_smooth_deviation_scales_with_window_and_jump(bubble_raw):
 
 
 def test_smooth_window_cannot_cross_breakpoints(bubble_raw):
-    # base_B has joints at r1/2 = 1 and r1 = 2; a window of 1.5 around r1
+    # B has joints at r1/2 = 1 and r1 = 2; a window of 1.5 around r1
     # would swallow the first one
     with pytest.raises(ParameterError):
-        c1_smooth(bubble_raw.base_B, [(2.0, 1.5)])
+        c1_smooth(bubble_raw.metric.B, [(2.0, 1.5)])
 
 
 # -- bubble -------------------------------------------------------------------
@@ -108,7 +108,8 @@ def test_bubble_parameters(bubble):
     assert p.R3 > 0
     assert p.alpha < p.alpha2
     assert 0 < p.delta < 1
-    assert bubble.exterior_start == 2e3
+    # the glue reads the exterior as exact from 2 r3: no joint lies at or past it
+    assert max(bubble.metric.A.breakpoints + bubble.metric.f.breakpoints) < 2 * p.r3
 
 
 def test_bubble_exterior_exactness(bubble):
@@ -116,14 +117,14 @@ def test_bubble_exterior_exactness(bubble):
     p = bubble.params
     one_m_eps = 1.0 - p.epsilon
     for r in (2e3, 2.7e3, 2.99e3):
-        assert float(bubble.base_A(r).v) == one_m_eps * (r - p.R3)
-        assert float(bubble.warp(r).v) == p.delta * (r - p.R3) ** p.alpha
+        assert float(bubble.metric.A(r).v) == one_m_eps * (r - p.R3)
+        assert float(bubble.metric.f(r).v) == p.delta * (r - p.R3) ** p.alpha
 
 
 def test_bubble_c1_everywhere(bubble):
-    bubble.base_A.validate_c1()
-    bubble.base_B.validate_c1()
-    bubble.warp.validate_c1()
+    bubble.metric.A.validate_c1()
+    bubble.metric.B.validate_c1()
+    bubble.metric.f.validate_c1()
 
 
 def test_bubble_smoothing_keeps_oracle_clean_across_old_joints(bubble):
@@ -142,7 +143,7 @@ def test_smoothing_degrades_minima_within_declared_margin(bubble, bubble_raw):
     raw = verify_ric_lower(bubble_raw.metric, 0.0, GridConfig(points_per_piece=1024))
     smo = verify_ric_lower(bubble.metric, 0.0, GridConfig(points_per_piece=1024))
     budget = 0.0
-    for prof in (bubble_raw.base_A, bubble_raw.base_B, bubble_raw.warp):
+    for prof in (bubble_raw.metric.A, bubble_raw.metric.B, bubble_raw.metric.f):
         for at in (2.0, 1e3):
             if at not in prof.breakpoints:
                 continue

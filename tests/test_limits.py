@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from warpforge.limits import compose_distortion, gh_error, holder_exponent, schedule
+from warpforge.limits import (
+    compose_distortion,
+    gh_error,
+    holder_exponent,
+    max_distortion,
+    schedule,
+)
 from warpforge.profiles import ConstructionError, ParameterError
 
 
@@ -69,6 +75,30 @@ def test_compose_distortion_randomized_bound():
         r = float(np.exp(rng.uniform(np.log(1e-12), 0.0)))
         j = int(rng.integers(0, 41))
         compose_distortion(r, j, 0.01, 2.0)  # raises on violation
+
+
+@pytest.mark.parametrize("delta, C, j", [(1e-3, 2.0, 10), (0.01, 1.5, 40), (0.3, 3.0, 5)])
+def test_max_distortion_bounds_every_sampled_product(delta, C, j):
+    # product/bound grows with r between breakpoints, so no sample beats the
+    # breakpoints and r = 1 by more than rounding
+    worst = max_distortion(j, delta, C)
+    rng = np.random.default_rng(j)
+    for _ in range(500):
+        r = float(np.exp(rng.uniform(np.log(1e-300), 0.0)))
+        assert compose_distortion(r, int(rng.integers(0, j + 1)), delta, C) <= worst * (1 + 1e-15)
+
+
+def test_max_distortion_finds_the_violation_at_r_one():
+    # at delta = 1/2 the bound holds through stage 3 and fails from stage 4
+    # on, only for r above about 0.95
+    assert max_distortion(3, 0.5, 2.0) <= 1.5
+    with pytest.raises(ConstructionError, match=r"r=1\.0, j=4"):
+        max_distortion(4, 0.5, 2.0)
+
+
+def test_max_distortion_skips_breakpoints_that_underflow():
+    # delta^(1+k) is 0.0 from k = 36 on: those stages bound no separation
+    assert max_distortion(40, 1e-9, 2.0) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_compose_distortion_rejects_large_separation():

@@ -226,13 +226,27 @@ def random_spans(rng, k):
     return lo, hi
 
 
-@pytest.mark.parametrize("points", [1, 2, 3, 64, 4096])
-def test_batched_grids_equal_per_piece_reference(points):
+def random_cases(points):
+    """40 (lo, hi, cfg) batches of random_spans, seeded by points."""
     rng = np.random.default_rng(points)
-    for trial in range(40):
+    for _ in range(40):
         lo, hi = random_spans(rng, int(rng.integers(1, 12)))
-        cfg = GridConfig(points_per_piece=points, refine_factor=int(rng.choice([1, 4, 16])),
-                         r_min_frac=float(rng.choice([1e-8, 1e-4, 0.3])))
+        yield lo, hi, GridConfig(points_per_piece=points,
+                                 refine_factor=int(rng.choice([1, 4, 16])),
+                                 r_min_frac=float(rng.choice([1e-8, 1e-4, 0.3])))
+
+
+# numpy rounds every row of a geomspace call differently once one row has
+# equal log10 ends, as [1e5, 1e5 + 2 ulp] has; its batch-mates must not move
+FLAT_SPAN = (np.array([0.5, 3.0, 1e5, 7e5]),
+             np.array([1.0, 7.0, np.nextafter(np.nextafter(1e5, 2e5), 2e5), 9e5]),
+             GridConfig(points_per_piece=64, refine_factor=4))
+
+
+@pytest.mark.parametrize("points", [1, 2, 3, 64, 4096, "flat-span"])
+def test_batched_grids_equal_per_piece_reference(points):
+    cases = [FLAT_SPAN] if points == "flat-span" else random_cases(points)
+    for trial, (lo, hi, cfg) in enumerate(cases):
         global_max = float(hi.max())
         grids = _piece_grids(lo, hi, cfg, global_max)
         assert len(grids) == lo.size
