@@ -82,14 +82,16 @@ def max_distortion(j: int, delta: float, C: float) -> float:
     """Largest compose_distortion over r in (0, 1] and every stage up to j,
     each point certified against its Holder bound.
 
-    Between the breakpoints r = delta_k r_k the product is a constant times
-    r and the bound a constant times r^alpha with alpha <= 1, so their ratio
-    grows with r and peaks at a breakpoint (where the C side holds: each is
-    computed by compose_distortion's own expression) or at r = 1.  A
-    breakpoint that underflows to 0 bounds no separation and is skipped."""
+    Every factor is C >= 1 or 1 + delta_k > 1, so the product only grows
+    with the stage while the bound does not depend on it: stage j alone
+    covers the earlier ones.  Between the breakpoints r = delta_k r_k the
+    product is a constant times r and the bound a constant times r^alpha
+    with alpha <= 1, so their ratio grows with r and peaks at a breakpoint
+    (where the C side holds: each is computed by compose_distortion's own
+    expression) or at r = 1.  A breakpoint that underflows to 0 bounds no
+    separation and is skipped."""
     radii = [1.0] + [delta ** (1 + k) * 2.0 ** (-k) for k in range(1, j + 1)]
-    return max(compose_distortion(r, jj, delta, C)
-               for jj in range(j + 1) for r in radii if r > 0.0)
+    return max(compose_distortion(r, j, delta, C) for r in radii if r > 0.0)
 
 
 def gh_error(i: int, j: Optional[int], delta: float, C: float) -> float:

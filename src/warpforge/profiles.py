@@ -314,9 +314,9 @@ class BubbleParams:
         if not (math.pi / 3 <= self.k * self.r1 < math.pi / 2):
             raise ParameterError(f"k*r1 = {self.k * self.r1} outside [pi/3, pi/2)")
         if not self.b < math.sqrt(1 - self.m**2) / self.k:
-            raise ParameterError(f"b = {self.b} outside (1/2k, sqrt(1-m^2)/k)")
+            raise ParameterError(f"b = {self.b} >= sqrt(1-m^2)/k")
         if not 0 < self.delta < 1:
-            raise ParameterError("delta, delta2 must lie in (0, 1)")
+            raise ParameterError(f"delta = {self.delta} outside (0, 1)")
 
 
 @dataclass
@@ -473,7 +473,7 @@ def make_h3(
             ),
         ],
         label="h3",
-        params={"c": c, "R3": R3, "h3_r3": h3_r3, "m": m},
+        params={"c": c, "R3": R3, "h3_r3": h3_r3},
     )
 
 

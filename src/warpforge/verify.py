@@ -140,11 +140,8 @@ def radial_grid(lo: float, hi: float, n: int) -> np.ndarray:
 def _geomspace_rows(start: np.ndarray, stop: np.ndarray, n: int) -> np.ndarray:
     """np.geomspace(start, stop, n, axis=1), each row as its own call gives
     it: once any row of a call has equal log10 ends, numpy rounds every row
-    of that call differently, so such rows get a call of their own (and
-    the usual batch without one skips the masked copies)."""
+    of that call differently, so such rows get a call of their own."""
     flat = np.log10(start) == np.log10(stop)
-    if not flat.any():
-        return np.geomspace(start, stop, n, axis=1)
     out = np.empty((start.size, n))
     for rows in (flat, ~flat):
         out[rows] = np.geomspace(start[rows], stop[rows], n, axis=1)

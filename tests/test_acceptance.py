@@ -160,7 +160,7 @@ def test_criterion_03_full_bubble_positivity(bubble_raw, bubble):
     needed = 1 - p.epsilon - p.m
     ok = budget < needed
 
-    c, m = bubble_raw.h3.params["c"], bubble_raw.h3.params["m"]
+    c, m = bubble_raw.h3.params["c"], p.m
     rs = np.geomspace(p.r1 * (1 + 1e-12), p.r3 * (1 - 1e-12), 10_000)
     h3 = A_r1 + m * (rs - p.r1) + c * (rs * np.log(rs / p.r1) - rs + p.r1)
     closed = -3 * c / (rs * h3) - 2 * a * (1 + (a - 1) * rs**2) / (1 + rs**2) ** 2
@@ -289,7 +289,8 @@ def test_criterion_09_blowdown_and_limit_bounds(bubble):
     C_eff = max(C, 1.0)
     delta = 0.01
     alpha = holder_exponent(delta, C_eff)
-    # every stage j <= 40 at every r where product/bound peaks; raises
+    # stage 40, which bounds every earlier stage, at every r where
+    # product/bound peaks; raises
     # ConstructionError at the first product above its Holder bound
     worst = max_distortion(40, delta, C_eff)
     distortion_ok = worst <= 1.0 + delta  # the bound's value at r = 1

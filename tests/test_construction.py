@@ -89,6 +89,17 @@ def test_smooth_window_cannot_cross_breakpoints(bubble_raw):
 
 # -- bubble -------------------------------------------------------------------
 
+@pytest.mark.parametrize("kw, message", [
+    # m rounds k*r1 up to pi/2
+    ({"m": 1e-17}, r"k\*r1 = 1\.57\d* outside \[pi/3, pi/2\)"),
+    # a large delta2 with a small alpha2 makes the exterior coefficient >= 1
+    ({"delta2": 0.9, "alpha2": 0.5}, r"delta = 1\.67\d* outside \(0, 1\)"),
+])
+def test_bubble_params_validate_names_the_failing_check(kw, message):
+    with pytest.raises(ParameterError, match=message):
+        build_bubble(**{"epsilon": 0.05, "alpha2": 0.01, "delta2": 0.01, "smooth": False, **kw})
+
+
 def test_bubble_core_plateau_identity():
     core = build_berger_core(m=1e-3, r1=2.0, r_max=1e3)
     k = core.params["k"]
