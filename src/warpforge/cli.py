@@ -261,16 +261,16 @@ def cmd_limits(cfg: dict) -> int:
         C = blowdown_lipschitz(bubble)
         print(f"C measured from the default bubble blow-down: {C:.6g}")
     sched = schedule(j, eps, delta, lam_plus)
+    alpha = holder_exponent(delta, C)
     print(f"r_{j} = {sched.r_j:g}")
     print(f"delta_{j} = {sched.delta_j:g}")
     print(f"eps_{j} = {sched.eps_j:g}")
     print(f"lambda_{j} = {sched.lambda_j:g}")
-    alpha = holder_exponent(delta, max(C, 1.0))
     print(f"alpha(delta) = {alpha:.6g}")
-    worst = max_distortion(j, delta, max(C, 1.0))
+    worst = max_distortion(j, delta, C)
     print(f"max distortion product over stages <= {j}, at every breakpoint: {worst:.6g}")
-    tail = gh_error(0, None, delta, max(C, 1.0))
-    print(f"GH error tail from stage 0: {tail:.6g} <= {max(C,1.0) * delta:.6g}")
+    tail = gh_error(0, None, delta, C)
+    print(f"GH error tail from stage 0: {tail:.6g} <= {C * delta:.6g}")
     if "out_report" in cfg:
         with open(cfg["out_report"], "w") as fh:
             json.dump({"j": j, "r_j": sched.r_j, "delta_j": sched.delta_j,

@@ -31,12 +31,10 @@ import numpy as np
 from .curvature import WarpedMetric
 from .jets import Jet2, jet_sqrt, jet_var
 from .profiles import (
-    BubbleParams,
     ConstructionError,
     ParameterError,
     Piece,
     Profile,
-    SurgeryParams,
     make_A,
     make_B,
     make_cubic_logwarp,
@@ -126,16 +124,29 @@ WINDOW_FRAC = 1e-2
 
 
 @dataclass
+class BubbleParams:
+    """build_bubble's inputs; each derived constant lives in the piece that computes it."""
+
+    m: float
+    r1: float
+    epsilon: float
+    alpha2: float
+    delta2: float
+    r3: float
+
+
+@dataclass
 class Bubble:
-    """The bubble metric (base A, B and warp f are metric.A/B/f), its
-    parameter record and its cone-flattening profile h3."""
+    """The bubble metric (base A, B and warp f are metric.A/B/f) and its
+    parameter record.  The warp's last piece is the exterior power tail
+    delta (r - R3)^alpha, whose params hold alpha, delta and R3."""
 
     metric: WarpedMetric
     params: BubbleParams
-    h3: Profile
 
     def blowdown(self) -> Profile:
-        return make_lambda(self.params.r3, self.params.R3, r_max=self.metric.r_range[1] * 1.5)
+        R3 = self.metric.f.pieces[-1].params["R3"]
+        return make_lambda(self.params.r3, R3, r_max=self.metric.r_range[1] * 1.5)
 
 
 def build_berger_core(m: float = 1e-3, r1: float = 2.0, r_max: float = 1e3) -> WarpedMetric:
@@ -145,8 +156,7 @@ def build_berger_core(m: float = 1e-3, r1: float = 2.0, r_max: float = 1e3) -> W
     A = make_A(m, r1, r_max=r_max)
     B = make_B(m, r1, A, r_max=r_max)
     f = Profile([Piece(0.0, r_max, rule_const(1.0), "const", {})], "f_const")
-    return WarpedMetric(A, B, f, (0.0, r_max), "berger_core",
-                        {"k": A.params["k"], "m": m, "r1": r1})
+    return WarpedMetric(A, B, f, (0.0, r_max), "berger_core")
 
 
 def build_bubble(
@@ -186,13 +196,8 @@ def build_bubble(
         base_B = c1_smooth(base_B, [(r1, w1), (r3, w3)])
         f4 = c1_smooth(f4, [(r3, w3)])
 
-    params = BubbleParams(
-        m=m, r1=r1, k=A.params["k"], b=B.params["b"], epsilon=epsilon,
-        alpha2=alpha2, delta2=delta2, r3=r3, R3=h3.params["R3"],
-        alpha=f4.params["alpha"], delta=f4.params["delta"],
-    )
-    params.validate()
-    return Bubble(WarpedMetric(base_A, base_B, f4, (0.0, 3.0 * r3), "bubble"), params, h3)
+    params = BubbleParams(m=m, r1=r1, epsilon=epsilon, alpha2=alpha2, delta2=delta2, r3=r3)
+    return Bubble(WarpedMetric(base_A, base_B, f4, (0.0, 3.0 * r3), "bubble"), params)
 
 
 def bubble_alpha2_for_alpha(alpha: float, epsilon: float, m: float = 1e-3, r1: float = 2.0,
@@ -214,6 +219,24 @@ def bubble_alpha2_for_alpha(alpha: float, epsilon: float, m: float = 1e-3, r1: f
 # ---------------------------------------------------------------------------
 # the surgery
 # ---------------------------------------------------------------------------
+
+@dataclass
+class SurgeryParams:
+    """build_surgery's inputs (r3 resolved) and the delta make_cubic_logwarp returns."""
+
+    lambda_bound: float
+    epsilon: float
+    alpha: float
+    r_hat: float
+    delta_hat: float
+    rho: float
+    r_m: float
+    r3: float          # cutoff radius of the cone/ambient interpolation
+    delta: float
+    eta: float
+    kappa: float
+    f0: float
+
 
 @dataclass
 class SurgeryMetric:
@@ -257,7 +280,7 @@ def build_surgery(
     h = make_step2_h(epsilon, r_max=r_max)
     f_plus = Profile([Piece(0.0, r_max, rule_const(delta_hat * f0), "const", {})], "f_plus")
     warp, delta = make_cubic_logwarp(f_plus, alpha, r_m, rho=rho, eta=eta)
-    r2, r2p = (1 - rho) * r_m, (1 + rho) * r_m
+    r2 = (1 - rho) * r_m
     if r3 is None:
         r3 = r2 / 5.0
     if not r_hat < r3:
@@ -297,7 +320,7 @@ def build_surgery(
 
     params = SurgeryParams(
         lambda_bound=lambda_bound, epsilon=epsilon, alpha=alpha, r_hat=r_hat,
-        delta_hat=delta_hat, rho=rho, r_m=r_m, r2=r2, r2plus=r2p, r3=r3,
+        delta_hat=delta_hat, rho=rho, r_m=r_m, r3=r3,
         delta=delta, eta=eta, kappa=kappa, f0=f0,
     )
     return SurgeryMetric(WarpedMetric(phi, None, warp, (0.0, r_max), "surgery"), params)
@@ -349,18 +372,19 @@ def glue_bubble(s: SurgeryMetric, b: Bubble) -> WarpedMetric:
     eps_s, eps_b = s.params.epsilon, b.params.epsilon
     if abs(eps_s - eps_b) > 1e-12:
         raise ParameterError(f"cone angles differ: surgery {eps_s}, bubble {eps_b}")
-    if abs(s.params.alpha - b.params.alpha) > 1e-9 * s.params.alpha:
+    tail = b.metric.f.pieces[-1].params  # the exterior delta (r - R3)^alpha
+    if abs(s.params.alpha - tail["alpha"]) > 1e-9 * s.params.alpha:
         raise ParameterError(
-            f"warp exponents differ: surgery {s.params.alpha}, bubble {b.params.alpha}"
+            f"warp exponents differ: surgery {s.params.alpha}, bubble {tail['alpha']}"
         )
     alpha = s.params.alpha
     r_hat = s.params.r_hat
-    t_ext = 2.0 * b.params.r3 - b.params.R3  # exterior-exact from 2 r3, in t = r - R3
+    t_ext = 2.0 * b.params.r3 - tail["R3"]  # exterior-exact from 2 r3, in t = r - R3
     s_B = (r_hat / 2.0) / t_ext
-    shift = s_B * b.params.R3
+    shift = s_B * tail["R3"]
 
     delta_I = s.params.delta
-    delta_II = b.params.delta * s_B ** (1.0 - alpha)
+    delta_II = tail["delta"] * s_B ** (1.0 - alpha)
     common = min(delta_I, delta_II)
 
     x_switch = shift + 0.75 * r_hat
@@ -373,10 +397,9 @@ def glue_bubble(s: SurgeryMetric, b: Bubble) -> WarpedMetric:
     sur_f = _affine_pieces(s.metric.f, 1.0, shift, x_switch, x_max,
                            warp_factor=common / delta_I)
 
-    A = Profile(bub_A + sur_phi, "glued_A", {"s_B": s_B, "shift": shift})
-    B = Profile(bub_B + sur_phi, "glued_B", {"s_B": s_B, "shift": shift})
-    f = Profile(bub_f + sur_f, "glued_f",
-                {"delta_I": delta_I, "delta_II": delta_II, "common": common})
+    A = Profile(bub_A + sur_phi, "glued_A")
+    B = Profile(bub_B + sur_phi, "glued_B")
+    f = Profile(bub_f + sur_f, "glued_f")
 
     # collar isometry: both descriptions must agree on [r_hat/2, r_hat]
     collar = np.linspace(shift + 0.55 * r_hat, shift + 0.95 * r_hat, 100)
@@ -392,8 +415,7 @@ def glue_bubble(s: SurgeryMetric, b: Bubble) -> WarpedMetric:
 
     return WarpedMetric(
         A, B, f, (0.0, x_max), "glued",
-        {"s_B": s_B, "shift": shift, "delta_I": delta_I, "delta_II": delta_II,
-         "common_delta": common, "epsilon": eps_s, "alpha": alpha},
+        {"shift": shift, "delta_I": delta_I, "delta_II": delta_II, "common_delta": common},
     )
 
 

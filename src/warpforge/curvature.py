@@ -139,8 +139,10 @@ class WarpedMetric:
         glue's A and B share their surgery pieces (B's piece is A's)."""
         lo, hi = self.r_range
         edges = [lo] + self.breakpoints() + [hi]
-        return [(a, b, *(p and p.pieces[p.piece_index(a)] for p in (self.A, self.B, self.f)))
-                for a, b in zip(edges[:-1], edges[1:])]
+        starts = edges[:-1]
+        columns = [[p.pieces[i] for i in p.piece_index(starts)] if p else [None] * len(starts)
+                   for p in (self.A, self.B, self.f)]
+        return list(zip(starts, edges[1:], *columns))
 
     def descriptor(self) -> dict:
         return {

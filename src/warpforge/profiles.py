@@ -10,7 +10,6 @@ inequality they are supposed to satisfy instead of trusting the algebra.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 from dataclasses import dataclass, field
@@ -101,13 +100,13 @@ class Profile:
     def r_max(self) -> float:
         return self.pieces[-1].hi
 
-    def piece_index(self, r: float) -> int:
-        # breakpoint radii belong to the right-hand piece
-        return min(bisect.bisect_right(self.breakpoints, r), len(self.pieces) - 1)
+    def piece_index(self, r):
+        # per radius in r; breakpoint radii belong to the right-hand piece
+        return np.searchsorted(self.breakpoints, r, side="right")
 
     def __call__(self, r) -> Jet2:
         rs = np.asarray(r, dtype=float)
-        idx = np.searchsorted(self.breakpoints, rs, side="right")
+        idx = self.piece_index(rs)
         # visit only the pieces from the first to the last one hit (no radii: none)
         first, last = int(idx.min(initial=len(self.pieces) - 1)), int(idx.max(initial=0))
         if first == last:
@@ -157,12 +156,17 @@ class Profile:
         }
 
     def export_csv(self, rs: np.ndarray, path) -> None:
-        """Write r,v,d1,d2 rows at the given radii (round-trip exact floats)."""
+        """Write r,v,d1,d2 rows at the given radii."""
         out = self(np.asarray(rs, dtype=float))
-        with open(path, "w") as fh:
-            fh.write("r,v,d1,d2\n")
-            for r, v, d1, d2 in zip(rs, out.v, out.d1, out.d2):
-                fh.write(f"{float(r)!r},{float(v)!r},{float(d1)!r},{float(d2)!r}\n")
+        write_csv(path, "r,v,d1,d2", rs, out.v, out.d1, out.d2)
+
+
+def write_csv(path, header: str, *columns) -> None:
+    """A header line, then one row per index of the columns, floats in shortest round-trip form."""
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for row in zip(*columns):
+            fh.write(",".join(repr(float(x)) for x in row) + "\n")
 
 
 def _jsonable(d: dict) -> dict:
@@ -291,53 +295,6 @@ def _flat_step_integral(t):
 
 
 # ---------------------------------------------------------------------------
-# parameter records
-# ---------------------------------------------------------------------------
-
-@dataclass
-class BubbleParams:
-    m: float
-    r1: float
-    k: float
-    b: float
-    epsilon: float
-    alpha2: float
-    delta2: float
-    r3: float
-    R3: float
-    alpha: float
-    delta: float
-
-    def validate(self) -> None:
-        """The checks no builder step makes first (epsilon, delta2, alpha <
-        alpha2 and b > 1/2k are checked where they are computed)."""
-        if not (math.pi / 3 <= self.k * self.r1 < math.pi / 2):
-            raise ParameterError(f"k*r1 = {self.k * self.r1} outside [pi/3, pi/2)")
-        if not self.b < math.sqrt(1 - self.m**2) / self.k:
-            raise ParameterError(f"b = {self.b} >= sqrt(1-m^2)/k")
-        if not 0 < self.delta < 1:
-            raise ParameterError(f"delta = {self.delta} outside (0, 1)")
-
-
-@dataclass
-class SurgeryParams:
-    lambda_bound: float
-    epsilon: float
-    alpha: float
-    r_hat: float
-    delta_hat: float
-    rho: float
-    r_m: float
-    r2: float
-    r2plus: float
-    r3: float          # cutoff radius of the cone/ambient interpolation
-    delta: float
-    eta: float
-    kappa: float
-    f0: float
-
-
-# ---------------------------------------------------------------------------
 # bubble profiles
 # ---------------------------------------------------------------------------
 
@@ -355,6 +312,8 @@ def make_A(m: float, r1: float = 2.0, r_max: Optional[float] = None) -> Profile:
     if r_max is None:
         r_max = 8.0 * r1
     k = solve_cone_slope(m, r1)
+    if not math.pi / 3 <= k * r1 < math.pi / 2:
+        raise ParameterError(f"k*r1 = {k * r1} outside [pi/3, pi/2)")
     A1 = math.sin(k * r1) / k
 
     def rule_sin(rj: Jet2) -> Jet2:
@@ -388,6 +347,8 @@ def make_B(m: float, r1: float, A: Profile, r_max: Optional[float] = None) -> Pr
         raise ConstructionError(
             f"plateau b = {b} <= 1/(2k) = {1/(2*k)}; m = {m} too large"
         )
+    if not b < math.sqrt(1 - m**2) / k:
+        raise ParameterError(f"b = {b} >= sqrt(1-m^2)/k")
 
     def rule_bridge(rj: Jet2) -> Jet2:
         t = (rj.v - L) / L
@@ -405,7 +366,6 @@ def make_B(m: float, r1: float, A: Profile, r_max: Optional[float] = None) -> Pr
             Piece(r1, r_max, rule_affine(A1, m, r1), "affine", {"value": A1, "slope": m}),
         ],
         label="B",
-        params={"b": b},
     )
 
 
@@ -473,7 +433,7 @@ def make_h3(
             ),
         ],
         label="h3",
-        params={"c": c, "R3": R3, "h3_r3": h3_r3},
+        params={"R3": R3, "h3_r3": h3_r3},
     )
 
 
@@ -499,6 +459,8 @@ def make_f4(
                              f"alpha = {alpha}, delta = {delta}")
     if not alpha < alpha2:
         raise ConstructionError(f"alpha = {alpha} >= alpha2 = {alpha2}")
+    if not 0 < delta < 1:
+        raise ParameterError(f"delta = {delta} outside (0, 1)")
     if not R3 > 0:
         raise ConstructionError(f"R3 = {R3} <= 0")
 
@@ -509,7 +471,7 @@ def make_f4(
         Piece(r3, r_max, rule_tail, "power_tail", {"delta": delta, "alpha": alpha, "R3": R3})
     ]
     try:
-        return Profile(pieces, label="f4", params={"alpha": alpha, "delta": delta})
+        return Profile(pieces, label="f4")
     except ConstructionError as exc:
         raise ConstructionError(f"f4 matching formulas failed C1 check: {exc}") from exc
 

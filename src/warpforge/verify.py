@@ -25,7 +25,7 @@ import numpy as np
 
 from .curvature import RicciBlocks, WarpedMetric, fd_ricci_oracle, ricci_berger
 from .jets import JetDomainError
-from .profiles import ConstructionError, ParameterError, Piece
+from .profiles import ConstructionError, ParameterError, Piece, write_csv
 
 
 REFINE_FRAC = 0.01  # share of a piece's width refined geometrically at each end
@@ -303,15 +303,8 @@ def scan_params(
 # ---------------------------------------------------------------------------
 
 def export_curvature_csv(metric: WarpedMetric, rs: np.ndarray, path) -> None:
-    """Sampled coefficients and Ricci blocks; floats as shortest round-trip."""
+    """Sampled coefficients and Ricci blocks."""
     rs = np.asarray(rs, dtype=float)
-    a, b, f = metric.coefficients(rs)
     blocks = metric.blocks(rs)
-    with open(path, "w") as fh:
-        fh.write("r,phi_or_A,B,f,ric_rr,ric_s3_or_sX,ric_sYZ,ric_s2\n")
-        for i in range(rs.size):
-            row = (
-                rs[i], a[i], b[i], f[i],
-                blocks.rr[i], blocks.sX[i], blocks.sYZ[i], blocks.s2[i],
-            )
-            fh.write(",".join(repr(float(x)) for x in row) + "\n")
+    write_csv(path, "r,phi_or_A,B,f,ric_rr,ric_s3_or_sX,ric_sYZ,ric_s2", rs,
+              *metric.coefficients(rs), blocks.rr, blocks.sX, blocks.sYZ, blocks.s2)

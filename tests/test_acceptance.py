@@ -111,7 +111,7 @@ def test_criterion_01_analytic_oracles():
 
 def test_criterion_02_plateau_identity():
     core = build_berger_core(m=1e-3, r1=2.0, r_max=1e3)
-    k = core.params["k"]
+    k = core.A.params["k"]
     rs = np.geomspace(1e-3, 0.999, 400)
     plateau_err = float(np.max(np.abs(core.blocks(rs).rr / (k * k) - 1.0)))
     rs = np.geomspace(2.0001, 999.0, 400)
@@ -155,12 +155,13 @@ def test_criterion_03_full_bubble_positivity(bubble_raw, bubble):
     # and misses the negative rr entirely).
     p = bubble_raw.params
     a = p.alpha2
-    A_r1 = bubble_raw.h3.pieces[0].params["A_r1"]
+    flatten = next(q.params for q in bubble_raw.metric.A.pieces if q.name == "log_flatten")
+    A_r1 = flatten["A_r1"]
     budget = (2 * a / 3) * (A_r1 * (1 / p.r1 - 1 / p.r3) + math.log(p.r3 / p.r1))
     needed = 1 - p.epsilon - p.m
     ok = budget < needed
 
-    c, m = bubble_raw.h3.params["c"], p.m
+    c, m = flatten["c"], p.m
     rs = np.geomspace(p.r1 * (1 + 1e-12), p.r3 * (1 - 1e-12), 10_000)
     h3 = A_r1 + m * (rs - p.r1) + c * (rs * np.log(rs / p.r1) - rs + p.r1)
     closed = -3 * c / (rs * h3) - 2 * a * (1 + (a - 1) * rs**2) / (1 + rs**2) ** 2
@@ -192,12 +193,13 @@ def test_criterion_03_full_bubble_positivity(bubble_raw, bubble):
 
 
 def test_criterion_04_warped_cone_closed_form(bubble_raw):
-    p = bubble_raw.params
-    t3 = p.r3 - p.R3
-    ts = np.geomspace(t3, 10 * p.r3, 10_000)
-    rs = ts + p.R3
+    r3, tail = bubble_raw.params.r3, bubble_raw.metric.f.pieces[-1].params
+    alpha = tail["alpha"]
+    t3 = r3 - tail["R3"]
+    ts = np.geomspace(t3, 10 * r3, 10_000)
+    rs = ts + tail["R3"]
     rr = bubble_raw.metric.blocks(rs).rr
-    expected = -2 * p.alpha * (p.alpha - 1) / ts**2
+    expected = -2 * alpha * (alpha - 1) / ts**2
     err = float(np.max(np.abs(rr / expected - 1.0)))
     verdict(4, err <= 1e-10, f"rr vs -2 alpha(alpha-1)/t^2 rel err {err:.2e} (<=1e-10)")
 
@@ -245,7 +247,7 @@ def test_criterion_06_surgery_contract(surgery):
 
 def test_criterion_07_logwarp_concavity(surgery):
     p = surgery.params
-    rs = np.linspace(p.r2, p.r2plus, 10_000)[1:-1]
+    rs = np.linspace((1 - p.rho) * p.r_m, (1 + p.rho) * p.r_m, 10_000)[1:-1]
     out = surgery.metric.f(rs)
     excess = out.d2 / out.v + p.alpha / rs**2  # must be <= 0
     worst = float(excess.max())

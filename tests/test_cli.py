@@ -267,6 +267,8 @@ EXPORT_SURGERY = {"target": "surgery", "kappa": 0.0, "f0": 1.0, "lambda_bound": 
     pytest.param("limits", shipped("limits.json", j="3"), "j", id="j-string"),
     pytest.param("limits", {"j": 3, "epsilon": 0, "delta": 0.1, "lambda_plus": 0, "C": 2},
                  "epsilon", id="limits-epsilon-0"),
+    pytest.param("limits", shipped("limits.json", C=0.5), "C = 0.5 must be >= 1",
+                 id="limits-C-below-1"),
     pytest.param("export", {**EXPORT_BUBBLE, "points": 0}, "points", id="export-points-0"),
     pytest.param("export", {**EXPORT_BUBBLE, "points": 2.7}, "points",
                  id="export-points-fraction"),

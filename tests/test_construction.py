@@ -21,6 +21,11 @@ from warpforge.profiles import (
     ParameterError,
     Piece,
     Profile,
+    make_A,
+    make_B,
+    make_f2,
+    make_f4,
+    make_h3,
 )
 from warpforge.jets import jet_sin
 from warpforge.verify import GridConfig, verify_ric_lower
@@ -89,20 +94,40 @@ def test_smooth_window_cannot_cross_breakpoints(bubble_raw):
 
 # -- bubble -------------------------------------------------------------------
 
+def make_f4_of_large_delta2():
+    h3 = make_h3(1e-3, 0.05, 2.0, 1e3, make_A(1e-3, 2.0).params["A_r1"])
+    return make_f4(0.5, 0.9, 0.05, 1e3, h3, make_f2(0.9, 0.5, 1.6e4))
+
+
+K_R1_OUTSIDE = r"k\*r1 = 1\.57\d* outside \[pi/3, pi/2\)"
+
+
+# kw: build_bubble's overrides, or the constructor to call
 @pytest.mark.parametrize("kw, message", [
     # m rounds k*r1 up to pi/2
-    ({"m": 1e-17}, r"k\*r1 = 1\.57\d* outside \[pi/3, pi/2\)"),
+    ({"m": 1e-17}, K_R1_OUTSIDE),
     # a large delta2 with a small alpha2 makes the exterior coefficient >= 1
     ({"delta2": 0.9, "alpha2": 0.5}, r"delta = 1\.67\d* outside \(0, 1\)"),
+    # each check raises in the constructor that computes its value
+    pytest.param(lambda: make_A(1e-17, 2.0), K_R1_OUTSIDE, id="make_A"),
+    # m = 2e-16 keeps k*r1 below pi/2 but rounds m r1/4 out of b
+    pytest.param(lambda: make_B(2e-16, 2.0, make_A(2e-16, 2.0)),
+                 r"^b = 1\.27\d* >= sqrt\(1-m\^2\)/k$", id="make_B"),
+    pytest.param(make_f4_of_large_delta2, r"^delta = 1\.6768867218476853 outside \(0, 1\)$",
+                 id="make_f4"),
 ])
 def test_bubble_params_validate_names_the_failing_check(kw, message):
     with pytest.raises(ParameterError, match=message):
-        build_bubble(**{"epsilon": 0.05, "alpha2": 0.01, "delta2": 0.01, "smooth": False, **kw})
+        if callable(kw):
+            kw()
+        else:
+            build_bubble(**{"epsilon": 0.05, "alpha2": 0.01, "delta2": 0.01, "smooth": False,
+                            **kw})
 
 
 def test_bubble_core_plateau_identity():
     core = build_berger_core(m=1e-3, r1=2.0, r_max=1e3)
-    k = core.params["k"]
+    k = core.A.params["k"]
     rs = np.linspace(0.05, 0.999, 200)
     blocks = core.blocks(rs)
     assert np.allclose(blocks.rr, k * k, rtol=1e-12)
@@ -114,22 +139,23 @@ def test_bubble_core_plateau_identity():
 
 
 def test_bubble_parameters(bubble):
-    p = bubble.params
-    assert p.k == pytest.approx(0.784898, abs=1e-6)
-    assert p.R3 > 0
-    assert p.alpha < p.alpha2
-    assert 0 < p.delta < 1
+    p, tail = bubble.params, bubble.metric.f.pieces[-1].params
+    assert bubble.metric.A.pieces[0].params["k"] == pytest.approx(0.784898, abs=1e-6)
+    assert tail["R3"] > 0
+    assert tail["alpha"] < p.alpha2
+    assert 0 < tail["delta"] < 1
     # the glue reads the exterior as exact from 2 r3: no joint lies at or past it
     assert max(bubble.metric.A.breakpoints + bubble.metric.f.breakpoints) < 2 * p.r3
 
 
 def test_bubble_exterior_exactness(bubble):
     # beyond 2 r3 both base and warp follow the closed cone form bit-exactly
-    p = bubble.params
-    one_m_eps = 1.0 - p.epsilon
+    one_m_eps = 1.0 - bubble.params.epsilon
+    tail = bubble.metric.f.pieces[-1].params
+    R3 = tail["R3"]
     for r in (2e3, 2.7e3, 2.99e3):
-        assert float(bubble.metric.A(r).v) == one_m_eps * (r - p.R3)
-        assert float(bubble.metric.f(r).v) == p.delta * (r - p.R3) ** p.alpha
+        assert float(bubble.metric.A(r).v) == one_m_eps * (r - R3)
+        assert float(bubble.metric.f(r).v) == tail["delta"] * (r - R3) ** tail["alpha"]
 
 
 def test_bubble_c1_everywhere(bubble):
@@ -177,7 +203,7 @@ def test_bubble_known_negative_flattening_region(bubble):
 def test_bubble_alpha2_inversion():
     alpha2 = bubble_alpha2_for_alpha(0.01, 0.02, 1e-3, 2.0, 1e3)
     b = build_bubble(epsilon=0.02, alpha2=alpha2, delta2=0.01, r3=1e3, smooth=False)
-    assert b.params.alpha == pytest.approx(0.01, rel=1e-12)
+    assert b.metric.f.pieces[-1].params["alpha"] == pytest.approx(0.01, rel=1e-12)
 
 
 # -- surgery -------------------------------------------------------------------

@@ -1,10 +1,15 @@
-"""Source hygiene of src/warpforge: every imported name is used, and no
-module checks a condition with `assert`, which `python -O` strips."""
+"""Source hygiene of src/warpforge: every imported name is used, no
+module checks a condition with `assert`, which `python -O` strips, and the
+build records hold only their builders' inputs."""
 
 import ast
+import dataclasses
+import inspect
 from pathlib import Path
 
 import pytest
+
+from warpforge.construction import BubbleParams, SurgeryParams, build_bubble, build_surgery
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "warpforge"
 MODULES = sorted(SRC.glob("*.py"))
@@ -43,3 +48,16 @@ def test_no_assert_statements(path):
 def test_unused_import_is_found():
     source = "import math\nfrom os import path, sep\nfrom . import x  # noqa: F401\nsep\n"
     assert unused_imports(source) == ["math", "path"]
+
+
+def test_build_records_hold_builder_inputs():
+    # a derived constant lives in the profile or piece that computes it; the
+    # surgery's delta is the one make_cubic_logwarp returns, and has no piece
+    def fields(record):
+        return {f.name for f in dataclasses.fields(record)}
+
+    def parameters(builder):
+        return set(inspect.signature(builder).parameters)
+
+    assert fields(BubbleParams) == parameters(build_bubble) - {"smooth"}
+    assert fields(SurgeryParams) == parameters(build_surgery) | {"delta"}

@@ -87,12 +87,13 @@ def test_B_bridge_endpoint_slopes(B):
 def test_B_plateau_bound(B, A):
     # back-integration oracle: b = A(r1) - m * integral of the bridge slope
     k = A.params["k"]
-    assert B.params["b"] > 1.0 / (2 * k)
+    b = B.pieces[0].params["value"]
+    assert b > 1.0 / (2 * k)
     assert 1.0 / (2 * k) == pytest.approx(0.637024, abs=1e-5)
     rs = np.linspace(R1 / 2, R1, 20001)
     slopes = B(rs).d1
     b_oracle = float(A(R1).v) - np.trapezoid(slopes, rs)
-    assert B.params["b"] == pytest.approx(b_oracle, rel=1e-8)
+    assert b == pytest.approx(b_oracle, rel=1e-8)
 
 
 def test_B_second_derivative_budget(B):
@@ -188,7 +189,7 @@ def test_f2_jets_match_fd():
 
 def test_h3_budget_arithmetic(A):
     h3 = make_h3(M, 0.05, R1, 1e6, A.params["A_r1"])
-    c = h3.params["c"]
+    c = h3.pieces[0].params["c"]
     assert c == pytest.approx((1 - 0.05 - M) / math.log(5e5), rel=1e-12)
     assert c == pytest.approx(0.0723191, abs=1e-6)  # frozen: direct arithmetic
     assert c <= 10 / math.log(1e6)
@@ -206,7 +207,7 @@ def test_h3_r_h3pp_budget_exact(A):
     out = h3(rs)
     rh = rs * out.d2
     assert np.all(rh >= -1e-15)
-    assert np.allclose(rh, h3.params["c"], rtol=1e-12)
+    assert np.allclose(rh, h3.pieces[0].params["c"], rtol=1e-12)
     assert rh.max() <= 10 / math.log(1e3)
 
 
@@ -241,7 +242,7 @@ def test_f4_c1_matching(f4_pair):
 
 def test_f4_alpha_below_alpha2_and_R3_positive(f4_pair):
     h3, f4 = f4_pair
-    assert f4.params["alpha"] < 0.01
+    assert f4.pieces[-1].params["alpha"] < 0.01
     assert h3.params["R3"] > 0
 
 
