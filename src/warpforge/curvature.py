@@ -16,12 +16,18 @@ independent cross-check, computing the same blocks from 5-point finite
 differences of the raw coordinate metric on an explicit 6-dimensional
 Euler-angle chart, after zooming coordinates so the chart is O(1) at any
 radius.  It takes a batch of radii as numpy arrays and gives each radius
-the same blocks, bit for bit, as a call on that radius alone.
+the same blocks, bit for bit, as a call on that radius alone.  The chart
+metric has 8 nonzero entries of 36 and varies along 3 of the 6
+coordinates, so the oracle differences only the entries nonzero on the
+stencil, raises the Christoffel index through the inverse's diagonal
+blocks and projects all frame pairs in one stacked matmul.  Each stage
+skips exact zeros only and rounds as the dense 6 x 6 algebra does.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -162,17 +168,24 @@ _THETA0, _PHI0, _PSI0, _U0, _V0 = 1.04719755, 0.31, 0.73, 1.13, 0.41
 
 # the metric depends only on (rho, theta, u); indices of those coordinates
 _VARYING = (0, 1, 4)
+# the chart's inverse metric is block diagonal: {rho}, {theta}, {phi, psi}, {u}, {v}
+_DIAG = [0, 1, 4, 5]
 
 _W5 = np.array([-1.0, 8.0, -8.0, 1.0]) / 12.0
 _OFFS = np.array([2.0, 1.0, -1.0, -2.0])
 
+# frame pairs projected from Ricci: rr, XX, YY, ZZ, uu, rX, rY, rZ
+_LEFT = [0, 1, 2, 3, 4, 0, 0, 0]
+_RIGHT = [0, 1, 2, 3, 4, 1, 2, 3]
 
-def _by_value(fn, x: np.ndarray) -> np.ndarray:
-    """fn at each entry of x, called once per distinct value: the chart
+
+def _by_value(x: np.ndarray, *fns) -> tuple:
+    """Each fn at each entry of x, called once per distinct value: the chart
     takes sin and cos from math, which numpy's own need not match bit for
     bit on every build."""
     values, where = np.unique(x, return_inverse=True)
-    return np.array([fn(v) for v in values.tolist()])[where].reshape(x.shape)
+    return tuple(np.array([fn(v) for v in values.tolist()])[where].reshape(x.shape)
+                 for fn in fns)
 
 
 def _stencil_steps(h: np.ndarray) -> np.ndarray:
@@ -191,14 +204,19 @@ def _derivative(f: np.ndarray, h: np.ndarray) -> np.ndarray:
     Differences are taken against the center value so entries that are
     exactly constant differentiate to exactly zero; the raw weighted sum
     would leave O(eps) residue that huge inverse-metric entries amplify.
+    Only entries nonzero somewhere on the stencil are differenced; the rest
+    differentiate to the exact zero they would give anyway.
     """
-    out = np.zeros(f.shape[:1] + (6,) + f.shape[2:])
-    for k, c in enumerate(_VARYING):
-        acc = np.zeros_like(f[:, 0])
-        for j, wgt in enumerate(_W5):
-            acc += wgt * (f[:, 1 + 4 * k + j] - f[:, 0])
-        out[:, c] = acc / h[:, c].reshape((-1,) + (1,) * (acc.ndim - 1))
-    return out
+    n = f.shape[0]
+    flat = f.reshape(n, 13, -1)
+    live = np.flatnonzero(np.any(flat != 0.0, axis=(0, 1)))
+    diff = (flat[:, 1:, live] - flat[:, :1, live]).reshape(n, 3, 4, -1)
+    acc = np.zeros((n, 3, live.size))  # from +0 in _W5 order, as a per-entry sum rounds
+    for j, wgt in enumerate(_W5):
+        acc += wgt * diff[:, :, j]
+    out = np.zeros((n, 6, flat.shape[2]))
+    out[:, np.array(_VARYING)[:, None], live] = acc / h[:, _VARYING, None]
+    return out.reshape((n, 6) + f.shape[2:])
 
 
 def _chart_metric(metric: WarpedMetric, r0: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -210,7 +228,8 @@ def _chart_metric(metric: WarpedMetric, r0: np.ndarray, x: np.ndarray) -> np.nda
     radii, where = np.unique(rho * r0, return_inverse=True)
     where, s = where.reshape(rho.shape), 1.0 / r0
     a, b, w = (s * c[where] for c in metric.coefficients(radii))
-    ct, st = _by_value(math.cos, theta), _by_value(math.sin, theta)
+    ct, st = _by_value(theta, math.cos, math.sin)
+    (su2,) = _by_value(u, lambda t: math.sin(t) ** 2)
     g = np.zeros(rho.shape + (6, 6))
     g[..., 0, 0] = 1.0
     g[..., 1, 1] = 0.25 * b * b
@@ -218,7 +237,7 @@ def _chart_metric(metric: WarpedMetric, r0: np.ndarray, x: np.ndarray) -> np.nda
     g[..., 3, 3] = 0.25 * a * a
     g[..., 2, 3] = g[..., 3, 2] = 0.25 * a * a * ct
     g[..., 4, 4] = w * w
-    g[..., 5, 5] = w * w * _by_value(lambda t: math.sin(t) ** 2, u)
+    g[..., 5, 5] = w * w * su2
     return g
 
 
@@ -227,7 +246,7 @@ def _block_inverse(g: np.ndarray) -> np.ndarray:
     {u},{v}; np.linalg.inv would lose elementwise accuracy once the S^2
     entries are many orders smaller than the S^3 ones."""
     inv = np.zeros_like(g)
-    for i in (0, 1, 4, 5):
+    for i in _DIAG:
         inv[..., i, i] = 1.0 / g[..., i, i]
     det = g[..., 2, 2] * g[..., 3, 3] - g[..., 2, 3] * g[..., 3, 2]
     inv[..., 2, 2] = g[..., 3, 3] / det
@@ -236,17 +255,36 @@ def _block_inverse(g: np.ndarray) -> np.ndarray:
     return inv
 
 
+def _raise_index(inv: np.ndarray, low: np.ndarray) -> np.ndarray:
+    """inv^{ad} low_{bdc} -> (..., a, b, c), summed over the nonzero blocks
+    of _block_inverse alone: the products left out are exact zeros, so each
+    entry rounds as the full sum over d does."""
+    low = np.moveaxis(low, -2, -3)  # (..., d, b, c)
+    # C order: einsum sums in memory order, so gamma's layout decides how
+    # the Ricci contractions round
+    out = np.empty(low.shape)
+    out[..., _DIAG, :, :] = inv[..., _DIAG, _DIAG][..., None, None] * low[..., _DIAG, :, :]
+    for a in (2, 3):
+        out[..., a, :, :] = (inv[..., a, 2, None, None] * low[..., 2, :, :]
+                             + inv[..., a, 3, None, None] * low[..., 3, :, :])
+    return out
+
+
 def fd_ricci_oracle(metric: WarpedMetric, r0, h_fd: float = 1e-4) -> RicciBlocks:
     """Ricci blocks at radius r0 (a float or an array of radii) from finite
     differences of the raw chart, shaped like r0.
 
     Shares nothing with the closed-form path except the profile value
     channel.  Each r0 must sit inside a smooth piece, at relative distance
-    > 10*h_fd from the nearest breakpoint.  All radii are differenced in one
-    batch: the Christoffel symbols on nested 5-point stencils (13 x 13 chart
-    points per radius), then Ricci from their differences.  A radius gets
-    the same blocks, bit for bit, alone or in any batch.
+    > 10*h_fd from the nearest breakpoint; h_fd must be finite and > 0.
+    All radii are differenced in one batch: the Christoffel symbols on
+    nested 5-point stencils (13 x 13 chart points per radius), then Ricci
+    from their differences.  Each stage follows the chart's block structure
+    and skips only its exact zeros, so a radius gets the same blocks, bit
+    for bit, as the dense contractions would give, alone or in any batch.
     """
+    if not (isinstance(h_fd, numbers.Real) and math.isfinite(h_fd) and h_fd > 0.0):
+        raise ParameterError(f"h_fd = {h_fd!r} must be a finite number > 0")
     r = np.array(r0, dtype=float, ndmin=1).ravel()
     lo, hi = metric.r_range
     if not np.all((lo < r) & (r < hi)):
@@ -267,7 +305,7 @@ def fd_ricci_oracle(metric: WarpedMetric, r0, h_fd: float = 1e-4) -> RicciBlocks
     dg = _derivative(g.reshape((-1,) + g.shape[2:]), np.repeat(h, 13, axis=0))
     dg = dg.reshape(g.shape[:2] + (6, 6, 6))
     sym = dg + dg.swapaxes(-1, -3) - dg.swapaxes(-2, -3)
-    gamma = 0.5 * np.einsum("...ad,...bdc->...abc", _block_inverse(g[:, :, 0]), sym)
+    gamma = 0.5 * _raise_index(_block_inverse(g[:, :, 0]), sym)
     dgamma = _derivative(gamma, h)
 
     # orthonormal frame: e_r, e_X (Hopf), e_Y, e_Z, e_u
@@ -286,10 +324,9 @@ def fd_ricci_oracle(metric: WarpedMetric, r0, h_fd: float = 1e-4) -> RicciBlocks
     ricci = (np.einsum("...aabd->...bd", dgamma) - np.einsum("...daba->...bd", dgamma)
              + np.einsum("...aae,...ebd->...bd", gam, gam)
              - np.einsum("...ade,...eba->...bd", gam, gam))
-    pairs = np.empty((r.size, 8))  # rr, XX, YY, ZZ, uu, rX, rY, rZ
-    for i, (e, ric) in enumerate(zip(frame, ricci)):
-        pairs[i] = [e[j] @ ric @ e[l] for j, l in
-                    ((0, 0), (1, 1), (2, 2), (3, 3), (4, 4), (0, 1), (0, 2), (0, 3))]
+    # e_j . Ric . e_l for every frame pair at once, as the same BLAS
+    # vector-matrix and dot products a per-pair loop would take
+    pairs = (frame[:, _LEFT, None, :] @ ricci[:, None] @ frame[:, _RIGHT, :, None])[..., 0, 0]
 
     scale = 1.0 / (r * r)  # undo the zoom: Ric(g) = s^2 Ric(s^2 g), s = 1/r0
     shape = np.shape(r0)

@@ -244,12 +244,14 @@ def verify_ric_lower(
         if not piece.passed:
             report.passed = False
         if cfg.oracle:
-            worst_err = max(worst_err, _oracle_pass(metric, lo, hi, forms, i, cfg))
+            # np.maximum, not max: a NaN error must reach the report
+            worst_err = float(np.maximum(worst_err, _oracle_pass(metric, lo, hi, forms, i, cfg)))
     if not report.pieces:
         raise ParameterError(f"the grid samples no piece of {metric.label} in "
                              f"[{lo_clip:g}, {hi_clip:g}] (r_min_frac = {cfg.r_min_frac:g})")
     if cfg.oracle:
-        report.oracle_max_rel_err = worst_err if np.isfinite(worst_err) else 0.0
+        # 0.0 when no piece was wide enough to difference
+        report.oracle_max_rel_err = 0.0 if worst_err == float("-inf") else worst_err
     return report
 
 

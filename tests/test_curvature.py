@@ -1,5 +1,6 @@
 """Closed-form Ricci blocks vs analytic identities and the fd oracle."""
 
+import math
 from collections import Counter
 from pathlib import Path
 
@@ -9,6 +10,7 @@ import pytest
 from warpforge.cli import build, load_config
 from warpforge.construction import build_bubble
 from warpforge.jets import Jet2, JetDomainError, jet_var
+from warpforge import curvature, verify
 from warpforge.curvature import (
     RicciBlocks,
     WarpedMetric,
@@ -24,6 +26,7 @@ from warpforge.profiles import (
     rule_const,
 )
 from warpforge.jets import jet_sin, jet_pow
+from warpforge.verify import GridConfig, verify_ric_lower
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -341,3 +344,99 @@ def test_oracle_batch_equals_one_radius_calls(name):
             (name, lo, hi)
         grid = fd_ricci_oracle(metric, rs.reshape(2, 3), h_fd=h_fd)
         assert np.array_equal(_block_bits(grid).reshape(5, -1), _block_bits(batch))
+
+
+@pytest.mark.parametrize("h_fd", [0.0, -1e-4, math.nan, math.inf, "1e-4", None])
+def test_oracle_rejects_bad_step(h_fd):
+    # h_fd = 0 used to return all-NaN blocks behind a RuntimeWarning
+    m = cone_metric(sin_profile(), const_profile(0.5, r_max=3.0), (0.1, 3.0), "roundS4")
+    with pytest.raises(ParameterError, match="h_fd"):
+        fd_ricci_oracle(m, 1.5, h_fd=h_fd)
+
+
+# -- the oracle against its dense reference --------------------------------------
+
+
+def _derivative_dense(f, h):
+    """Every entry of f differenced along each varying coordinate in turn."""
+    out = np.zeros(f.shape[:1] + (6,) + f.shape[2:])
+    for k, c in enumerate(curvature._VARYING):
+        acc = np.zeros_like(f[:, 0])
+        for j, wgt in enumerate(curvature._W5):
+            acc += wgt * (f[:, 1 + 4 * k + j] - f[:, 0])
+        out[:, c] = acc / h[:, c].reshape((-1,) + (1,) * (acc.ndim - 1))
+    return out
+
+
+def fd_ricci_oracle_dense(metric, r, h_fd):
+    """fd_ricci_oracle on the dense 6 x 6 algebra: every entry differenced,
+    the index raised by a full einsum with g^{-1}, and each frame pair
+    projected by its own e @ Ric @ e, one radius at a time."""
+    lo, hi = metric.r_range
+    edges = np.array(metric.breakpoints() + [lo, hi])
+    margin = np.min(np.abs(r[:, None] - edges) / r[:, None], axis=1)
+    h = np.full((r.size, 6), h_fd)
+    h[:, 0] = np.minimum(h_fd, margin / 8.0)
+    steps = curvature._stencil_steps(h)
+    x = np.array([1.0, curvature._THETA0, curvature._PHI0, curvature._PSI0,
+                  curvature._U0, curvature._V0]) + steps[:, :, None]
+    g = curvature._chart_metric(metric, r[:, None, None], x + steps[:, None])
+    dg = _derivative_dense(g.reshape((-1,) + g.shape[2:]), np.repeat(h, 13, axis=0))
+    dg = dg.reshape(g.shape[:2] + (6, 6, 6))
+    sym = dg + dg.swapaxes(-1, -3) - dg.swapaxes(-2, -3)
+    gamma = 0.5 * np.einsum("...ad,...bdc->...abc", curvature._block_inverse(g[:, :, 0]), sym)
+    dgamma = _derivative_dense(gamma, h)
+    g0 = g[:, 0, 0]
+    a, b, w = np.sqrt(4.0 * g0[:, 3, 3]), np.sqrt(4.0 * g0[:, 1, 1]), np.sqrt(g0[:, 4, 4])
+    frame = np.zeros((r.size, 5, 6))
+    frame[:, 0, 0] = 1.0
+    frame[:, 1, 3] = 2.0 / a
+    frame[:, 2, 1] = 2.0 / b
+    frame[:, 3, 2] = 2.0 / (b * math.sin(curvature._THETA0))
+    frame[:, 3, 3] = frame[:, 3, 2] * -math.cos(curvature._THETA0)
+    frame[:, 4, 4] = 1.0 / w
+    gam = gamma[:, 0]
+    ricci = (np.einsum("...aabd->...bd", dgamma) - np.einsum("...daba->...bd", dgamma)
+             + np.einsum("...aae,...ebd->...bd", gam, gam)
+             - np.einsum("...ade,...eba->...bd", gam, gam))
+    pairs = np.empty((r.size, 8))
+    for i, (e, ric) in enumerate(zip(frame, ricci)):
+        pairs[i] = [e[j] @ ric @ e[l] for j, l in
+                    ((0, 0), (1, 1), (2, 2), (3, 3), (4, 4), (0, 1), (0, 2), (0, 3))]
+    scale = 1.0 / (r * r)
+    return RicciBlocks(pairs[:, 0] * scale, pairs[:, 1] * scale,
+                       0.5 * (pairs[:, 2] + pairs[:, 3]) * scale, pairs[:, 4] * scale,
+                       np.max(np.abs(pairs[:, 5:]), axis=1) * scale)
+
+
+def _oracle_calls(monkeypatch, metric, cfg):
+    """(radii, h_fd, blocks) of every oracle call one verify makes."""
+    calls = []
+
+    def recorded(m, r0, h_fd):
+        blocks = fd_ricci_oracle(m, r0, h_fd=h_fd)
+        calls.append((r0, h_fd, blocks))
+        return blocks
+
+    monkeypatch.setattr(verify, "fd_ricci_oracle", recorded)
+    verify_ric_lower(metric, 0.0, cfg)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["bubble", "surgery", "glue"])
+def test_oracle_bit_identical_to_dense_reference(monkeypatch, name):
+    # each oracle-sampled piece of the shipped targets, at criterion 5's grid
+    _, metric, _, _ = build(name, load_config(CONFIGS / f"{name}.json", name))
+    cfg = GridConfig(points_per_piece=64, oracle=True, n_oracle=8, seed=11)
+    calls = _oracle_calls(monkeypatch, metric, cfg)
+    assert calls
+    for rs, h_fd, blocks in calls:
+        want = fd_ricci_oracle_dense(metric, rs, h_fd)
+        assert np.array_equal(_block_bits(blocks), _block_bits(want)), (name, rs.min(), rs.max())
+
+
+def test_oracle_bit_identical_to_dense_reference_round(monkeypatch):
+    m = cone_metric(sin_profile(), const_profile(0.5, r_max=3.0), (0.1, 3.0), "roundS4")
+    cfg = GridConfig(points_per_piece=64, oracle=True, n_oracle=16, seed=4)
+    (rs, h_fd, blocks), = _oracle_calls(monkeypatch, m, cfg)
+    assert np.array_equal(_block_bits(blocks), _block_bits(fd_ricci_oracle_dense(m, rs, h_fd)))

@@ -160,6 +160,29 @@ def test_oracle_agreement_on_passing_fixture(round_s4):
     assert report.oracle_max_rel_err < 1e-4
 
 
+def test_oracle_nan_error_reaches_the_report(round_s4, monkeypatch):
+    # Python's max(worst, nan) keeps worst, which read as perfect agreement
+    from warpforge import verify
+    from warpforge.curvature import fd_ricci_oracle
+
+    def nan_rr(metric, r0, h_fd):
+        blocks = fd_ricci_oracle(metric, r0, h_fd=h_fd)
+        blocks.rr = np.full_like(blocks.rr, np.nan)
+        return blocks
+
+    monkeypatch.setattr(verify, "fd_ricci_oracle", nan_rr)
+    cfg = GridConfig(points_per_piece=128, oracle=True, n_oracle=8, seed=3)
+    assert math.isnan(verify_ric_lower(round_s4, bound=2.9, cfg=cfg).oracle_max_rel_err)
+
+
+def test_oracle_nothing_checked_reads_zero():
+    # a piece too narrow to difference (h_fd would fall below 1e-7) is skipped
+    narrow = cone(lambda rj: jet_sin(rj), rule_const(0.5), (1.0, 1.000004), "narrow", r_max=3.0)
+    cfg = GridConfig(points_per_piece=64, oracle=True, n_oracle=8, seed=3)
+    report = verify_ric_lower(narrow, bound=0.0, cfg=cfg)
+    assert report.oracle_checked and report.oracle_max_rel_err == 0.0
+
+
 # -- verification evaluates pieces, not profiles ---------------------------------
 
 def test_verify_never_evaluates_a_profile(monkeypatch):
