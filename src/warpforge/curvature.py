@@ -17,11 +17,16 @@ differences of the raw coordinate metric on an explicit 6-dimensional
 Euler-angle chart, after zooming coordinates so the chart is O(1) at any
 radius.  It takes a batch of radii as numpy arrays and gives each radius
 the same blocks, bit for bit, as a call on that radius alone.  The chart
-metric has 8 nonzero entries of 36 and varies along 3 of the 6
-coordinates, so the oracle differences only the entries nonzero on the
-stencil, raises the Christoffel index through the inverse's diagonal
-blocks and projects all frame pairs in one stacked matmul.  Each stage
-skips exact zeros only and rounds as the dense 6 x 6 algebra does.
+metric has 8 live (possibly nonzero) entries of 36 and varies along 3 of
+the 6 coordinates, so up to the Ricci contractions the oracle carries
+only live entries: the metric's 8, their first derivatives, and the 66
+first-kind and 66 second-kind Christoffel symbols the live pattern
+allows, by index tables derived at import.  The trig of the chart angles
+is evaluated once per call, since every radius takes the same angle
+steps, and the profiles are read once per call on each radius' 5 x 5
+radial sub-stencil, which holds every distinct radius of its 169 chart
+points.  Each entry is computed from the same operands in the same order
+as in the dense 6 x 6 algebra, so the blocks match it bit for bit.
 """
 
 from __future__ import annotations
@@ -168,15 +173,55 @@ _THETA0, _PHI0, _PSI0, _U0, _V0 = 1.04719755, 0.31, 0.73, 1.13, 0.41
 
 # the metric depends only on (rho, theta, u); indices of those coordinates
 _VARYING = (0, 1, 4)
-# the chart's inverse metric is block diagonal: {rho}, {theta}, {phi, psi}, {u}, {v}
-_DIAG = [0, 1, 4, 5]
+# the chart metric's entries that can be nonzero, and so its inverse's: the
+# blocks {rho}, {theta}, {phi, psi}, {u}, {v}.  Every other entry is an exact
+# zero at every chart point.
+_LIVE = ((0, 0), (1, 1), (2, 2), (2, 3), (3, 2), (3, 3), (4, 4), (5, 5))
 
 _W5 = np.array([-1.0, 8.0, -8.0, 1.0]) / 12.0
 _OFFS = np.array([2.0, 1.0, -1.0, -2.0])
+# stencil slot -> the slot of the radial sub-stencil (slots 0-4) with its rho
+_RADIAL_SLOT = np.array([0, 1, 2, 3, 4] + [0] * 8)
 
 # frame pairs projected from Ricci: rr, XX, YY, ZZ, uu, rX, rY, rZ
 _LEFT = [0, 1, 2, 3, 4, 0, 0, 0]
 _RIGHT = [0, 1, 2, 3, 4, 1, 2, 3]
+
+
+def _symbol_tables() -> tuple:
+    """Index tables of the Christoffel stage, derived from _VARYING and _LIVE.
+
+    The first derivatives sit in columns k * len(_LIVE) + e (d_{_VARYING[k]}
+    of g_{_LIVE[e]}), followed by a zero column; the inverse's live entries
+    and the first-kind symbols are laid out the same way.  The symbol
+    sym_{bdc} = d_b g_{dc} + d_c g_{db} - d_d g_{bc} is kept when any of its
+    terms is live: column s of `terms` (3, n_sym) names the derivative
+    columns of symbol s's three terms.  Gamma^a_{bc} = 1/2 g^{ad} sym_{bdc}
+    is kept when a sym_{bdc} of its sum is: `gamma` holds its flat index
+    into (6, 6, 6), and row p of `raise_inv` and `raise_sym` (width,
+    n_gamma) the inverse and symbol columns of its p-th product, d
+    increasing, padded by the zero columns."""
+    coords, zero = range(6), len(_VARYING) * len(_LIVE)
+    dg = {(c, i, j): k * len(_LIVE) + e
+          for k, c in enumerate(_VARYING) for e, (i, j) in enumerate(_LIVE)}
+    terms = {(b, d, c): (dg.get((b, d, c), zero), dg.get((c, d, b), zero), dg.get((d, b, c), zero))
+             for b in coords for d in coords for c in coords}
+    sym = {bdc: k for k, bdc in enumerate(bdc for bdc, t in terms.items() if min(t) < zero)}
+    blocks = [[d for i, d in _LIVE if i == a] for a in coords]
+    width = max(map(len, blocks))
+    gamma, raise_inv, raise_sym = [], [], []
+    for a, b, c in terms:
+        cols = [sym.get((b, d, c), len(sym)) for d in blocks[a]]
+        if min(cols) < len(sym):
+            pad = width - len(cols)
+            gamma.append(36 * a + 6 * b + c)
+            raise_inv.append([_LIVE.index((a, d)) for d in blocks[a]] + [len(_LIVE)] * pad)
+            raise_sym.append(cols + [len(sym)] * pad)
+    return (np.array([terms[bdc] for bdc in sym]).T, np.array(gamma),
+            np.array(raise_inv).T, np.array(raise_sym).T)
+
+
+_SYM_TERMS, _GAMMA, _RAISE_INV, _RAISE_SYM = _symbol_tables()
 
 
 def _by_value(x: np.ndarray, *fns) -> tuple:
@@ -188,100 +233,101 @@ def _by_value(x: np.ndarray, *fns) -> tuple:
                  for fn in fns)
 
 
+def _with_zero(x: np.ndarray) -> np.ndarray:
+    """x (m, k) with a zero column k appended, for the tables' dead entries."""
+    return np.concatenate([x, np.zeros((len(x), 1))], axis=1)
+
+
 def _stencil_steps(h: np.ndarray) -> np.ndarray:
-    """(n, 13, 6) steps of one 5-point stencil per radius: slot 0 is the
-    center, slot 1 + 4k + j steps by _OFFS[j] * h along _VARYING[k]."""
-    steps = np.zeros((len(h), 13, 6))
+    """(13, 6) steps of the 5-point stencil of step sizes h (6,): slot 0 is
+    the center, slot 1 + 4k + j steps by _OFFS[j] * h along _VARYING[k]."""
+    steps = np.zeros((13, 6))
     for k, c in enumerate(_VARYING):
-        steps[:, 1 + 4 * k:5 + 4 * k, c] = _OFFS * h[:, c, None]
+        steps[1 + 4 * k:5 + 4 * k, c] = _OFFS * h[c]
     return steps
 
 
 def _derivative(f: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """5-point first derivatives of a field sampled on the stencil slots,
-    f (n, 13, ...) -> (n, 6, ...), zero along coordinates not in _VARYING.
+    """5-point first derivatives along _VARYING of fields sampled on the
+    stencil slots, f (n, 13, m) -> (n, 3, m), with steps h (n, 6).
 
     Differences are taken against the center value so entries that are
     exactly constant differentiate to exactly zero; the raw weighted sum
     would leave O(eps) residue that huge inverse-metric entries amplify.
-    Only entries nonzero somewhere on the stencil are differenced; the rest
-    differentiate to the exact zero they would give anyway.
     """
-    n = f.shape[0]
-    flat = f.reshape(n, 13, -1)
-    live = np.flatnonzero(np.any(flat != 0.0, axis=(0, 1)))
-    diff = (flat[:, 1:, live] - flat[:, :1, live]).reshape(n, 3, 4, -1)
-    acc = np.zeros((n, 3, live.size))  # from +0 in _W5 order, as a per-entry sum rounds
+    n, _, m = f.shape
+    diff = (f[:, 1:] - f[:, :1]).reshape(n, 3, 4, m)
+    acc = np.zeros((n, 3, m))  # from +0 in _W5 order, as a per-entry sum rounds
     for j, wgt in enumerate(_W5):
         acc += wgt * diff[:, :, j]
-    out = np.zeros((n, 6, flat.shape[2]))
-    out[:, np.array(_VARYING)[:, None], live] = acc / h[:, _VARYING, None]
-    return out.reshape((n, 6) + f.shape[2:])
+    return acc / h[:, _VARYING, None]
 
 
-def _chart_metric(metric: WarpedMetric, r0: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Coordinate metrics (..., 6, 6) at chart points x (..., 6), coordinates
-    (rho, theta, phi, psi, u, v), zoomed by 1/r0 so that the base point sits
-    at rho = 1 regardless of the physical radius.  The coefficients are
-    read once, at the distinct physical radii rho * r0."""
-    rho, theta, u = x[..., 0], x[..., 1], x[..., 4]
-    radii, where = np.unique(rho * r0, return_inverse=True)
-    where, s = where.reshape(rho.shape), 1.0 / r0
-    a, b, w = (s * c[where] for c in metric.coefficients(radii))
+def _chart_metric(metric: WarpedMetric, r: np.ndarray, h_rho: np.ndarray,
+                  h_fd: float) -> np.ndarray:
+    """Live entries (n, 13, 13, len(_LIVE)) of the coordinate metric in
+    coordinates (rho, theta, phi, psi, u, v), zoomed by 1/r so that the base
+    point sits at rho = 1 regardless of the physical radius.  Point (i, j)
+    of radius r[k]'s stencil is the base point plus steps i and j, with
+    step h_rho[k] along rho and h_fd along the angles.
+
+    Every radius takes the same angle steps, so the trig is evaluated once,
+    on one 13 x 13 angle stencil.  Only slots 0-4 step along rho, and adding
+    a zero step is exact, so the profiles are read once per call, on the
+    5 x 5 radial sub-stencil of each radius, and copied to the other slots."""
+    steps = _stencil_steps(np.full(6, h_fd))
+    x = (np.array([1.0, _THETA0, _PHI0, _PSI0, _U0, _V0]) + steps[:, None]) + steps
+    theta, u = x[..., 1], x[..., 4]
     ct, st = _by_value(theta, math.cos, math.sin)
     (su2,) = _by_value(u, lambda t: math.sin(t) ** 2)
-    g = np.zeros(rho.shape + (6, 6))
-    g[..., 0, 0] = 1.0
-    g[..., 1, 1] = 0.25 * b * b
-    g[..., 2, 2] = 0.25 * (b * b * st * st + a * a * ct * ct)
-    g[..., 3, 3] = 0.25 * a * a
-    g[..., 2, 3] = g[..., 3, 2] = 0.25 * a * a * ct
-    g[..., 4, 4] = w * w
-    g[..., 5, 5] = w * w * su2
-    return g
+
+    offs = np.zeros((r.size, 5))
+    offs[:, 1:] = _OFFS * h_rho[:, None]
+    rho = (1.0 + offs[:, :, None]) + offs[:, None, :]
+    r0 = r[:, None, None]
+    s = 1.0 / r0
+    radial = np.stack([s * c for c in metric.coefficients(rho * r0)])
+    a, b, w = radial[:, :, _RADIAL_SLOT[:, None], _RADIAL_SLOT]
+    g23 = 0.25 * a * a * ct
+    g = {(0, 0): np.ones_like(a), (1, 1): 0.25 * b * b,
+         (2, 2): 0.25 * (b * b * st * st + a * a * ct * ct), (2, 3): g23, (3, 2): g23,
+         (3, 3): 0.25 * a * a, (4, 4): w * w, (5, 5): w * w * su2}
+    return np.stack([g[ij] for ij in _LIVE], axis=-1)
+
+
+def _entries(g: np.ndarray) -> dict:
+    """Live entries g (..., len(_LIVE)) by their (row, column)."""
+    return dict(zip(_LIVE, np.moveaxis(g, -1, 0)))
 
 
 def _block_inverse(g: np.ndarray) -> np.ndarray:
-    """Exact inverse for the chart's block structure {rho},{theta},{phi,psi},
-    {u},{v}; np.linalg.inv would lose elementwise accuracy once the S^2
-    entries are many orders smaller than the S^3 ones."""
-    inv = np.zeros_like(g)
-    for i in _DIAG:
-        inv[..., i, i] = 1.0 / g[..., i, i]
-    det = g[..., 2, 2] * g[..., 3, 3] - g[..., 2, 3] * g[..., 3, 2]
-    inv[..., 2, 2] = g[..., 3, 3] / det
-    inv[..., 3, 3] = g[..., 2, 2] / det
-    inv[..., 2, 3] = inv[..., 3, 2] = -g[..., 2, 3] / det
-    return inv
-
-
-def _raise_index(inv: np.ndarray, low: np.ndarray) -> np.ndarray:
-    """inv^{ad} low_{bdc} -> (..., a, b, c), summed over the nonzero blocks
-    of _block_inverse alone: the products left out are exact zeros, so each
-    entry rounds as the full sum over d does."""
-    low = np.moveaxis(low, -2, -3)  # (..., d, b, c)
-    # C order: einsum sums in memory order, so gamma's layout decides how
-    # the Ricci contractions round
-    out = np.empty(low.shape)
-    out[..., _DIAG, :, :] = inv[..., _DIAG, _DIAG][..., None, None] * low[..., _DIAG, :, :]
-    for a in (2, 3):
-        out[..., a, :, :] = (inv[..., a, 2, None, None] * low[..., 2, :, :]
-                             + inv[..., a, 3, None, None] * low[..., 3, :, :])
-    return out
+    """Inverse of the chart metric from its live entries g (..., len(_LIVE)),
+    in the same layout, exact on the blocks {rho},{theta},{phi,psi},{u},{v};
+    np.linalg.inv would lose elementwise accuracy once the S^2 entries are
+    many orders smaller than the S^3 ones."""
+    g = _entries(g)
+    det = g[2, 2] * g[3, 3] - g[2, 3] * g[2, 3]  # the chart's g_32 is g_23
+    inv = {(i, i): 1.0 / g[i, i] for i in (0, 1, 4, 5)}
+    inv[2, 2], inv[3, 3] = g[3, 3] / det, g[2, 2] / det
+    inv[2, 3] = inv[3, 2] = -g[2, 3] / det
+    return np.stack([inv[ij] for ij in _LIVE], axis=-1)
 
 
 def fd_ricci_oracle(metric: WarpedMetric, r0, h_fd: float = 1e-4) -> RicciBlocks:
-    """Ricci blocks at radius r0 (a float or an array of radii) from finite
-    differences of the raw chart, shaped like r0.
+    """Ricci blocks at radius r0 (a float or an array of radii, possibly
+    empty) from finite differences of the raw chart, shaped like r0.
 
     Shares nothing with the closed-form path except the profile value
     channel.  Each r0 must sit inside a smooth piece, at relative distance
     > 10*h_fd from the nearest breakpoint; h_fd must be finite and > 0.
     All radii are differenced in one batch: the Christoffel symbols on
     nested 5-point stencils (13 x 13 chart points per radius), then Ricci
-    from their differences.  Each stage follows the chart's block structure
-    and skips only its exact zeros, so a radius gets the same blocks, bit
-    for bit, as the dense contractions would give, alone or in any batch.
+    from their differences.  Up to the Ricci contractions, the stages carry
+    only the live entries: the chart metric's 8 of 36 and the Christoffel
+    symbols' 66 of 216, with each entry computed from the same operands in
+    the same order as the dense 6 x 6 algebra.  So a radius gets the same
+    blocks, bit for bit, as the dense algebra would give, alone or in any
+    batch.
     """
     if not (isinstance(h_fd, numbers.Real) and math.isfinite(h_fd) and h_fd > 0.0):
         raise ParameterError(f"h_fd = {h_fd!r} must be a finite number > 0")
@@ -295,23 +341,35 @@ def fd_ricci_oracle(metric: WarpedMetric, r0, h_fd: float = 1e-4) -> RicciBlocks
         raise ParameterError(f"r0 = {r[np.argmin(margin)]} within 10*h_fd of a breakpoint "
                              f"(relative margin {np.min(margin):.2e})")
 
-    h = np.full((r.size, 6), h_fd)
+    n, m = r.size, len(_LIVE)
+    h = np.full((n, 6), h_fd)
     h[:, 0] = np.minimum(h_fd, margin / 8.0)
-    steps = _stencil_steps(h)
-    x = np.array([1.0, _THETA0, _PHI0, _PSI0, _U0, _V0]) + steps[:, :, None]
-    g = _chart_metric(metric, r[:, None, None], x + steps[:, None])  # (n, 13, 13, 6, 6)
+    g = _chart_metric(metric, r, h[:, 0], h_fd)  # (n, 13, 13, m)
 
     # Gamma^a_{bc} = 1/2 g^{ad} (d_b g_{dc} + d_c g_{db} - d_d g_{bc}) at each stencil slot
-    dg = _derivative(g.reshape((-1,) + g.shape[2:]), np.repeat(h, 13, axis=0))
-    dg = dg.reshape(g.shape[:2] + (6, 6, 6))
-    sym = dg + dg.swapaxes(-1, -3) - dg.swapaxes(-2, -3)
-    gamma = 0.5 * _raise_index(_block_inverse(g[:, :, 0]), sym)
+    dg = _derivative(g.reshape(n * 13, 13, m), np.repeat(h, 13, axis=0))
+    dg = _with_zero(dg.reshape(n * 13, 3 * m))
+    sym = _with_zero(dg[:, _SYM_TERMS[0]] + dg[:, _SYM_TERMS[1]] - dg[:, _SYM_TERMS[2]])
+    inv = _with_zero(_block_inverse(g[:, :, 0].reshape(n * 13, m)))
+    gamma = inv[:, _RAISE_INV[0]] * sym[:, _RAISE_SYM[0]]
+    for i, j in zip(_RAISE_INV[1:], _RAISE_SYM[1:]):
+        gamma += inv[:, i] * sym[:, j]
+    gamma = 0.5 * gamma.reshape(n, 13, _GAMMA.size)
     dgamma = _derivative(gamma, h)
 
+    # the Ricci contractions take fresh C-ordered dense arrays: einsum sums in
+    # memory order, so the operands' layout decides how they round
+    gam = np.zeros((n, 216))
+    gam[:, _GAMMA] = gamma[:, 0]
+    gam = gam.reshape(n, 6, 6, 6)
+    dgam = np.zeros((n, 6, 216))
+    dgam[:, np.array(_VARYING)[:, None], _GAMMA] = dgamma
+    dgam = dgam.reshape(n, 6, 6, 6, 6)
+
     # orthonormal frame: e_r, e_X (Hopf), e_Y, e_Z, e_u
-    g0 = g[:, 0, 0]
-    a, b, w = np.sqrt(4.0 * g0[:, 3, 3]), np.sqrt(4.0 * g0[:, 1, 1]), np.sqrt(g0[:, 4, 4])
-    frame = np.zeros((r.size, 5, 6))
+    g0 = _entries(g[:, 0, 0])
+    a, b, w = np.sqrt(4.0 * g0[3, 3]), np.sqrt(4.0 * g0[1, 1]), np.sqrt(g0[4, 4])
+    frame = np.zeros((n, 5, 6))
     frame[:, 0, 0] = 1.0
     frame[:, 1, 3] = 2.0 / a
     frame[:, 2, 1] = 2.0 / b
@@ -320,8 +378,7 @@ def fd_ricci_oracle(metric: WarpedMetric, r0, h_fd: float = 1e-4) -> RicciBlocks
     frame[:, 4, 4] = 1.0 / w
 
     # R_{bd} = d_a G^a_{bd} - d_d G^a_{ba} + G^a_{ae} G^e_{bd} - G^a_{de} G^e_{ba}
-    gam = gamma[:, 0]
-    ricci = (np.einsum("...aabd->...bd", dgamma) - np.einsum("...daba->...bd", dgamma)
+    ricci = (np.einsum("...aabd->...bd", dgam) - np.einsum("...daba->...bd", dgam)
              + np.einsum("...aae,...ebd->...bd", gam, gam)
              - np.einsum("...ade,...eba->...bd", gam, gam))
     # e_j . Ric . e_l for every frame pair at once, as the same BLAS

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -78,6 +79,17 @@ class PieceReport:
         }
 
 
+def _finite_or_null(x):
+    """x with every non-finite float in its dicts and lists made None."""
+    if isinstance(x, float):
+        return x if math.isfinite(x) else None
+    if isinstance(x, dict):
+        return {k: _finite_or_null(v) for k, v in x.items()}
+    if isinstance(x, list):
+        return [_finite_or_null(v) for v in x]
+    return x
+
+
 @dataclass
 class VerificationReport:
     metric_id: str
@@ -98,8 +110,11 @@ class VerificationReport:
         }
 
     def write(self, path) -> None:
+        """The report as strict JSON: a non-finite float (a NaN oracle error,
+        say) is written as null, since strict parsers reject NaN and
+        Infinity; the in-memory report keeps the float."""
         with open(path, "w") as fh:
-            json.dump(self.as_dict(), fh, indent=2)
+            json.dump(_finite_or_null(self.as_dict()), fh, indent=2, allow_nan=False)
 
     def worst(self) -> tuple[str, float, float]:
         """(block, margin, argmin) of the most negative margin."""

@@ -301,8 +301,9 @@ def test_oracle_rejects_breakpoint_proximity():
 
 
 def test_oracle_reads_each_profile_once_per_call(monkeypatch):
-    # the nested 5-point stencils make 169 chart points per radius; the chart
-    # reads each profile once per fd_ricci_oracle call, at all their radii
+    # the nested 5-point stencils make 169 chart points per radius, of which
+    # the 5 x 5 radial sub-stencil holds every distinct rho; the chart reads
+    # each profile once per fd_ricci_oracle call, at those 25 radii per radius
     metric = build_bubble(epsilon=0.05, alpha2=0.01, delta2=0.01).metric
     calls = Counter()
     evaluate = Profile.__call__
@@ -323,27 +324,39 @@ def _block_bits(blocks):
                      for k in ("rr", "sX", "sYZ", "s2", "cross_ir_mag")]).view(np.uint64)
 
 
+def _piece_radii(metric, rng, k):
+    """(k radii, h_fd) per piece wide enough to difference, as in verify."""
+    for lo, hi, *_ in metric.verification_pieces():
+        lo = max(lo, 0.04 * hi)
+        h_fd = min(1e-4, (hi - lo) / hi / 50.0)
+        if h_fd >= 1e-7:
+            yield np.exp(rng.uniform(np.log(lo * (1 + 12 * h_fd)),
+                                     np.log(hi * (1 - 12 * h_fd)), k)), h_fd
+
+
 @pytest.mark.parametrize("name", ["bubble", "surgery", "glue"])
 def test_oracle_batch_equals_one_radius_calls(name):
     # one batched call per piece must give every radius the blocks of a call
     # on that radius alone, bit for bit, with fields shaped like the input
     _, metric, _, _ = build(name, load_config(CONFIGS / f"{name}.json", name))
-    rng = np.random.default_rng(5)
-    for lo, hi, *_ in metric.verification_pieces():
-        lo = max(lo, 0.04 * hi)
-        h_fd = min(1e-4, (hi - lo) / hi / 50.0)
-        if h_fd < 1e-7:
-            continue
-        rs = np.exp(rng.uniform(np.log(lo * (1 + 12 * h_fd)), np.log(hi * (1 - 12 * h_fd)), 6))
+    for rs, h_fd in _piece_radii(metric, np.random.default_rng(5), 6):
         batch = fd_ricci_oracle(metric, rs, h_fd=h_fd)
         assert all(np.shape(getattr(batch, k)) == rs.shape
                    for k in ("rr", "sX", "sYZ", "s2", "cross_ir_mag"))
         alone = [fd_ricci_oracle(metric, float(r), h_fd=h_fd) for r in rs]
         assert all(np.shape(b.rr) == () for b in alone)
         assert np.array_equal(_block_bits(batch), np.stack([_block_bits(b) for b in alone], 1)), \
-            (name, lo, hi)
+            (name, rs)
         grid = fd_ricci_oracle(metric, rs.reshape(2, 3), h_fd=h_fd)
         assert np.array_equal(_block_bits(grid).reshape(5, -1), _block_bits(batch))
+
+
+@pytest.mark.parametrize("r0", [np.array([]), np.zeros((0, 3)), []], ids=["1d", "2d", "list"])
+def test_oracle_empty_input_gives_empty_blocks(r0):
+    m = cone_metric(sin_profile(), const_profile(0.5, r_max=3.0), (0.1, 3.0), "roundS4")
+    blocks = fd_ricci_oracle(m, r0)
+    for k in ("rr", "sX", "sYZ", "s2", "cross_ir_mag"):
+        assert np.shape(getattr(blocks, k)) == np.shape(r0), k
 
 
 @pytest.mark.parametrize("h_fd", [0.0, -1e-4, math.nan, math.inf, "1e-4", None])
@@ -357,6 +370,54 @@ def test_oracle_rejects_bad_step(h_fd):
 # -- the oracle against its dense reference --------------------------------------
 
 
+def _stencil_steps_dense(h):
+    """(n, 13, 6) steps of one 5-point stencil per radius: slot 0 is the
+    center, slot 1 + 4k + j steps by _OFFS[j] * h along _VARYING[k]."""
+    steps = np.zeros((len(h), 13, 6))
+    for k, c in enumerate(curvature._VARYING):
+        steps[:, 1 + 4 * k:5 + 4 * k, c] = curvature._OFFS * h[:, c, None]
+    return steps
+
+
+def _by_value_dense(x, *fns):
+    """Each fn at each entry of x, called once per distinct value."""
+    values, where = np.unique(x, return_inverse=True)
+    return tuple(np.array([fn(v) for v in values.tolist()])[where].reshape(x.shape)
+                 for fn in fns)
+
+
+def _chart_metric_dense(metric, r0, x):
+    """The full (..., 6, 6) coordinate metric at chart points x (..., 6),
+    zoomed by 1/r0; the coefficients are read at the distinct radii."""
+    rho, theta, u = x[..., 0], x[..., 1], x[..., 4]
+    radii, where = np.unique(rho * r0, return_inverse=True)
+    where, s = where.reshape(rho.shape), 1.0 / r0
+    a, b, w = (s * c[where] for c in metric.coefficients(radii))
+    ct, st = _by_value_dense(theta, math.cos, math.sin)
+    (su2,) = _by_value_dense(u, lambda t: math.sin(t) ** 2)
+    g = np.zeros(rho.shape + (6, 6))
+    g[..., 0, 0] = 1.0
+    g[..., 1, 1] = 0.25 * b * b
+    g[..., 2, 2] = 0.25 * (b * b * st * st + a * a * ct * ct)
+    g[..., 3, 3] = 0.25 * a * a
+    g[..., 2, 3] = g[..., 3, 2] = 0.25 * a * a * ct
+    g[..., 4, 4] = w * w
+    g[..., 5, 5] = w * w * su2
+    return g
+
+
+def _block_inverse_dense(g):
+    """Inverse of g (..., 6, 6) with blocks {rho},{theta},{phi,psi},{u},{v}."""
+    inv = np.zeros_like(g)
+    for i in (0, 1, 4, 5):
+        inv[..., i, i] = 1.0 / g[..., i, i]
+    det = g[..., 2, 2] * g[..., 3, 3] - g[..., 2, 3] * g[..., 3, 2]
+    inv[..., 2, 2] = g[..., 3, 3] / det
+    inv[..., 3, 3] = g[..., 2, 2] / det
+    inv[..., 2, 3] = inv[..., 3, 2] = -g[..., 2, 3] / det
+    return inv
+
+
 def _derivative_dense(f, h):
     """Every entry of f differenced along each varying coordinate in turn."""
     out = np.zeros(f.shape[:1] + (6,) + f.shape[2:])
@@ -368,23 +429,29 @@ def _derivative_dense(f, h):
     return out
 
 
-def fd_ricci_oracle_dense(metric, r, h_fd):
-    """fd_ricci_oracle on the dense 6 x 6 algebra: every entry differenced,
-    the index raised by a full einsum with g^{-1}, and each frame pair
-    projected by its own e @ Ric @ e, one radius at a time."""
+def _dense_chart(metric, r, h_fd):
+    """(h, g): per-radius steps and the full metric on each radius' 13 x 13
+    nested stencil, (n, 13, 13, 6, 6)."""
     lo, hi = metric.r_range
     edges = np.array(metric.breakpoints() + [lo, hi])
     margin = np.min(np.abs(r[:, None] - edges) / r[:, None], axis=1)
     h = np.full((r.size, 6), h_fd)
     h[:, 0] = np.minimum(h_fd, margin / 8.0)
-    steps = curvature._stencil_steps(h)
+    steps = _stencil_steps_dense(h)
     x = np.array([1.0, curvature._THETA0, curvature._PHI0, curvature._PSI0,
                   curvature._U0, curvature._V0]) + steps[:, :, None]
-    g = curvature._chart_metric(metric, r[:, None, None], x + steps[:, None])
+    return h, _chart_metric_dense(metric, r[:, None, None], x + steps[:, None])
+
+
+def fd_ricci_oracle_dense(metric, r, h_fd):
+    """fd_ricci_oracle on the dense 6 x 6 algebra: every entry differenced,
+    the index raised by a full einsum with g^{-1}, and each frame pair
+    projected by its own e @ Ric @ e, one radius at a time."""
+    h, g = _dense_chart(metric, r, h_fd)
     dg = _derivative_dense(g.reshape((-1,) + g.shape[2:]), np.repeat(h, 13, axis=0))
     dg = dg.reshape(g.shape[:2] + (6, 6, 6))
     sym = dg + dg.swapaxes(-1, -3) - dg.swapaxes(-2, -3)
-    gamma = 0.5 * np.einsum("...ad,...bdc->...abc", curvature._block_inverse(g[:, :, 0]), sym)
+    gamma = 0.5 * np.einsum("...ad,...bdc->...abc", _block_inverse_dense(g[:, :, 0]), sym)
     dgamma = _derivative_dense(gamma, h)
     g0 = g[:, 0, 0]
     a, b, w = np.sqrt(4.0 * g0[:, 3, 3]), np.sqrt(4.0 * g0[:, 1, 1]), np.sqrt(g0[:, 4, 4])
@@ -440,3 +507,22 @@ def test_oracle_bit_identical_to_dense_reference_round(monkeypatch):
     cfg = GridConfig(points_per_piece=64, oracle=True, n_oracle=16, seed=4)
     (rs, h_fd, blocks), = _oracle_calls(monkeypatch, m, cfg)
     assert np.array_equal(_block_bits(blocks), _block_bits(fd_ricci_oracle_dense(m, rs, h_fd)))
+
+
+@pytest.mark.parametrize("name", ["bubble", "surgery", "glue"])
+def test_oracle_live_entries_are_the_charts_nonzeros(name):
+    # the oracle carries only _LIVE: every other entry of the dense chart is
+    # an exact zero at every stencil point, and the live ones are the
+    # oracle's own chart entries, bit for bit
+    _, metric, _, _ = build(name, load_config(CONFIGS / f"{name}.json", name))
+    dead = np.ones((6, 6), dtype=bool)
+    dead[tuple(np.array(curvature._LIVE).T)] = False
+    pieces = list(_piece_radii(metric, np.random.default_rng(7), 4))
+    assert pieces
+    for rs, h_fd in pieces:
+        h, g = _dense_chart(metric, rs, h_fd)
+        assert np.all(g[..., dead] == 0.0), (name, rs)
+        live = np.stack([g[..., i, j] for i, j in curvature._LIVE], axis=-1)
+        got = curvature._chart_metric(metric, rs, h[:, 0], h_fd)
+        assert np.array_equal(got.view(np.uint64), live.view(np.uint64)), (name, rs)
+    assert curvature._GAMMA.size == 66 and curvature._SYM_TERMS.shape == (3, 66)

@@ -160,8 +160,9 @@ def test_oracle_agreement_on_passing_fixture(round_s4):
     assert report.oracle_max_rel_err < 1e-4
 
 
-def test_oracle_nan_error_reaches_the_report(round_s4, monkeypatch):
-    # Python's max(worst, nan) keeps worst, which read as perfect agreement
+@pytest.fixture
+def nan_oracle_report(round_s4, monkeypatch):
+    """The report of a verify whose oracle returns NaN for every rr."""
     from warpforge import verify
     from warpforge.curvature import fd_ricci_oracle
 
@@ -172,7 +173,28 @@ def test_oracle_nan_error_reaches_the_report(round_s4, monkeypatch):
 
     monkeypatch.setattr(verify, "fd_ricci_oracle", nan_rr)
     cfg = GridConfig(points_per_piece=128, oracle=True, n_oracle=8, seed=3)
-    assert math.isnan(verify_ric_lower(round_s4, bound=2.9, cfg=cfg).oracle_max_rel_err)
+    return verify_ric_lower(round_s4, bound=2.9, cfg=cfg)
+
+
+def test_oracle_nan_error_reaches_the_report(nan_oracle_report):
+    # Python's max(worst, nan) keeps worst, which read as perfect agreement
+    assert math.isnan(nan_oracle_report.oracle_max_rel_err)
+
+
+def test_report_writes_non_finite_as_null(nan_oracle_report, tmp_path):
+    # a bare NaN token is not JSON: strict parsers reject it
+    report = nan_oracle_report
+    report.pieces[0].blocks["rr"].margin = -math.inf
+    report.write(tmp_path / "report.json")
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    written = json.loads((tmp_path / "report.json").read_text(), parse_constant=reject)
+    assert written["oracle_max_rel_err"] is None
+    assert written["pieces"][0]["blocks"]["rr"]["margin"] is None
+    assert math.isnan(report.oracle_max_rel_err)
+    assert written["pieces"][0]["blocks"]["rr"]["min"] == report.pieces[0].blocks["rr"].min
 
 
 def test_oracle_nothing_checked_reads_zero():
