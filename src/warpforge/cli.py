@@ -285,7 +285,13 @@ def cmd_export(cfg: dict) -> int:
     if "lo" in cfg or "hi" in cfg:
         # geomspace returns its endpoints exactly, so rs[0] and rs[-1] are
         # the default bounds
-        rs = np.geomspace(cfg.get("lo", rs[0]), cfg.get("hi", rs[-1]), rs.size)
+        lo, hi = cfg.get("lo", rs[0]), cfg.get("hi", rs[-1])
+        r_lo, r_hi = metric.r_range
+        if not r_lo < lo < hi <= r_hi:
+            key = "hi" if r_lo < lo and (hi > r_hi or "lo" not in cfg) else "lo"
+            raise ConfigError(f"{key} out of range: need {r_lo:g} < lo < hi <= {r_hi:g} (the "
+                              f"metric's r_range), got lo = {lo:g}, hi = {hi:g}")
+        rs = np.geomspace(lo, hi, rs.size)
     if "profile" in cfg:
         profiles = metric.profiles()
         name = cfg["profile"]

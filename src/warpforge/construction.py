@@ -323,7 +323,7 @@ def build_surgery(
         delta_hat=delta_hat, rho=rho, r_m=r_m, r3=r3,
         delta=delta, eta=eta, kappa=kappa, f0=f0,
     )
-    return SurgeryMetric(WarpedMetric(phi, None, warp, (0.0, r_max), "surgery"), params)
+    return SurgeryMetric(WarpedMetric(phi, phi, warp, (0.0, r_max), "surgery"), params)
 
 
 def bilipschitz_check(s: SurgeryMetric) -> float:

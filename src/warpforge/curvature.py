@@ -7,15 +7,16 @@ Every metric is a Berger-form ansatz on a radial coordinate r,
 where X, Y, Z is the left-invariant coframe on S^3 normalized so that
 dX^2 + dY^2 + dZ^2 is the unit round metric (Hopf fiber along X).  The
 cone-warp form dr^2 + phi^2 g_{S^3} + f^2 g_{S^2} is the case A = B = phi
-(the unsquashed Berger sphere is the round one), so `ricci_berger` is the
-only closed form.  All blocks are reported as orthonormal-frame
-eigenvalues: a lower-bound comparison is a plain scalar comparison.
+(the unsquashed Berger sphere is the round one), a WarpedMetric whose B is
+its A, so `ricci_berger` is the only closed form.  All blocks are reported
+as orthonormal-frame eigenvalues: a lower-bound comparison is a plain
+scalar comparison.
 
-The closed form evaluates through exact 2-jets; `fd_ricci_oracle` is the
-independent cross-check, computing the same blocks from 5-point finite
-differences of the raw coordinate metric on an explicit 6-dimensional
-Euler-angle chart, after zooming coordinates so the chart is O(1) at any
-radius.  It takes a batch of radii as numpy arrays and gives each radius
+The closed form evaluates through exact 2-jets, which `berger_jets` gives
+any triple (A, B, f); `fd_ricci_oracle` is the independent cross-check,
+computing the same blocks from 5-point finite differences of the raw
+coordinate metric on an explicit 6-dimensional Euler-angle chart, after
+zooming coordinates so the chart is O(1) at any radius.  It takes a batch of radii as numpy arrays and gives each radius
 the same blocks, bit for bit, as a call on that radius alone.  The chart
 metric has 8 live (possibly nonzero) entries of 36 and varies along 3 of
 the 6 coordinates, so up to the Ricci contractions the oracle carries
@@ -34,7 +35,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable
 
 import numpy as np
 
@@ -95,21 +96,29 @@ def scale_warp(blocks: RicciBlocks, f: Jet2, lam: float) -> RicciBlocks:
     return RicciBlocks(blocks.rr, blocks.sX, blocks.sYZ, s2_new, blocks.cross_ir_mag)
 
 
+def berger_jets(A: Callable, B: Callable, f: Callable, rs) -> tuple[Jet2, Jet2, Jet2]:
+    """The jets of a Berger triple of radial callables at rs: a metric's
+    profiles, or one verification piece's closed forms.  A B that is A (a
+    round metric, or a piece the glue's A and B share) reuses A's jet."""
+    aj = A(rs)
+    return aj, aj if B is A else B(rs), f(rs)
+
+
 # ---------------------------------------------------------------------------
 # metric container
 # ---------------------------------------------------------------------------
 
 @dataclass
 class WarpedMetric:
-    """A complete radial metric: Berger triple (A, B, f), or a round S^3
-    factor of radius A when B is None.
+    """A complete radial metric: the Berger triple (A, B, f).
 
-    A round metric is the Berger case B = A: blocks() reuses A's jet as B,
-    and the report keys and the descriptor's "form" follow from B is None.
+    A round S^3 factor of radius A is the Berger case B = A, the same
+    profile: the report keys and the descriptor's "form" follow from
+    B is A, and berger_jets evaluates A once.
     """
 
     A: Profile
-    B: Optional[Profile]
+    B: Profile
     f: Profile
     r_range: tuple[float, float]
     label: str
@@ -117,42 +126,34 @@ class WarpedMetric:
 
     @property
     def is_round(self) -> bool:
-        return self.B is None
+        return self.B is self.A
 
     def profiles(self) -> dict[str, Profile]:
-        out = {"phi" if self.is_round else "A": self.A, "f": self.f}
-        if self.B is not None:
-            out["B"] = self.B
-        return out
+        if self.is_round:
+            return {"phi": self.A, "f": self.f}
+        return {"A": self.A, "f": self.f, "B": self.B}
 
     def blocks(self, rs) -> RicciBlocks:
-        aj = self.A(rs)
-        bj = aj if self.B is None else self.B(rs)
-        return ricci_berger(aj, bj, self.f(rs))
+        return ricci_berger(*berger_jets(self.A, self.B, self.f, rs))
 
     def coefficients(self, rs):
         """(phi_or_A, B, f) value arrays for reporting."""
-        a = self.A(rs).v
-        b = a if self.B is None else self.B(rs).v
-        return a, b, self.f(rs).v
+        return tuple(j.v for j in berger_jets(self.A, self.B, self.f, rs))
 
     def breakpoints(self) -> list[float]:
         lo, hi = self.r_range
-        pts = set()
-        for prof in ([self.A, self.f] if self.B is None else [self.A, self.B, self.f]):
-            pts.update(b for b in prof.breakpoints if lo < b < hi)
-        return sorted(pts)
+        return sorted({b for p in (self.A, self.B, self.f) for b in p.breakpoints if lo < b < hi})
 
-    def verification_pieces(self) -> list[tuple[float, float, Piece, Optional[Piece], Piece]]:
+    def verification_pieces(self) -> list[tuple[float, float, Piece, Piece, Piece]]:
         """(lo, hi, A's piece, B's piece, f's piece) per smooth piece of the
-        metric, B's piece None when round.  [lo, hi] lies inside one piece of
-        each profile, so its blocks come from those closed forms alone; the
-        glue's A and B share their surgery pieces (B's piece is A's)."""
+        metric.  [lo, hi] lies inside one piece of each profile, so its
+        blocks come from those closed forms alone; where A and B share a
+        piece (every piece of a round metric, the glue's surgery pieces),
+        B's piece is A's."""
         lo, hi = self.r_range
         edges = [lo] + self.breakpoints() + [hi]
         starts = edges[:-1]
-        columns = [[p.pieces[i] for i in p.piece_index(starts)] if p else [None] * len(starts)
-                   for p in (self.A, self.B, self.f)]
+        columns = [[p.pieces[i] for i in p.piece_index(starts)] for p in (self.A, self.B, self.f)]
         return list(zip(starts, edges[1:], *columns))
 
     def descriptor(self) -> dict:

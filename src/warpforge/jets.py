@@ -82,9 +82,6 @@ class Jet2:
     def __rtruediv__(self, other):
         return as_jet(other) / self
 
-    def __pow__(self, exponent):
-        return jet_pow(self, exponent)
-
 
 def as_jet(x) -> Jet2:
     """Lift a constant to a jet with zero derivatives (broadcasting against

@@ -8,10 +8,10 @@ cross-checks random radii against the finite-difference oracle.  The same
 configuration always produces a bit-identical report.
 
 A verification piece lies inside one piece of every profile, so its blocks
-come straight from those pieces' closed forms (a jet shared by A and B is
-evaluated once); the profiles' own dispatch is never used.  All pieces'
-grids are built together, in three batched np.geomspace calls, on every
-call: nothing is cached between calls.
+come straight from those pieces' closed forms, through berger_jets (a
+piece A and B share is evaluated once); the profiles' own dispatch is
+never used.  All pieces' grids are built together, in three batched
+np.geomspace calls, on every call: nothing is cached between calls.
 """
 
 from __future__ import annotations
@@ -24,9 +24,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .curvature import RicciBlocks, WarpedMetric, fd_ricci_oracle, ricci_berger
+from .curvature import WarpedMetric, berger_jets, fd_ricci_oracle, ricci_berger
 from .jets import JetDomainError
-from .profiles import ConstructionError, ParameterError, Piece, write_csv
+from .profiles import ConstructionError, ParameterError, write_csv
 
 
 REFINE_FRAC = 0.01  # share of a piece's width refined geometrically at each end
@@ -187,13 +187,6 @@ def _piece_grids(lo, hi, cfg: GridConfig, global_max: float) -> list[np.ndarray]
     return [next(grids) if ok else np.array([]) for ok in live]
 
 
-def _piece_blocks(A: Piece, B: Optional[Piece], f: Piece, rs: np.ndarray) -> RicciBlocks:
-    """Blocks at radii inside one verification piece, from its closed forms;
-    a round metric's B (None) and a B shared with A reuse A's jet."""
-    aj = A(rs)
-    return ricci_berger(aj, aj if B is None or B is A else B(rs), f(rs))
-
-
 def _oracle_pass(metric: WarpedMetric, lo: float, hi: float, forms: list, piece_index: int,
                  cfg: GridConfig) -> float:
     """Max scaled error |oracle - formula| / max(0.1, |formula|) over random
@@ -214,7 +207,7 @@ def _oracle_pass(metric: WarpedMetric, lo: float, hi: float, forms: list, piece_
     if not a < b:
         return float("-inf")
     radii = np.exp(rng.uniform(np.log(a), np.log(b), size=cfg.n_oracle))
-    formula = _piece_blocks(*forms, radii).as_dict(metric.is_round)
+    formula = ricci_berger(*berger_jets(*forms, radii)).as_dict(metric.is_round)
     oracle = fd_ricci_oracle(metric, radii, h_fd=h_fd)
     fd = oracle.as_dict(metric.is_round)
     errs = [np.abs(fd[name] - fv) / np.maximum(0.1, np.abs(fv)) for name, fv in formula.items()]
@@ -248,7 +241,7 @@ def verify_ric_lower(
     for (i, lo, hi, forms), rs in zip(spans, grids):
         if rs.size == 0:
             continue
-        blocks = _piece_blocks(*forms, rs)
+        blocks = ricci_berger(*berger_jets(*forms, rs))
         stats = {}
         for name, values in blocks.as_dict(metric.is_round).items():
             j = int(np.argmin(values))
@@ -279,14 +272,13 @@ def scan_params(
     base: dict,
     ranges: dict[str, list],
     bound: float,
-    cfg: Optional[GridConfig] = None,
+    cfg: GridConfig,
 ) -> list[dict]:
     """Run builder + verifier over the cartesian product of `ranges`.
 
     Failures are data, not errors: each row records whether the build was
     accepted, the verification verdict and the worst margin per block.
     """
-    cfg = cfg or GridConfig(points_per_piece=512, refine_factor=4)
     keys = sorted(ranges)
     rows = []
     for combo in itertools.product(*(ranges[k] for k in keys)):
@@ -320,8 +312,10 @@ def scan_params(
 # ---------------------------------------------------------------------------
 
 def export_curvature_csv(metric: WarpedMetric, rs: np.ndarray, path) -> None:
-    """Sampled coefficients and Ricci blocks."""
+    """Sampled coefficients and Ricci blocks, from one evaluation of each
+    profile."""
     rs = np.asarray(rs, dtype=float)
-    blocks = metric.blocks(rs)
+    jets = berger_jets(metric.A, metric.B, metric.f, rs)
+    blocks = ricci_berger(*jets)
     write_csv(path, "r,phi_or_A,B,f,ric_rr,ric_s3_or_sX,ric_sYZ,ric_s2", rs,
-              *metric.coefficients(rs), blocks.rr, blocks.sX, blocks.sYZ, blocks.s2)
+              *(j.v for j in jets), blocks.rr, blocks.sX, blocks.sYZ, blocks.s2)

@@ -79,14 +79,9 @@ def glued(surgery):
 def test_criterion_01_analytic_oracles():
     # closed form is checked from r = 1e-2 up: below that the cancellation in
     # (1 - phi'^2)/phi^2 costs eps/r^2 and the identity is pure noise
-    round_s4 = WarpedMetric(
-        single(lambda rj: jet_sin(rj), "sin", 3.0), None,
-        single(rule_const(0.5), "f", 3.0), (0.0, 3.0), "roundS4",
-    )
-    flat = WarpedMetric(
-        single(lambda rj: rj, "id", 4.0), None,
-        single(rule_const(0.1), "f", 4.0), (0.0, 4.0), "flat",
-    )
+    sine, ident = single(lambda rj: jet_sin(rj), "sin", 3.0), single(lambda rj: rj, "id", 4.0)
+    round_s4 = WarpedMetric(sine, sine, single(rule_const(0.5), "f", 3.0), (0.0, 3.0), "roundS4")
+    flat = WarpedMetric(ident, ident, single(rule_const(0.1), "f", 4.0), (0.0, 4.0), "flat")
     worst_closed = 0.0
     rs = np.geomspace(1e-2, 2.9, 200)
     blocks = round_s4.blocks(rs)

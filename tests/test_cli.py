@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from warpforge.cli import check, main
+from warpforge.cli import build, check, main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -150,29 +150,30 @@ def test_glue_fixture_writes_report(tmp_path, monkeypatch):
 
 
 def test_export_roundtrip_bit_exact(tmp_path, monkeypatch):
-    cfg = {
-        "target": "surgery",
-        "kappa": 0.0, "f0": 1.0, "lambda_bound": -0.1, "epsilon": 0.02,
-        "alpha": 0.01, "r_hat": 0.001, "delta_hat": 0.001,
-        "lo": 0.001, "hi": 1.9, "points": 200,
-        "out_csv": "surgery.csv",
-    }
-    path = tmp_path / "export.json"
-    path.write_text(json.dumps(cfg))
+    # every column of a round (surgery) and a Berger (bubble) export, against
+    # the metric's own coefficients and blocks at the same radii
     monkeypatch.chdir(tmp_path)
-    assert main(["export", "-c", str(path)]) == 0
+    for cfg in (
+        {"target": "surgery", "kappa": 0.0, "f0": 1.0, "lambda_bound": -0.1, "epsilon": 0.02,
+         "alpha": 0.01, "r_hat": 0.001, "delta_hat": 0.001, "lo": 0.001, "hi": 1.9},
+        {"target": "bubble", "epsilon": 0.05, "alpha2": 0.01, "delta2": 0.01, "r3": 1000.0,
+         "lo": 0.001, "hi": 2900.0},
+    ):
+        target = cfg["target"]
+        path = tmp_path / f"{target}.json"
+        path.write_text(json.dumps({**cfg, "points": 200, "out_csv": f"{target}.csv"}))
+        assert main(["export", "-c", str(path)]) == 0
 
-    from warpforge.construction import build_surgery
-
-    s = build_surgery(kappa=0.0, f0=1.0, lambda_bound=-0.1, epsilon=0.02,
-                      alpha=0.01, r_hat=0.001, delta_hat=0.001)
-    rows = (tmp_path / "surgery.csv").read_text().strip().splitlines()[1:]
-    rs = np.array([float(line.split(",")[0]) for line in rows])
-    blocks = s.metric.blocks(rs)
-    for i, line in enumerate(rows):
-        vals = [float(x) for x in line.split(",")]
-        assert vals[4] == blocks.rr[i]
-        assert vals[7] == blocks.s2[i]
+        _, metric, _, _ = build(target, cfg)
+        rows = (tmp_path / f"{target}.csv").read_text().strip().splitlines()[1:]
+        table = np.array([[float(x) for x in line.split(",")] for line in rows])
+        rs = table[:, 0]
+        assert np.array_equal(rs, np.geomspace(cfg["lo"], cfg["hi"], 200)), target
+        blocks = metric.blocks(rs)
+        expected = np.column_stack([rs, *metric.coefficients(rs),
+                                    blocks.rr, blocks.sX, blocks.sYZ, blocks.s2])
+        assert table.shape == (200, 8) and np.array_equal(table, expected), target
+        assert np.array_equal(table[:, 1], table[:, 2]) == metric.is_round, target
 
 
 def test_profile_export(tmp_path, monkeypatch):
@@ -272,6 +273,13 @@ EXPORT_SURGERY = {"target": "surgery", "kappa": 0.0, "f0": 1.0, "lambda_bound": 
     pytest.param("export", {**EXPORT_BUBBLE, "points": 0}, "points", id="export-points-0"),
     pytest.param("export", {**EXPORT_BUBBLE, "points": 2.7}, "points",
                  id="export-points-fraction"),
+    pytest.param("export", {**EXPORT_BUBBLE, "lo": 0}, "lo out of range", id="export-lo-0"),
+    pytest.param("export", {**EXPORT_BUBBLE, "lo": -1}, "lo out of range",
+                 id="export-lo-negative"),
+    pytest.param("export", {**EXPORT_BUBBLE, "hi": 1e9}, "hi out of range",
+                 id="export-hi-past-range"),
+    pytest.param("export", {**EXPORT_SURGERY, "hi": 5.0}, "hi out of range",
+                 id="export-surgery-hi-past-range"),
     *(pytest.param("export", {**EXPORT_SURGERY, key: value}, key, id=f"export-surgery-{key}")
       for key, value in [("alpha2", 0.01), ("bound", 0.0), ("out_report", "r.json"),
                          ("out_descriptor", "d.json"), ("grid", {"points_per_piece": 0})]),

@@ -124,7 +124,7 @@ def test_warp_from_base_gaussian_vs_oracle():
 
     phi = id_profile()
     f = single_piece(f_rule, "gauss", r_max=4.0)
-    m = WarpedMetric(phi, None, f, (0.1, 3.5), "flat_gauss")
+    m = WarpedMetric(phi, phi, f, (0.1, 3.5), "flat_gauss")
     for r in (0.4, 1.0, 2.2):
         formula = m.blocks(r)
         oracle = fd_ricci_oracle(m, r)
@@ -210,7 +210,7 @@ def test_nonpositive_profile_value_is_domain_error():
 
 
 def cone_metric(phi_profile, f_profile, r_range, label):
-    return WarpedMetric(phi_profile, None, f_profile, r_range, label)
+    return WarpedMetric(phi_profile, phi_profile, f_profile, r_range, label)
 
 
 def test_oracle_round_s4():

@@ -134,9 +134,9 @@ def test_bridge_B_within_one_ulp_of_quadrature(monkeypatch, command, name):
     # against the quadrature the table was built from
     cfg = load_config(CONFIGS / name, command)
     _, metric, bound, grid = build(cfg.get("target", command), cfg)
-    seen, piece_blocks = [], verify._piece_blocks
-    monkeypatch.setattr(verify, "_piece_blocks",
-                        lambda *args: seen.append(args[-1]) or piece_blocks(*args))
+    seen, berger_jets = [], verify.berger_jets
+    monkeypatch.setattr(verify, "berger_jets",
+                        lambda *args: seen.append(args[-1]) or berger_jets(*args))
     verify_ric_lower(metric, bound, grid)
     rs = np.concatenate(seen)
     on_bridge = sum(((rs >= p.lo) & (rs < p.hi)).sum()

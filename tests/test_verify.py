@@ -42,7 +42,7 @@ def cone(phi_rule, f_rule, r_range, label, r_max=None):
     r_max = r_max or r_range[1]
     phi = Profile([Piece(0.0, r_max, phi_rule, "phi", {})], label + "_phi")
     f = Profile([Piece(0.0, r_max, f_rule, "f", {})], label + "_f")
-    return WarpedMetric(phi, None, f, r_range, label)
+    return WarpedMetric(phi, phi, f, r_range, label)
 
 
 @pytest.fixture(scope="module")
@@ -226,21 +226,26 @@ def test_verify_never_evaluates_a_profile(monkeypatch):
 
 
 def test_glue_evaluates_each_shared_phi_piece_once(monkeypatch):
-    # glued A and B share the surgery's phi pieces: one jet serves both
-    metric, bound, grid = shipped("glue", "glue")
-    shared = [p for p in metric.A.pieces if any(p is q for q in metric.B.pieces)]
-    assert len(shared) == 5
+    # glued A and B share the surgery's phi pieces, and the surgery's round
+    # metric has B = A: one jet serves both
     calls, call = Counter(), Piece.__call__
     monkeypatch.setattr(Piece, "__call__",
                         lambda self, r: calls.update([id(self)]) or call(self, r))
-    report = verify_ric_lower(metric, bound, grid)
-    reported = [p.interval for p in report.pieces]
-    pieces = metric.verification_pieces()
-    for piece in shared:
-        mine = [(lo, hi, B) for lo, hi, A, B, _ in pieces if A is piece]
-        assert mine and all(B is piece for *_, B in mine), piece.name
-        spans = sum((lo, hi) in reported for lo, hi, _ in mine)
-        assert spans and calls[id(piece)] == spans, (piece.name, calls[id(piece)], spans)
+    for command in ("glue", "surgery"):
+        metric, bound, grid = shipped(command, command)
+        shared = [p for p in metric.A.pieces if any(p is q for q in metric.B.pieces)]
+        assert len(shared) == 5, command
+        calls.clear()
+        report = verify_ric_lower(metric, bound, grid)
+        reported = [p.interval for p in report.pieces]
+        pieces = metric.verification_pieces()
+        for piece in shared:
+            mine = [(lo, hi, B) for lo, hi, A, B, _ in pieces if A is piece]
+            assert mine and all(B is piece for *_, B in mine), (command, piece.name)
+            # a grid clip (the surgery's r_min) trims a reported span inside its piece
+            spans = sum(any(lo <= a and b <= hi for a, b in reported) for lo, hi, _ in mine)
+            assert spans and calls[id(piece)] == spans, (command, piece.name, calls[id(piece)],
+                                                          spans)
 
 
 # -- the batched grid builder against the per-piece reference ------------------
@@ -343,6 +348,7 @@ def test_scan_sphere_block_frontier():
         base=dict(epsilon=0.05, delta2=0.01, m=1e-3, r3=1e3, smooth=False),
         ranges={"alpha2": [0.005, 0.02, 0.1, 0.3, 0.45]},
         bound=0.0,
+        cfg=GridConfig(points_per_piece=512, refine_factor=4),
     )
     margins = [row["block_margin"]["sYZ"] for row in rows]
     # sphere-block margin decreases monotonically with alpha2 and eventually fails
@@ -356,6 +362,7 @@ def test_scan_precondition_failures_are_rows():
         base=dict(alpha2=0.01, delta2=0.01, m=1e-3, r3=1e3, smooth=False),
         ranges={"epsilon": [0.05, 0.2]},
         bound=0.0,
+        cfg=GridConfig(points_per_piece=512, refine_factor=4),
     )
     assert rows[0]["built"]
     assert not rows[1]["built"] and "epsilon" in rows[1]["error"]
@@ -367,6 +374,7 @@ def test_scan_delta2_leaves_base_blocks_unchanged():
         base=dict(epsilon=0.05, alpha2=0.01, m=1e-3, r3=1e3, smooth=False),
         ranges={"delta2": [0.01, 0.001]},
         bound=0.0,
+        cfg=GridConfig(points_per_piece=512, refine_factor=4),
     )
     a, b = rows[0]["block_margin"], rows[1]["block_margin"]
     for name in ("rr", "sX", "sYZ"):
@@ -387,3 +395,14 @@ def test_curvature_csv_roundtrip(round_s4, tmp_path):
         vals = [float(x) for x in line.split(",")]
         assert vals == [rs[i], a[i], b[i], f[i],
                         blocks.rr[i], blocks.sX[i], blocks.sYZ[i], blocks.s2[i]]
+
+
+@pytest.mark.parametrize("command, config", SHIPPED)
+def test_export_evaluates_each_profile_once(tmp_path, monkeypatch, command, config):
+    # the coefficients and the blocks of a CSV row come from the same jets
+    metric, _, _ = shipped(command, config)
+    calls, call = Counter(), Profile.__call__
+    monkeypatch.setattr(Profile, "__call__",
+                        lambda self, r: calls.update([self.label]) or call(self, r))
+    export_curvature_csv(metric, radial_grid(*metric.r_range, 64), tmp_path / "curv.csv")
+    assert calls == Counter(p.label for p in metric.profiles().values())
