@@ -16,18 +16,20 @@ The closed form evaluates through exact 2-jets, which `berger_jets` gives
 any triple (A, B, f); `fd_ricci_oracle` is the independent cross-check,
 computing the same blocks from 5-point finite differences of the raw
 coordinate metric on an explicit 6-dimensional Euler-angle chart, after
-zooming coordinates so the chart is O(1) at any radius.  It takes a batch of radii as numpy arrays and gives each radius
-the same blocks, bit for bit, as a call on that radius alone.  The chart
-metric has 8 live (possibly nonzero) entries of 36 and varies along 3 of
-the 6 coordinates, so up to the Ricci contractions the oracle carries
-only live entries: the metric's 8, their first derivatives, and the 66
-first-kind and 66 second-kind Christoffel symbols the live pattern
-allows, by index tables derived at import.  The trig of the chart angles
-is evaluated once per call, since every radius takes the same angle
-steps, and the profiles are read once per call on each radius' 5 x 5
-radial sub-stencil, which holds every distinct radius of its 169 chart
-points.  Each entry is computed from the same operands in the same order
-as in the dense 6 x 6 algebra, so the blocks match it bit for bit.
+zooming coordinates so the chart is O(1) at any radius.  It takes a batch
+of radii of any size as numpy arrays, differences them ORACLE_CHUNK at a
+time so its working memory stays bounded, and gives each radius the same
+blocks, bit for bit, as a call on that radius alone.  The chart metric has
+8 live (possibly nonzero) entries of 36 and varies along 3 of the 6
+coordinates, so up to the Ricci contractions the oracle carries only live
+entries: the metric's 8, their first derivatives, and the 66 first-kind
+and 66 second-kind Christoffel symbols the live pattern allows, by index
+tables derived at import.  The trig of the chart angles is evaluated once
+per call, since every radius takes the same angle steps, and the profiles
+are read once per chunk on each radius' 5 x 5 radial sub-stencil, which
+holds every distinct radius of its 169 chart points.  Each entry is
+computed from the same operands in the same order as in the dense 6 x 6
+algebra, so the blocks match it bit for bit.
 """
 
 from __future__ import annotations
@@ -179,6 +181,10 @@ _VARYING = (0, 1, 4)
 # zero at every chart point.
 _LIVE = ((0, 0), (1, 1), (2, 2), (2, 3), (3, 2), (3, 3), (4, 4), (5, 5))
 
+# most radii differenced at a time: the algebra's working memory is about
+# 22 kB per radius in flight, so a call's peak stays near 1.4 MB at any size
+ORACLE_CHUNK = 64
+
 _W5 = np.array([-1.0, 8.0, -8.0, 1.0]) / 12.0
 _OFFS = np.array([2.0, 1.0, -1.0, -2.0])
 # stencil slot -> the slot of the radial sub-stencil (slots 0-4) with its rho
@@ -257,31 +263,35 @@ def _derivative(f: np.ndarray, h: np.ndarray) -> np.ndarray:
     would leave O(eps) residue that huge inverse-metric entries amplify.
     """
     n, _, m = f.shape
-    diff = (f[:, 1:] - f[:, :1]).reshape(n, 3, 4, m)
     acc = np.zeros((n, 3, m))  # from +0 in _W5 order, as a per-entry sum rounds
     for j, wgt in enumerate(_W5):
-        acc += wgt * diff[:, :, j]
+        # slots 1 + j, 5 + j, 9 + j: offset j along each varying coordinate
+        acc += wgt * (f[:, 1 + j::4] - f[:, :1])
     return acc / h[:, _VARYING, None]
 
 
+def _chart_angles(h_fd: float) -> tuple:
+    """(cos theta, sin theta, sin^2 u) on the 13 x 13 angle stencil of step
+    h_fd, which every radius shares: point (i, j) is the base point plus
+    steps i and j."""
+    steps = _stencil_steps(np.full(6, h_fd))
+    x = (np.array([1.0, _THETA0, _PHI0, _PSI0, _U0, _V0]) + steps[:, None]) + steps
+    return (*_by_value(x[..., 1], math.cos, math.sin),
+            *_by_value(x[..., 4], lambda t: math.sin(t) ** 2))
+
+
 def _chart_metric(metric: WarpedMetric, r: np.ndarray, h_rho: np.ndarray,
-                  h_fd: float) -> np.ndarray:
+                  angles: tuple) -> np.ndarray:
     """Live entries (n, 13, 13, len(_LIVE)) of the coordinate metric in
     coordinates (rho, theta, phi, psi, u, v), zoomed by 1/r so that the base
     point sits at rho = 1 regardless of the physical radius.  Point (i, j)
     of radius r[k]'s stencil is the base point plus steps i and j, with
-    step h_rho[k] along rho and h_fd along the angles.
+    step h_rho[k] along rho and the angles' trig from _chart_angles.
 
-    Every radius takes the same angle steps, so the trig is evaluated once,
-    on one 13 x 13 angle stencil.  Only slots 0-4 step along rho, and adding
-    a zero step is exact, so the profiles are read once per call, on the
-    5 x 5 radial sub-stencil of each radius, and copied to the other slots."""
-    steps = _stencil_steps(np.full(6, h_fd))
-    x = (np.array([1.0, _THETA0, _PHI0, _PSI0, _U0, _V0]) + steps[:, None]) + steps
-    theta, u = x[..., 1], x[..., 4]
-    ct, st = _by_value(theta, math.cos, math.sin)
-    (su2,) = _by_value(u, lambda t: math.sin(t) ** 2)
-
+    Only slots 0-4 step along rho, and adding a zero step is exact, so the
+    profiles are read once, on the 5 x 5 radial sub-stencil of each radius,
+    and copied to the other slots."""
+    ct, st, su2 = angles
     offs = np.zeros((r.size, 5))
     offs[:, 1:] = _OFFS * h_rho[:, None]
     rho = (1.0 + offs[:, :, None]) + offs[:, None, :]
@@ -289,11 +299,16 @@ def _chart_metric(metric: WarpedMetric, r: np.ndarray, h_rho: np.ndarray,
     s = 1.0 / r0
     radial = np.stack([s * c for c in metric.coefficients(rho * r0)])
     a, b, w = radial[:, :, _RADIAL_SLOT[:, None], _RADIAL_SLOT]
-    g23 = 0.25 * a * a * ct
-    g = {(0, 0): np.ones_like(a), (1, 1): 0.25 * b * b,
-         (2, 2): 0.25 * (b * b * st * st + a * a * ct * ct), (2, 3): g23, (3, 2): g23,
-         (3, 3): 0.25 * a * a, (4, 4): w * w, (5, 5): w * w * su2}
-    return np.stack([g[ij] for ij in _LIVE], axis=-1)
+    g = np.empty(a.shape + (len(_LIVE),))
+    e = _entries(g)  # views of g's entries, each written in place
+    e[0, 0][...] = 1.0
+    e[1, 1][...] = 0.25 * b * b
+    e[2, 2][...] = 0.25 * (b * b * st * st + a * a * ct * ct)
+    e[2, 3][...] = e[3, 2][...] = 0.25 * a * a * ct
+    e[3, 3][...] = 0.25 * a * a
+    e[4, 4][...] = w * w
+    e[5, 5][...] = w * w * su2
+    return g
 
 
 def _entries(g: np.ndarray) -> dict:
@@ -314,61 +329,53 @@ def _block_inverse(g: np.ndarray) -> np.ndarray:
     return np.stack([inv[ij] for ij in _LIVE], axis=-1)
 
 
-def fd_ricci_oracle(metric: WarpedMetric, r0, h_fd: float = 1e-4) -> RicciBlocks:
-    """Ricci blocks at radius r0 (a float or an array of radii, possibly
-    empty) from finite differences of the raw chart, shaped like r0.
-
-    Shares nothing with the closed-form path except the profile value
-    channel.  Each r0 must sit inside a smooth piece, at relative distance
-    > 10*h_fd from the nearest breakpoint; h_fd must be finite and > 0.
-    All radii are differenced in one batch: the Christoffel symbols on
-    nested 5-point stencils (13 x 13 chart points per radius), then Ricci
-    from their differences.  Up to the Ricci contractions, the stages carry
-    only the live entries: the chart metric's 8 of 36 and the Christoffel
-    symbols' 66 of 216, with each entry computed from the same operands in
-    the same order as the dense 6 x 6 algebra.  So a radius gets the same
-    blocks, bit for bit, as the dense algebra would give, alone or in any
-    batch.
-    """
-    if not (isinstance(h_fd, numbers.Real) and math.isfinite(h_fd) and h_fd > 0.0):
-        raise ParameterError(f"h_fd = {h_fd!r} must be a finite number > 0")
-    r = np.array(r0, dtype=float, ndmin=1).ravel()
-    lo, hi = metric.r_range
-    if not np.all((lo < r) & (r < hi)):
-        raise ParameterError(f"r0 = {r0} outside metric range {metric.r_range}")
-    edges = np.array(metric.breakpoints() + [lo, hi])
-    margin = np.min(np.abs(r[:, None] - edges) / r[:, None], axis=1)
-    if np.any(margin <= 10.0 * h_fd):
-        raise ParameterError(f"r0 = {r[np.argmin(margin)]} within 10*h_fd of a breakpoint "
-                             f"(relative margin {np.min(margin):.2e})")
-
+def _oracle_pairs(metric: WarpedMetric, r: np.ndarray, margin: np.ndarray, h_fd: float,
+                  angles: tuple) -> np.ndarray:
+    """The oracle's frame pairs (n, 8) of Ricci in the zoomed chart at radii
+    r (n,), each at relative distance margin from its nearest breakpoint."""
     n, m = r.size, len(_LIVE)
     h = np.full((n, 6), h_fd)
     h[:, 0] = np.minimum(h_fd, margin / 8.0)
-    g = _chart_metric(metric, r, h[:, 0], h_fd)  # (n, 13, 13, m)
+    g = _chart_metric(metric, r, h[:, 0], angles)  # (n, 13, 13, m)
+    g0 = _entries(g[:, 0, 0].copy())  # the center, for the frame
 
-    # Gamma^a_{bc} = 1/2 g^{ad} (d_b g_{dc} + d_c g_{db} - d_d g_{bc}) at each stencil slot
+    # Gamma^a_{bc} = 1/2 g^{ad} (d_b g_{dc} + d_c g_{db} - d_d g_{bc}) at each
+    # stencil slot.  Each stage works in place where it can and releases its
+    # input once used, so at most about 22 kB per radius is live at a time;
+    # every entry still takes the dense algebra's operands in its order.
     dg = _derivative(g.reshape(n * 13, 13, m), np.repeat(h, 13, axis=0))
-    dg = _with_zero(dg.reshape(n * 13, 3 * m))
-    sym = _with_zero(dg[:, _SYM_TERMS[0]] + dg[:, _SYM_TERMS[1]] - dg[:, _SYM_TERMS[2]])
     inv = _with_zero(_block_inverse(g[:, :, 0].reshape(n * 13, m)))
-    gamma = inv[:, _RAISE_INV[0]] * sym[:, _RAISE_SYM[0]]
-    for i, j in zip(_RAISE_INV[1:], _RAISE_SYM[1:]):
-        gamma += inv[:, i] * sym[:, j]
-    gamma = 0.5 * gamma.reshape(n, 13, _GAMMA.size)
+    del g
+    dg = _with_zero(dg.reshape(n * 13, 3 * m))
+    sym = dg[:, _SYM_TERMS[0]]
+    sym += dg[:, _SYM_TERMS[1]]
+    sym -= dg[:, _SYM_TERMS[2]]
+    del dg
+    sym = _with_zero(sym)
+    terms = [sym[:, j] for j in _RAISE_SYM]
+    del sym
+    for term, i in zip(terms, _RAISE_INV):
+        term *= inv[:, i]
+    del inv
+    gamma = terms[0]
+    for term in terms[1:]:
+        gamma += term
+    del terms, term
+    gamma *= 0.5
+    gamma = gamma.reshape(n, 13, _GAMMA.size)
     dgamma = _derivative(gamma, h)
 
     # the Ricci contractions take fresh C-ordered dense arrays: einsum sums in
     # memory order, so the operands' layout decides how they round
     gam = np.zeros((n, 216))
     gam[:, _GAMMA] = gamma[:, 0]
+    del gamma
     gam = gam.reshape(n, 6, 6, 6)
     dgam = np.zeros((n, 6, 216))
     dgam[:, np.array(_VARYING)[:, None], _GAMMA] = dgamma
     dgam = dgam.reshape(n, 6, 6, 6, 6)
 
     # orthonormal frame: e_r, e_X (Hopf), e_Y, e_Z, e_u
-    g0 = _entries(g[:, 0, 0])
     a, b, w = np.sqrt(4.0 * g0[3, 3]), np.sqrt(4.0 * g0[1, 1]), np.sqrt(g0[4, 4])
     frame = np.zeros((n, 5, 6))
     frame[:, 0, 0] = 1.0
@@ -384,7 +391,42 @@ def fd_ricci_oracle(metric: WarpedMetric, r0, h_fd: float = 1e-4) -> RicciBlocks
              - np.einsum("...ade,...eba->...bd", gam, gam))
     # e_j . Ric . e_l for every frame pair at once, as the same BLAS
     # vector-matrix and dot products a per-pair loop would take
-    pairs = (frame[:, _LEFT, None, :] @ ricci[:, None] @ frame[:, _RIGHT, :, None])[..., 0, 0]
+    return (frame[:, _LEFT, None, :] @ ricci[:, None] @ frame[:, _RIGHT, :, None])[..., 0, 0]
+
+
+def fd_ricci_oracle(metric: WarpedMetric, r0, h_fd: float = 1e-4) -> RicciBlocks:
+    """Ricci blocks at radius r0 (a float or an array of radii, possibly
+    empty) from finite differences of the raw chart, shaped like r0.
+
+    Shares nothing with the closed-form path except the profile value
+    channel.  Each r0 must sit inside a smooth piece, at relative distance
+    > 10*h_fd from the nearest breakpoint; h_fd must be finite and > 0.
+    The radii are differenced in batches of at most ORACLE_CHUNK: the
+    Christoffel symbols on nested 5-point stencils (13 x 13 chart points
+    per radius), then Ricci from their differences.  Each chunk reads each
+    profile once, and the angle trig is shared by all chunks.  Up to the
+    Ricci contractions, the stages carry only the live entries: the chart
+    metric's 8 of 36 and the Christoffel symbols' 66 of 216, with each
+    entry computed from the same operands in the same order as the dense
+    6 x 6 algebra.  So a radius gets the same blocks, bit for bit, as the
+    dense algebra would give, alone or in any batch or chunk.
+    """
+    if not (isinstance(h_fd, numbers.Real) and math.isfinite(h_fd) and h_fd > 0.0):
+        raise ParameterError(f"h_fd = {h_fd!r} must be a finite number > 0")
+    r = np.array(r0, dtype=float, ndmin=1).ravel()
+    lo, hi = metric.r_range
+    if not np.all((lo < r) & (r < hi)):
+        raise ParameterError(f"r0 = {r0} outside metric range {metric.r_range}")
+    edges = np.array(metric.breakpoints() + [lo, hi])
+    margin = np.min(np.abs(r[:, None] - edges) / r[:, None], axis=1)
+    if np.any(margin <= 10.0 * h_fd):
+        raise ParameterError(f"r0 = {r[np.argmin(margin)]} within 10*h_fd of a breakpoint "
+                             f"(relative margin {np.min(margin):.2e})")
+
+    angles = _chart_angles(h_fd)
+    pairs = np.concatenate([
+        _oracle_pairs(metric, r[k:k + ORACLE_CHUNK], margin[k:k + ORACLE_CHUNK], h_fd, angles)
+        for k in range(0, max(r.size, 1), ORACLE_CHUNK)])
 
     scale = 1.0 / (r * r)  # undo the zoom: Ric(g) = s^2 Ric(s^2 g), s = 1/r0
     shape = np.shape(r0)

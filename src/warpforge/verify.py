@@ -7,6 +7,10 @@ reported with margins against the requested bound, and an optional pass
 cross-checks random radii against the finite-difference oracle.  The same
 configuration always produces a bit-identical report.
 
+The oracle pass is one batch per call: one oracle call per distinct step
+on every sampled piece's radii (one call for the shipped targets), each
+error still attributed to its piece.
+
 A verification piece lies inside one piece of every profile, so its blocks
 come straight from those pieces' closed forms, through berger_jets (a
 piece A and B share is evaluated once); the profiles' own dispatch is
@@ -19,13 +23,14 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
 from .curvature import WarpedMetric, berger_jets, fd_ricci_oracle, ricci_berger
-from .jets import JetDomainError
+from .jets import Jet2, JetDomainError
 from .profiles import ConstructionError, ParameterError, write_csv
 
 
@@ -187,16 +192,14 @@ def _piece_grids(lo, hi, cfg: GridConfig, global_max: float) -> list[np.ndarray]
     return [next(grids) if ok else np.array([]) for ok in live]
 
 
-def _oracle_pass(metric: WarpedMetric, lo: float, hi: float, forms: list, piece_index: int,
-                 cfg: GridConfig) -> float:
-    """Max scaled error |oracle - formula| / max(0.1, |formula|) over random
-    radii of one piece, all differenced in one oracle call; equivalent to
-    |o - f| <= max(1e-5, 1e-4 |f|) scaled to 1e-4.  Returns -inf when the
-    piece is too narrow to difference."""
+def _oracle_radii(lo: float, hi: float, piece_index: int,
+                  cfg: GridConfig) -> Optional[tuple[np.ndarray, float]]:
+    """(cfg.n_oracle random radii, step h_fd) of one piece's oracle samples,
+    or None when the piece is too narrow to difference."""
     rel_width = (hi - lo) / hi
     h_fd = min(H_FD, rel_width / 50.0)
     if h_fd < 1e-7:
-        return float("-inf")
+        return None
     rng = np.random.default_rng(cfg.seed + 1_000_003 * (piece_index + 1))
     margin = 12.0 * h_fd
     # flat-center floor: at radius r0 the zoomed chart sees curvature ~ r0^2
@@ -205,15 +208,40 @@ def _oracle_pass(metric: WarpedMetric, lo: float, hi: float, forms: list, piece_
     a = max(lo * (1.0 + margin), 0.04 * hi)
     b = hi * (1.0 - margin)
     if not a < b:
-        return float("-inf")
-    radii = np.exp(rng.uniform(np.log(a), np.log(b), size=cfg.n_oracle))
-    formula = ricci_berger(*berger_jets(*forms, radii)).as_dict(metric.is_round)
-    oracle = fd_ricci_oracle(metric, radii, h_fd=h_fd)
-    fd = oracle.as_dict(metric.is_round)
-    errs = [np.abs(fd[name] - fv) / np.maximum(0.1, np.abs(fv)) for name, fv in formula.items()]
-    # mixed radial/sphere block must vanish in rotational symmetry
-    errs.append(oracle.cross_ir_mag / np.maximum(0.1, np.abs(formula["rr"])))
-    return float(np.max(errs))
+        return None
+    return np.exp(rng.uniform(np.log(a), np.log(b), size=cfg.n_oracle)), h_fd
+
+
+def _oracle_errors(metric: WarpedMetric, samples: list) -> list[float]:
+    """Max scaled error |oracle - formula| / max(0.1, |formula|) per sampled
+    piece, given as (radii, h_fd, (A, B, f) pieces); equivalent to
+    |o - f| <= max(1e-5, 1e-4 |f|) scaled to 1e-4.
+
+    All pieces are checked in one batch: each piece's jets come from its own
+    closed forms, their blocks from one ricci_berger call on the joined
+    jets, and the oracle makes one call per distinct step on every radius
+    that takes it.  Both are elementwise in the radii, so a radius gets the
+    same bits as in a call on its piece alone."""
+    sizes = [rs.size for rs, _, _ in samples]
+    radii = np.concatenate([rs for rs, _, _ in samples])
+    steps = np.repeat([h_fd for _, h_fd, _ in samples], sizes)
+    # A's, B's and f's jets over every radius, each piece's from its own
+    # forms; a constant channel (a float) is filled out to its piece's radii
+    triples = [berger_jets(*forms, rs) for rs, _, forms in samples]
+    jets = [Jet2(*(np.concatenate([x if np.ndim(x) else np.full(n, x) for x, n in zip(xs, sizes)])
+                   for xs in zip(*((j.v, j.d1, j.d2) for j in js))))
+            for js in zip(*triples)]
+    formula = np.array(list(ricci_berger(*jets).as_dict(metric.is_round).values()))
+    fd = np.empty((len(formula) + 1, radii.size))  # the same blocks, then cross_ir_mag
+    for h_fd in np.unique(steps):
+        at = steps == h_fd
+        oracle = fd_ricci_oracle(metric, radii[at], h_fd=float(h_fd))
+        fd[:, at] = [*oracle.as_dict(metric.is_round).values(), oracle.cross_ir_mag]
+    errs = np.abs(fd[:-1] - formula) / np.maximum(0.1, np.abs(formula))
+    # mixed radial/sphere block must vanish in rotational symmetry (row 0 is rr)
+    cross = fd[-1] / np.maximum(0.1, np.abs(formula[0]))
+    err = np.max([*errs, cross], axis=0)
+    return [float(np.max(e)) for e in np.split(err, np.cumsum(sizes)[:-1])]
 
 
 def verify_ric_lower(
@@ -222,6 +250,8 @@ def verify_ric_lower(
     """Sample every smooth piece of the metric and compare each Ricci block
     minimum against the bound."""
     cfg = cfg or GridConfig()
+    if cfg.oracle and not (isinstance(cfg.n_oracle, numbers.Integral) and cfg.n_oracle >= 1):
+        raise ParameterError(f"n_oracle must be a positive integer, got {cfg.n_oracle!r}")
     lo_clip = metric.r_range[0] if cfg.r_min is None else cfg.r_min
     hi_clip = metric.r_range[1] if cfg.r_max is None else cfg.r_max
     report = VerificationReport(
@@ -231,7 +261,7 @@ def verify_ric_lower(
         oracle_checked=cfg.oracle,
         oracle_max_rel_err=0.0,
     )
-    worst_err = float("-inf")
+    samples = []  # (radii, h_fd, (A, B, f) pieces) per oracle-sampled piece
     spans = []  # (index among the metric's pieces, lo, hi, (A, B, f) pieces)
     for i, (plo, phi_, *forms) in enumerate(metric.verification_pieces()):
         lo, hi = max(plo, lo_clip), min(phi_, hi_clip)
@@ -252,14 +282,16 @@ def verify_ric_lower(
         if not piece.passed:
             report.passed = False
         if cfg.oracle:
-            # np.maximum, not max: a NaN error must reach the report
-            worst_err = float(np.maximum(worst_err, _oracle_pass(metric, lo, hi, forms, i, cfg)))
+            drawn = _oracle_radii(lo, hi, i, cfg)
+            if drawn is not None:
+                samples.append((*drawn, forms))
     if not report.pieces:
         raise ParameterError(f"the grid samples no piece of {metric.label} in "
                              f"[{lo_clip:g}, {hi_clip:g}] (r_min_frac = {cfg.r_min_frac:g})")
-    if cfg.oracle:
-        # 0.0 when no piece was wide enough to difference
-        report.oracle_max_rel_err = 0.0 if worst_err == float("-inf") else worst_err
+    if samples:
+        # np.max, not max: a NaN error must reach the report; 0.0 stays when
+        # no piece was wide enough to difference
+        report.oracle_max_rel_err = float(np.max(_oracle_errors(metric, samples)))
     return report
 
 

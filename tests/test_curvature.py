@@ -1,6 +1,7 @@
 """Closed-form Ricci blocks vs analytic identities and the fd oracle."""
 
 import math
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -317,6 +318,10 @@ def test_oracle_reads_each_profile_once_per_call(monkeypatch):
         calls.clear()
         fd_ricci_oracle(metric, r0)
         assert calls == {"bubble_base_A": 1, "bubble_base_B": 1, "f4": 1}, (r0, calls)
+    # past the cap, once per chunk of at most ORACLE_CHUNK radii
+    calls.clear()
+    fd_ricci_oracle(metric, np.linspace(40.0, 60.0, 2 * curvature.ORACLE_CHUNK + 1))
+    assert calls == {"bubble_base_A": 3, "bubble_base_B": 3, "f4": 3}, calls
 
 
 def _block_bits(blocks):
@@ -334,11 +339,22 @@ def _piece_radii(metric, rng, k):
                                      np.log(hi * (1 - 12 * h_fd)), k)), h_fd
 
 
+def _assert_joined_call_matches(metric, pieces):
+    """One call per step on the joined radii of pieces [(radii, h_fd,
+    blocks of the piece's own call)] gives each radius its piece's bits."""
+    for h_fd in {h for _, h, _ in pieces}:
+        same = [(rs, blocks) for rs, h, blocks in pieces if h == h_fd]
+        joined = fd_ricci_oracle(metric, np.concatenate([rs for rs, _ in same]), h_fd=h_fd)
+        want = np.concatenate([_block_bits(blocks) for _, blocks in same], axis=1)
+        assert np.array_equal(_block_bits(joined), want), (metric.label, h_fd)
+
+
 @pytest.mark.parametrize("name", ["bubble", "surgery", "glue"])
 def test_oracle_batch_equals_one_radius_calls(name):
     # one batched call per piece must give every radius the blocks of a call
     # on that radius alone, bit for bit, with fields shaped like the input
     _, metric, _, _ = build(name, load_config(CONFIGS / f"{name}.json", name))
+    pieces = []
     for rs, h_fd in _piece_radii(metric, np.random.default_rng(5), 6):
         batch = fd_ricci_oracle(metric, rs, h_fd=h_fd)
         assert all(np.shape(getattr(batch, k)) == rs.shape
@@ -349,6 +365,35 @@ def test_oracle_batch_equals_one_radius_calls(name):
             (name, rs)
         grid = fd_ricci_oracle(metric, rs.reshape(2, 3), h_fd=h_fd)
         assert np.array_equal(_block_bits(grid).reshape(5, -1), _block_bits(batch))
+        pieces.append((rs, h_fd, batch))
+    # every piece's radii in one call, as verify makes it
+    _assert_joined_call_matches(metric, pieces)
+    # more radii than one chunk: the joined call crosses chunk boundaries
+    k = curvature.ORACLE_CHUNK // 2 + 1
+    pieces = [(rs, h_fd, fd_ricci_oracle(metric, rs, h_fd=h_fd))
+              for rs, h_fd in _piece_radii(metric, np.random.default_rng(6), k)]
+    assert len(pieces) * k > curvature.ORACLE_CHUNK
+    _assert_joined_call_matches(metric, pieces)
+
+
+def test_oracle_memory_is_bounded_by_the_chunk():
+    # the radii are differenced ORACLE_CHUNK at a time, so a call on 8 chunks
+    # peaks about where a call on one does, not 8 times higher
+    _, metric, _, _ = build("glue", load_config(CONFIGS / "glue.json", "glue"))
+    lo, hi, *_ = metric.verification_pieces()[5]
+    fd_ricci_oracle(metric, 0.5 * (lo + hi))
+
+    def peak(n):
+        rs = np.geomspace(lo * 1.01, hi * 0.99, n)
+        tracemalloc.start()
+        try:
+            fd_ricci_oracle(metric, rs)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one, eight = peak(curvature.ORACLE_CHUNK), peak(8 * curvature.ORACLE_CHUNK)
+    assert eight <= 1.25 * one, (one, eight)
 
 
 @pytest.mark.parametrize("r0", [np.array([]), np.zeros((0, 3)), []], ids=["1d", "2d", "list"])
@@ -502,6 +547,39 @@ def test_oracle_bit_identical_to_dense_reference(monkeypatch, name):
         assert np.array_equal(_block_bits(blocks), _block_bits(want)), (name, rs.min(), rs.max())
 
 
+@pytest.mark.parametrize("name", ["bubble", "surgery", "glue"])
+def test_verify_makes_one_oracle_call(monkeypatch, name):
+    # every sampled piece of the shipped targets takes the full step, so the
+    # oracle check of a verify at criterion 5's grid is one batch
+    _, metric, _, _ = build(name, load_config(CONFIGS / f"{name}.json", name))
+    cfg = GridConfig(points_per_piece=64, oracle=True, n_oracle=32, seed=11)
+    (rs, h_fd, _), = _oracle_calls(monkeypatch, metric, cfg)
+    assert h_fd == verify.H_FD
+    assert rs.size == 32 * {"bubble": 6, "surgery": 7, "glue": 13}[name]
+
+
+def test_verify_differences_each_piece_at_its_own_step(monkeypatch):
+    # a piece narrower than 50 H_FD (relative) takes a smaller step: verify
+    # makes one oracle call per distinct step, on exactly the radii of the
+    # pieces that take it
+    phi = Profile([Piece(0.0, 1.0, jet_sin, "sin", {}), Piece(1.0, 1.002, jet_sin, "sin", {}),
+                   Piece(1.002, 3.0, jet_sin, "sin", {})], "sin_narrow")
+    m = cone_metric(phi, const_profile(0.5, r_max=3.0), (0.1, 3.0), "narrow")
+    step = {(lo, hi): min(verify.H_FD, (hi - lo) / hi / 50.0)
+            for lo, hi, *_ in m.verification_pieces()}
+    assert len(set(step.values())) == 2
+    cfg = GridConfig(points_per_piece=64, oracle=True, n_oracle=8, seed=2)
+    calls = _oracle_calls(monkeypatch, m, cfg)
+    assert sorted(h_fd for _, h_fd, _ in calls) == sorted(set(step.values()))
+    assert sum(rs.size for rs, _, _ in calls) == 8 * len(step)
+    for rs, h_fd, _ in calls:
+        for r in rs:
+            (own,) = [h for (lo, hi), h in step.items() if lo < r < hi]
+            assert own == h_fd, (r, own, h_fd)
+    report = verify_ric_lower(m, 0.0, cfg)
+    assert 0.0 < report.oracle_max_rel_err < 1e-4
+
+
 def test_oracle_bit_identical_to_dense_reference_round(monkeypatch):
     m = cone_metric(sin_profile(), const_profile(0.5, r_max=3.0), (0.1, 3.0), "roundS4")
     cfg = GridConfig(points_per_piece=64, oracle=True, n_oracle=16, seed=4)
@@ -523,6 +601,6 @@ def test_oracle_live_entries_are_the_charts_nonzeros(name):
         h, g = _dense_chart(metric, rs, h_fd)
         assert np.all(g[..., dead] == 0.0), (name, rs)
         live = np.stack([g[..., i, j] for i, j in curvature._LIVE], axis=-1)
-        got = curvature._chart_metric(metric, rs, h[:, 0], h_fd)
+        got = curvature._chart_metric(metric, rs, h[:, 0], curvature._chart_angles(h_fd))
         assert np.array_equal(got.view(np.uint64), live.view(np.uint64)), (name, rs)
     assert curvature._GAMMA.size == 66 and curvature._SYM_TERMS.shape == (3, 66)

@@ -176,6 +176,14 @@ def nan_oracle_report(round_s4, monkeypatch):
     return verify_ric_lower(round_s4, bound=2.9, cfg=cfg)
 
 
+@pytest.mark.parametrize("n_oracle", [0, -1])
+def test_oracle_sample_count_must_be_positive(round_s4, n_oracle):
+    # it used to end inside numpy (a zero-size maximum, negative dimensions)
+    cfg = GridConfig(points_per_piece=64, oracle=True, n_oracle=n_oracle)
+    with pytest.raises(ParameterError, match="n_oracle"):
+        verify_ric_lower(round_s4, bound=0.0, cfg=cfg)
+
+
 def test_oracle_nan_error_reaches_the_report(nan_oracle_report):
     # Python's max(worst, nan) keeps worst, which read as perfect agreement
     assert math.isnan(nan_oracle_report.oracle_max_rel_err)
