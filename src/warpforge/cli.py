@@ -39,6 +39,7 @@ from .verify import (
     radial_grid,
     scan_params,
     verify_ric_lower,
+    write_json,
 )
 
 EXIT_OK, EXIT_ERROR, EXIT_VIOLATION = 0, 1, 2
@@ -218,8 +219,7 @@ def cmd_verify(cfg: dict, target: str) -> int:
     if "out_csv" in cfg:
         export_curvature_csv(metric, radial_grid(*metric.r_range, 2048), cfg["out_csv"])
     if "out_descriptor" in cfg:
-        with open(cfg["out_descriptor"], "w") as fh:
-            json.dump(metric.descriptor(), fh, indent=2)
+        write_json(cfg["out_descriptor"], metric.descriptor())
     print(report.summary())
     ok = _AFTER_SUMMARY[target](built, report, bound) and report.passed
     print(f"report written to {path}")
@@ -237,8 +237,7 @@ def cmd_scan(cfg: dict) -> int:
     rows = scan_params(builder, base, cfg["ranges"], cfg.get("bound", 0.0),
                        GridConfig(**cfg.get("grid", {})))
     out = Path(cfg.get("out_report", "scan_report.json"))
-    with open(out, "w") as fh:
-        json.dump(rows, fh, indent=2, default=float)
+    write_json(out, rows)
     n_pass = sum(1 for r in rows if r.get("passed"))
     print(f"scan: {len(rows)} points, {n_pass} passed; table written to {out}")
     for row in rows:
@@ -272,10 +271,9 @@ def cmd_limits(cfg: dict) -> int:
     tail = gh_error(0, None, delta, C)
     print(f"GH error tail from stage 0: {tail:.6g} <= {C * delta:.6g}")
     if "out_report" in cfg:
-        with open(cfg["out_report"], "w") as fh:
-            json.dump({"j": j, "r_j": sched.r_j, "delta_j": sched.delta_j,
-                       "eps_j": sched.eps_j, "lambda_j": sched.lambda_j,
-                       "C": C, "alpha": alpha, "gh_tail": tail}, fh, indent=2)
+        write_json(cfg["out_report"], {"j": j, "r_j": sched.r_j, "delta_j": sched.delta_j,
+                                       "eps_j": sched.eps_j, "lambda_j": sched.lambda_j,
+                                       "C": C, "alpha": alpha, "gh_tail": tail})
     return EXIT_OK
 
 

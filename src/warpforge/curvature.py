@@ -184,6 +184,7 @@ _LIVE = ((0, 0), (1, 1), (2, 2), (2, 3), (3, 2), (3, 3), (4, 4), (5, 5))
 # most radii differenced at a time: the algebra's working memory is about
 # 22 kB per radius in flight, so a call's peak stays near 1.4 MB at any size
 ORACLE_CHUNK = 64
+H_FD = 1e-4  # oracle step in the chart zoomed by 1/r0; narrow pieces take less
 
 _W5 = np.array([-1.0, 8.0, -8.0, 1.0]) / 12.0
 _OFFS = np.array([2.0, 1.0, -1.0, -2.0])
@@ -245,18 +246,18 @@ def _with_zero(x: np.ndarray) -> np.ndarray:
     return np.concatenate([x, np.zeros((len(x), 1))], axis=1)
 
 
-def _stencil_steps(h: np.ndarray) -> np.ndarray:
-    """(13, 6) steps of the 5-point stencil of step sizes h (6,): slot 0 is
-    the center, slot 1 + 4k + j steps by _OFFS[j] * h along _VARYING[k]."""
+def _stencil_steps(h: float) -> np.ndarray:
+    """(13, 6) steps of the 5-point stencil of step h: slot 0 is the
+    center, slot 1 + 4k + j steps by _OFFS[j] * h along _VARYING[k]."""
     steps = np.zeros((13, 6))
     for k, c in enumerate(_VARYING):
-        steps[1 + 4 * k:5 + 4 * k, c] = _OFFS * h[c]
+        steps[1 + 4 * k:5 + 4 * k, c] = _OFFS * h
     return steps
 
 
-def _derivative(f: np.ndarray, h: np.ndarray) -> np.ndarray:
+def _derivative(f: np.ndarray, h: float) -> np.ndarray:
     """5-point first derivatives along _VARYING of fields sampled on the
-    stencil slots, f (n, 13, m) -> (n, 3, m), with steps h (n, 6).
+    stencil slots, f (n, 13, m) -> (n, 3, m), with step h.
 
     Differences are taken against the center value so entries that are
     exactly constant differentiate to exactly zero; the raw weighted sum
@@ -267,33 +268,33 @@ def _derivative(f: np.ndarray, h: np.ndarray) -> np.ndarray:
     for j, wgt in enumerate(_W5):
         # slots 1 + j, 5 + j, 9 + j: offset j along each varying coordinate
         acc += wgt * (f[:, 1 + j::4] - f[:, :1])
-    return acc / h[:, _VARYING, None]
+    return acc / h
 
 
 def _chart_angles(h_fd: float) -> tuple:
     """(cos theta, sin theta, sin^2 u) on the 13 x 13 angle stencil of step
     h_fd, which every radius shares: point (i, j) is the base point plus
     steps i and j."""
-    steps = _stencil_steps(np.full(6, h_fd))
+    steps = _stencil_steps(h_fd)
     x = (np.array([1.0, _THETA0, _PHI0, _PSI0, _U0, _V0]) + steps[:, None]) + steps
     return (*_by_value(x[..., 1], math.cos, math.sin),
             *_by_value(x[..., 4], lambda t: math.sin(t) ** 2))
 
 
-def _chart_metric(metric: WarpedMetric, r: np.ndarray, h_rho: np.ndarray,
+def _chart_metric(metric: WarpedMetric, r: np.ndarray, h: float,
                   angles: tuple) -> np.ndarray:
     """Live entries (n, 13, 13, len(_LIVE)) of the coordinate metric in
     coordinates (rho, theta, phi, psi, u, v), zoomed by 1/r so that the base
     point sits at rho = 1 regardless of the physical radius.  Point (i, j)
     of radius r[k]'s stencil is the base point plus steps i and j, with
-    step h_rho[k] along rho and the angles' trig from _chart_angles.
+    step h along rho and the angles' trig from _chart_angles.
 
     Only slots 0-4 step along rho, and adding a zero step is exact, so the
     profiles are read once, on the 5 x 5 radial sub-stencil of each radius,
     and copied to the other slots."""
     ct, st, su2 = angles
     offs = np.zeros((r.size, 5))
-    offs[:, 1:] = _OFFS * h_rho[:, None]
+    offs[:, 1:] = _OFFS * h
     rho = (1.0 + offs[:, :, None]) + offs[:, None, :]
     r0 = r[:, None, None]
     s = 1.0 / r0
@@ -329,21 +330,19 @@ def _block_inverse(g: np.ndarray) -> np.ndarray:
     return np.stack([inv[ij] for ij in _LIVE], axis=-1)
 
 
-def _oracle_pairs(metric: WarpedMetric, r: np.ndarray, margin: np.ndarray, h_fd: float,
+def _oracle_pairs(metric: WarpedMetric, r: np.ndarray, h_fd: float,
                   angles: tuple) -> np.ndarray:
     """The oracle's frame pairs (n, 8) of Ricci in the zoomed chart at radii
-    r (n,), each at relative distance margin from its nearest breakpoint."""
+    r (n,), with step h_fd along every coordinate."""
     n, m = r.size, len(_LIVE)
-    h = np.full((n, 6), h_fd)
-    h[:, 0] = np.minimum(h_fd, margin / 8.0)
-    g = _chart_metric(metric, r, h[:, 0], angles)  # (n, 13, 13, m)
+    g = _chart_metric(metric, r, h_fd, angles)  # (n, 13, 13, m)
     g0 = _entries(g[:, 0, 0].copy())  # the center, for the frame
 
     # Gamma^a_{bc} = 1/2 g^{ad} (d_b g_{dc} + d_c g_{db} - d_d g_{bc}) at each
     # stencil slot.  Each stage works in place where it can and releases its
     # input once used, so at most about 22 kB per radius is live at a time;
     # every entry still takes the dense algebra's operands in its order.
-    dg = _derivative(g.reshape(n * 13, 13, m), np.repeat(h, 13, axis=0))
+    dg = _derivative(g.reshape(n * 13, 13, m), h_fd)
     inv = _with_zero(_block_inverse(g[:, :, 0].reshape(n * 13, m)))
     del g
     dg = _with_zero(dg.reshape(n * 13, 3 * m))
@@ -363,7 +362,7 @@ def _oracle_pairs(metric: WarpedMetric, r: np.ndarray, margin: np.ndarray, h_fd:
     del terms, term
     gamma *= 0.5
     gamma = gamma.reshape(n, 13, _GAMMA.size)
-    dgamma = _derivative(gamma, h)
+    dgamma = _derivative(gamma, h_fd)
 
     # the Ricci contractions take fresh C-ordered dense arrays: einsum sums in
     # memory order, so the operands' layout decides how they round
@@ -394,7 +393,7 @@ def _oracle_pairs(metric: WarpedMetric, r: np.ndarray, margin: np.ndarray, h_fd:
     return (frame[:, _LEFT, None, :] @ ricci[:, None] @ frame[:, _RIGHT, :, None])[..., 0, 0]
 
 
-def fd_ricci_oracle(metric: WarpedMetric, r0, h_fd: float = 1e-4) -> RicciBlocks:
+def fd_ricci_oracle(metric: WarpedMetric, r0, h_fd: float = H_FD) -> RicciBlocks:
     """Ricci blocks at radius r0 (a float or an array of radii, possibly
     empty) from finite differences of the raw chart, shaped like r0.
 
@@ -425,7 +424,7 @@ def fd_ricci_oracle(metric: WarpedMetric, r0, h_fd: float = 1e-4) -> RicciBlocks
 
     angles = _chart_angles(h_fd)
     pairs = np.concatenate([
-        _oracle_pairs(metric, r[k:k + ORACLE_CHUNK], margin[k:k + ORACLE_CHUNK], h_fd, angles)
+        _oracle_pairs(metric, r[k:k + ORACLE_CHUNK], h_fd, angles)
         for k in range(0, max(r.size, 1), ORACLE_CHUNK)])
 
     scale = 1.0 / (r * r)  # undo the zoom: Ric(g) = s^2 Ric(s^2 g), s = 1/r0

@@ -536,7 +536,6 @@ def make_step2_h(epsilon: float, r_max: float = 2.0) -> Profile:
             f"bridge bound violated: max(|h-r|+|h'-1|+|h''|) = {worst:.4g} "
             f"> 21*eps = {21*epsilon:.4g}"
         )
-    prof.params["bridge_triple_max"] = worst
     return prof
 
 

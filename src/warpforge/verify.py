@@ -24,18 +24,17 @@ import itertools
 import json
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .curvature import WarpedMetric, berger_jets, fd_ricci_oracle, ricci_berger
+from .curvature import H_FD, WarpedMetric, berger_jets, fd_ricci_oracle, ricci_berger
 from .jets import Jet2, JetDomainError
 from .profiles import ConstructionError, ParameterError, write_csv
 
 
 REFINE_FRAC = 0.01  # share of a piece's width refined geometrically at each end
-H_FD = 1e-4  # oracle step in the chart zoomed by 1/r0; narrow pieces take less
 
 
 @dataclass
@@ -62,26 +61,16 @@ class BlockStat:
     argmin: float
     margin: float
 
-    def as_dict(self) -> dict:
-        return {"min": self.min, "argmin": self.argmin, "margin": self.margin}
-
 
 @dataclass
 class PieceReport:
-    interval: tuple[float, float]
+    interval: list[float]  # [lo, hi], as the report's JSON has it
     grid: int
     blocks: dict[str, BlockStat]
 
     @property
     def passed(self) -> bool:
         return all(b.margin > 0 for b in self.blocks.values())
-
-    def as_dict(self) -> dict:
-        return {
-            "interval": list(self.interval),
-            "grid": self.grid,
-            "blocks": {k: v.as_dict() for k, v in self.blocks.items()},
-        }
 
 
 def _finite_or_null(x):
@@ -95,6 +84,14 @@ def _finite_or_null(x):
     return x
 
 
+def write_json(path, data) -> None:
+    """data as strict JSON: a non-finite float is written as null, since
+    strict parsers reject NaN and Infinity.  Every JSON file the package
+    writes goes through here."""
+    with open(path, "w") as fh:
+        json.dump(_finite_or_null(data), fh, indent=2, allow_nan=False)
+
+
 @dataclass
 class VerificationReport:
     metric_id: str
@@ -102,24 +99,15 @@ class VerificationReport:
     passed: bool
     oracle_checked: bool
     oracle_max_rel_err: float
-    pieces: list[PieceReport] = field(default_factory=list)
+    pieces: list[PieceReport]
 
     def as_dict(self) -> dict:
-        return {
-            "metric_id": self.metric_id,
-            "bound": self.bound,
-            "passed": self.passed,
-            "oracle_checked": self.oracle_checked,
-            "oracle_max_rel_err": self.oracle_max_rel_err,
-            "pieces": [p.as_dict() for p in self.pieces],
-        }
+        return asdict(self)
 
     def write(self, path) -> None:
-        """The report as strict JSON: a non-finite float (a NaN oracle error,
-        say) is written as null, since strict parsers reject NaN and
-        Infinity; the in-memory report keeps the float."""
-        with open(path, "w") as fh:
-            json.dump(_finite_or_null(self.as_dict()), fh, indent=2, allow_nan=False)
+        """The report as strict JSON (a NaN oracle error is written as null);
+        the in-memory report keeps the float."""
+        write_json(path, self.as_dict())
 
     def worst(self) -> tuple[str, float, float]:
         """(block, margin, argmin) of the most negative margin."""
@@ -225,11 +213,9 @@ def _oracle_errors(metric: WarpedMetric, samples: list) -> list[float]:
     sizes = [rs.size for rs, _, _ in samples]
     radii = np.concatenate([rs for rs, _, _ in samples])
     steps = np.repeat([h_fd for _, h_fd, _ in samples], sizes)
-    # A's, B's and f's jets over every radius, each piece's from its own
-    # forms; a constant channel (a float) is filled out to its piece's radii
+    # A's, B's and f's jets over every radius, each piece's from its own forms
     triples = [berger_jets(*forms, rs) for rs, _, forms in samples]
-    jets = [Jet2(*(np.concatenate([x if np.ndim(x) else np.full(n, x) for x, n in zip(xs, sizes)])
-                   for xs in zip(*((j.v, j.d1, j.d2) for j in js))))
+    jets = [Jet2(*(np.concatenate(xs) for xs in zip(*((j.v, j.d1, j.d2) for j in js))))
             for js in zip(*triples)]
     formula = np.array(list(ricci_berger(*jets).as_dict(metric.is_round).values()))
     fd = np.empty((len(formula) + 1, radii.size))  # the same blocks, then cross_ir_mag
@@ -250,17 +236,14 @@ def verify_ric_lower(
     """Sample every smooth piece of the metric and compare each Ricci block
     minimum against the bound."""
     cfg = cfg or GridConfig()
-    if cfg.oracle and not (isinstance(cfg.n_oracle, numbers.Integral) and cfg.n_oracle >= 1):
-        raise ParameterError(f"n_oracle must be a positive integer, got {cfg.n_oracle!r}")
+    counts = ("points_per_piece", "refine_factor") + (("n_oracle",) if cfg.oracle else ())
+    for name in counts:
+        count = getattr(cfg, name)
+        if not (isinstance(count, numbers.Integral) and count >= 1):
+            raise ParameterError(f"{name} must be a positive integer, got {count!r}")
     lo_clip = metric.r_range[0] if cfg.r_min is None else cfg.r_min
     hi_clip = metric.r_range[1] if cfg.r_max is None else cfg.r_max
-    report = VerificationReport(
-        metric_id=metric.label,
-        bound=bound,
-        passed=True,
-        oracle_checked=cfg.oracle,
-        oracle_max_rel_err=0.0,
-    )
+    pieces = []
     samples = []  # (radii, h_fd, (A, B, f) pieces) per oracle-sampled piece
     spans = []  # (index among the metric's pieces, lo, hi, (A, B, f) pieces)
     for i, (plo, phi_, *forms) in enumerate(metric.verification_pieces()):
@@ -277,22 +260,25 @@ def verify_ric_lower(
             j = int(np.argmin(values))
             vmin = float(values[j])
             stats[name] = BlockStat(vmin, float(rs[j]), vmin - bound)
-        piece = PieceReport((lo, hi), int(rs.size), stats)
-        report.pieces.append(piece)
-        if not piece.passed:
-            report.passed = False
+        pieces.append(PieceReport([lo, hi], int(rs.size), stats))
         if cfg.oracle:
             drawn = _oracle_radii(lo, hi, i, cfg)
             if drawn is not None:
                 samples.append((*drawn, forms))
-    if not report.pieces:
+    if not pieces:
         raise ParameterError(f"the grid samples no piece of {metric.label} in "
                              f"[{lo_clip:g}, {hi_clip:g}] (r_min_frac = {cfg.r_min_frac:g})")
-    if samples:
-        # np.max, not max: a NaN error must reach the report; 0.0 stays when
-        # no piece was wide enough to difference
-        report.oracle_max_rel_err = float(np.max(_oracle_errors(metric, samples)))
-    return report
+    # np.max, not max: a NaN error must reach the report; 0.0 stays when no
+    # piece was wide enough to difference
+    oracle_err = float(np.max(_oracle_errors(metric, samples))) if samples else 0.0
+    return VerificationReport(
+        metric_id=metric.label,
+        bound=bound,
+        passed=all(p.passed for p in pieces),
+        oracle_checked=cfg.oracle,
+        oracle_max_rel_err=oracle_err,
+        pieces=pieces,
+    )
 
 
 # ---------------------------------------------------------------------------

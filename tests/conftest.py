@@ -1,6 +1,18 @@
-"""Shared helpers: independent derivative oracles for profile checks."""
+"""Shared helpers: independent derivative oracles for profile checks, and
+a strict JSON reader for the files the package writes."""
+
+import json
 
 import numpy as np
+
+
+def strict_json(path):
+    """The file's JSON; a NaN or Infinity token, which strict parsers
+    reject, fails."""
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    return json.loads(path.read_text(), parse_constant=reject)
 
 
 def fd_profile_check(profile, n=200, seed=0, rel=1e-6, lo=None, hi=None):

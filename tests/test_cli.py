@@ -1,11 +1,14 @@
 """CLI exit-code contract and artifact round-trips on the shipped configs."""
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import strict_json
 
+from warpforge import cli
 from warpforge.cli import build, check, main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -136,6 +139,25 @@ def test_scan_fixture(tmp_path, monkeypatch):
     assert len(rows) == 3
     sphere = [row["block_margin"]["sYZ"] for row in rows]
     assert sphere[0] > sphere[-1]
+
+
+def test_scan_table_writes_non_finite_as_null(tmp_path, monkeypatch):
+    row = {"alpha2": 0.005, "built": True, "error": None, "passed": False,
+           "worst_margin": math.nan, "block_margin": {"rr": -math.inf, "s2": 0.5}}
+    monkeypatch.setattr(cli, "scan_params", lambda *args: [row])
+    code, cfg = run_in(tmp_path, monkeypatch, "scan.json", "scan")
+    assert code == 0
+    (written,) = strict_json(tmp_path / cfg["out_report"])
+    assert written["worst_margin"] is None
+    assert written["block_margin"] == {"rr": None, "s2": 0.5}
+
+
+def test_limits_report_writes_non_finite_as_null(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "gh_error", lambda *args: math.inf)
+    code, cfg = run_in(tmp_path, monkeypatch, "limits.json", "limits")
+    assert code == 0
+    written = strict_json(tmp_path / cfg["out_report"])
+    assert written["gh_tail"] is None and written["lambda_j"] == pytest.approx(0.95625)
 
 
 def test_glue_fixture_writes_report(tmp_path, monkeypatch):

@@ -598,9 +598,9 @@ def test_oracle_live_entries_are_the_charts_nonzeros(name):
     pieces = list(_piece_radii(metric, np.random.default_rng(7), 4))
     assert pieces
     for rs, h_fd in pieces:
-        h, g = _dense_chart(metric, rs, h_fd)
+        _, g = _dense_chart(metric, rs, h_fd)
         assert np.all(g[..., dead] == 0.0), (name, rs)
         live = np.stack([g[..., i, j] for i, j in curvature._LIVE], axis=-1)
-        got = curvature._chart_metric(metric, rs, h[:, 0], curvature._chart_angles(h_fd))
+        got = curvature._chart_metric(metric, rs, h_fd, curvature._chart_angles(h_fd))
         assert np.array_equal(got.view(np.uint64), live.view(np.uint64)), (name, rs)
     assert curvature._GAMMA.size == 66 and curvature._SYM_TERMS.shape == (3, 66)

@@ -1,6 +1,7 @@
 """Source hygiene of src/warpforge: every imported name is used, no
-module checks a condition with `assert`, which `python -O` strips, and the
-build records hold only their builders' inputs."""
+module checks a condition with `assert`, which `python -O` strips, every
+JSON file is written by verify.write_json, and the build records hold only
+their builders' inputs."""
 
 import ast
 import dataclasses
@@ -43,6 +44,31 @@ def test_no_assert_statements(path):
     tree = ast.parse(path.read_text())
     lines = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)]
     assert lines == [], f"{path.name}: assert at lines {lines}"
+
+
+def bare_json_writes(source: str) -> list[int]:
+    """Lines of json.dump/json.dumps calls outside a function named
+    write_json, the one writer that keeps every file strict JSON."""
+    tree = ast.parse(source)
+    inside = {id(n) for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+              and f.name == "write_json" for n in ast.walk(f)}
+    return [n.lineno for n in ast.walk(tree)
+            if isinstance(n, ast.Call) and id(n) not in inside
+            and isinstance(n.func, ast.Attribute) and n.func.attr in ("dump", "dumps")
+            and isinstance(n.func.value, ast.Name) and n.func.value.id == "json"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_json_is_written_by_write_json_only(path):
+    lines = bare_json_writes(path.read_text())
+    assert lines == [], f"{path.name}: json.dump outside write_json at lines {lines}"
+
+
+def test_bare_json_write_is_found():
+    source = ("import json\n"
+              "def write_json(path, data):\n    json.dump(data, open(path, 'w'))\n"
+              "def other(fh):\n    json.dump({}, fh)\n    return json.dumps([])\n")
+    assert bare_json_writes(source) == [5, 6]
 
 
 def test_unused_import_is_found():

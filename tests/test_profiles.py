@@ -292,9 +292,11 @@ def test_step2_h_bridge_budget():
     # exact anchors force max |h''| >= 12 eps (bang-bang lower bound), so
     # budgets below that are infeasible; the quintic is verified at 21 eps
     eps = 0.05
-    h = make_step2_h(eps)
-    assert h.params["bridge_triple_max"] <= 21 * eps
-    assert h.params["bridge_triple_max"] > 12 * eps
+    rs = np.linspace(0.5, 1.0, 4001)
+    out = make_step2_h(eps)(rs)
+    worst = np.max(np.abs(out.v - rs) + np.abs(out.d1 - 1.0) + np.abs(out.d2))
+    assert worst <= 21 * eps
+    assert worst > 12 * eps
 
 
 def test_step2_h_jets_match_fd():

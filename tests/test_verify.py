@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import strict_json
 
 from warpforge.cli import build, load_config
 from warpforge.construction import build_bubble
@@ -184,6 +185,26 @@ def test_oracle_sample_count_must_be_positive(round_s4, n_oracle):
         verify_ric_lower(round_s4, bound=0.0, cfg=cfg)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("points_per_piece", -3), ("points_per_piece", 0), ("points_per_piece", 2.5),
+    ("refine_factor", 0), ("refine_factor", -4), ("refine_factor", 2.5),
+])
+def test_grid_counts_must_be_positive(round_s4, field, value):
+    # they used to end inside numpy (negative dimensions, a raw TypeError),
+    # verify on the refinement radii alone (points_per_piece = 0) or take 32
+    # refinement radii per end (refine_factor <= 0), without a word
+    cfg = GridConfig(**{"points_per_piece": 64, field: value})
+    with pytest.raises(ParameterError, match=field):
+        verify_ric_lower(round_s4, bound=0.0, cfg=cfg)
+
+
+def test_one_point_per_piece_is_allowed(round_s4):
+    # as the CLI schema allows: the piece is sampled on its 2 x 128
+    # refinement radii, which include its one log-spaced radius
+    report = verify_ric_lower(round_s4, bound=0.0, cfg=GridConfig(points_per_piece=1, r_min=1e-3))
+    assert report.passed and [p.grid for p in report.pieces] == [256]
+
+
 def test_oracle_nan_error_reaches_the_report(nan_oracle_report):
     # Python's max(worst, nan) keeps worst, which read as perfect agreement
     assert math.isnan(nan_oracle_report.oracle_max_rel_err)
@@ -194,11 +215,7 @@ def test_report_writes_non_finite_as_null(nan_oracle_report, tmp_path):
     report = nan_oracle_report
     report.pieces[0].blocks["rr"].margin = -math.inf
     report.write(tmp_path / "report.json")
-
-    def reject(token):
-        raise ValueError(f"non-standard JSON token {token}")
-
-    written = json.loads((tmp_path / "report.json").read_text(), parse_constant=reject)
+    written = strict_json(tmp_path / "report.json")
     assert written["oracle_max_rel_err"] is None
     assert written["pieces"][0]["blocks"]["rr"]["margin"] is None
     assert math.isnan(report.oracle_max_rel_err)
