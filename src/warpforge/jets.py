@@ -7,13 +7,16 @@ rounding (no symbolic algebra, no finite differencing on the main path).
 
 There is one evaluation path, on numpy arrays: jet_var lifts any radius,
 a scalar included, to a 1-d array, and constants (coefficients, lifted
-numbers) stay plain floats that broadcast against it.  Every operation is
-a pure function of its inputs and safe for unrestricted parallel use.
+numbers) stay plain floats that broadcast against it.  Jet2 is a slotted
+class, and only division lifts a constant c to Jet2(c, 0.0, 0.0): j +- c
+moves the value only (j + c keeps a -0.0 derivative that the lifted
+form's + 0.0 made +0.0), c - j takes its derivatives as 0.0 - d, and
+j * c scales each channel.  Every operation is a pure function of its
+inputs and safe for unrestricted parallel use.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
@@ -36,19 +39,23 @@ def _check(values, bad, what: str) -> None:
                              f"{np.size(bad)} entries)")
 
 
-@dataclass(frozen=True)
 class Jet2:
     """Value, first derivative and second derivative at the evaluation points."""
 
-    v: Real
-    d1: Real
-    d2: Real
+    __slots__ = ("v", "d1", "d2")
+
+    def __init__(self, v: Real, d1: Real, d2: Real):
+        self.v, self.d1, self.d2 = v, d1, d2
+
+    def __repr__(self) -> str:
+        return f"Jet2(v={self.v!r}, d1={self.d1!r}, d2={self.d2!r})"
 
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other):
-        o = as_jet(other)
-        return Jet2(self.v + o.v, self.d1 + o.d1, self.d2 + o.d2)
+        if not isinstance(other, Jet2):  # a constant moves the value only
+            return Jet2(self.v + other, self.d1, self.d2)
+        return Jet2(self.v + other.v, self.d1 + other.d1, self.d2 + other.d2)
 
     __radd__ = __add__
 
@@ -56,11 +63,12 @@ class Jet2:
         return Jet2(-self.v, -self.d1, -self.d2)
 
     def __sub__(self, other):
-        o = as_jet(other)
-        return Jet2(self.v - o.v, self.d1 - o.d1, self.d2 - o.d2)
+        if not isinstance(other, Jet2):
+            return Jet2(self.v - other, self.d1, self.d2)
+        return Jet2(self.v - other.v, self.d1 - other.d1, self.d2 - other.d2)
 
     def __rsub__(self, other):
-        return as_jet(other) - self
+        return Jet2(other - self.v, 0.0 - self.d1, 0.0 - self.d2)
 
     def __mul__(self, other):
         if not isinstance(other, Jet2):  # a constant scales each field
@@ -72,7 +80,7 @@ class Jet2:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = as_jet(other)
+        o = other if isinstance(other, Jet2) else Jet2(other, 0.0, 0.0)
         _check(o.v, o.v == 0.0, "jet division by zero value")
         q = self.v / o.v
         d1 = (self.d1 - q * o.d1) / o.v
@@ -80,15 +88,7 @@ class Jet2:
         return Jet2(q, d1, d2)
 
     def __rtruediv__(self, other):
-        return as_jet(other) / self
-
-
-def as_jet(x) -> Jet2:
-    """Lift a constant to a jet with zero derivatives (broadcasting against
-    whatever it meets); pass jets through unchanged."""
-    if isinstance(x, Jet2):
-        return x
-    return Jet2(x, 0.0, 0.0)
+        return Jet2(other, 0.0, 0.0) / self
 
 
 def jet_var(r: Real) -> Jet2:
@@ -154,7 +154,7 @@ def jet_ln(x: Jet2) -> Jet2:
 
 def jet_poly(coeffs, x: Jet2) -> Jet2:
     """Evaluate a polynomial sum(coeffs[k] * x**k) by Horner's rule."""
-    acc = as_jet(coeffs[-1])
+    acc = Jet2(coeffs[-1], 0.0, 0.0)
     for c in reversed(coeffs[:-1]):
         acc = acc * x + c
     return acc

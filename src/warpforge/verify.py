@@ -7,7 +7,8 @@ reported with margins against the requested bound, and an optional pass
 cross-checks random radii against the finite-difference oracle.  The same
 configuration always produces a bit-identical report.
 
-The oracle pass is one batch per call: one oracle call per distinct step
+Each piece is evaluated once per call, on its grid followed by its oracle
+radii, and the oracle pass is one batch: one oracle call per distinct step
 on every sampled piece's radii (one call for the shipped targets), each
 error still attributed to its piece.
 
@@ -24,13 +25,13 @@ import itertools
 import json
 import math
 import numbers
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .curvature import H_FD, WarpedMetric, berger_jets, fd_ricci_oracle, ricci_berger
-from .jets import Jet2, JetDomainError
+from .jets import JetDomainError
 from .profiles import ConstructionError, ParameterError, write_csv
 
 
@@ -73,23 +74,26 @@ class PieceReport:
         return all(b.margin > 0 for b in self.blocks.values())
 
 
-def _finite_or_null(x):
-    """x with every non-finite float in its dicts and lists made None."""
-    if isinstance(x, float):
-        return x if math.isfinite(x) else None
+def _plain(x, leaf=None):
+    """x with every dataclass made the dict of its fields, as
+    dataclasses.asdict makes it but without copying the values, and its
+    dicts and lists walked; each other value is passed through leaf."""
+    if hasattr(x, "__dataclass_fields__"):
+        return {k: _plain(getattr(x, k), leaf) for k in x.__dataclass_fields__}
     if isinstance(x, dict):
-        return {k: _finite_or_null(v) for k, v in x.items()}
+        return {k: _plain(v, leaf) for k, v in x.items()}
     if isinstance(x, list):
-        return [_finite_or_null(v) for v in x]
-    return x
+        return [_plain(v, leaf) for v in x]
+    return x if leaf is None else leaf(x)
 
 
 def write_json(path, data) -> None:
     """data as strict JSON: a non-finite float is written as null, since
     strict parsers reject NaN and Infinity.  Every JSON file the package
     writes goes through here."""
+    plain = _plain(data, lambda x: None if isinstance(x, float) and not math.isfinite(x) else x)
     with open(path, "w") as fh:
-        json.dump(_finite_or_null(data), fh, indent=2, allow_nan=False)
+        json.dump(plain, fh, indent=2, allow_nan=False)
 
 
 @dataclass
@@ -102,7 +106,7 @@ class VerificationReport:
     pieces: list[PieceReport]
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return _plain(self)
 
     def write(self, path) -> None:
         """The report as strict JSON (a NaN oracle error is written as null);
@@ -202,22 +206,16 @@ def _oracle_radii(lo: float, hi: float, piece_index: int,
 
 def _oracle_errors(metric: WarpedMetric, samples: list) -> list[float]:
     """Max scaled error |oracle - formula| / max(0.1, |formula|) per sampled
-    piece, given as (radii, h_fd, (A, B, f) pieces); equivalent to
-    |o - f| <= max(1e-5, 1e-4 |f|) scaled to 1e-4.
-
-    All pieces are checked in one batch: each piece's jets come from its own
-    closed forms, their blocks from one ricci_berger call on the joined
-    jets, and the oracle makes one call per distinct step on every radius
-    that takes it.  Both are elementwise in the radii, so a radius gets the
-    same bits as in a call on its piece alone."""
+    piece, given as (radii, h_fd, formula blocks (block, radius)), the
+    blocks sliced from the piece's one evaluation in verify_ric_lower;
+    equivalent to |o - f| <= max(1e-5, 1e-4 |f|) scaled to 1e-4.  The oracle
+    makes one call per distinct step on every radius that takes it,
+    elementwise in the radii, so a radius gets the same bits as in a call
+    on its piece alone."""
     sizes = [rs.size for rs, _, _ in samples]
     radii = np.concatenate([rs for rs, _, _ in samples])
     steps = np.repeat([h_fd for _, h_fd, _ in samples], sizes)
-    # A's, B's and f's jets over every radius, each piece's from its own forms
-    triples = [berger_jets(*forms, rs) for rs, _, forms in samples]
-    jets = [Jet2(*(np.concatenate(xs) for xs in zip(*((j.v, j.d1, j.d2) for j in js))))
-            for js in zip(*triples)]
-    formula = np.array(list(ricci_berger(*jets).as_dict(metric.is_round).values()))
+    formula = np.concatenate([blocks for _, _, blocks in samples], axis=1)
     fd = np.empty((len(formula) + 1, radii.size))  # the same blocks, then cross_ir_mag
     for h_fd in np.unique(steps):
         at = steps == h_fd
@@ -244,7 +242,7 @@ def verify_ric_lower(
     lo_clip = metric.r_range[0] if cfg.r_min is None else cfg.r_min
     hi_clip = metric.r_range[1] if cfg.r_max is None else cfg.r_max
     pieces = []
-    samples = []  # (radii, h_fd, (A, B, f) pieces) per oracle-sampled piece
+    samples = []  # (radii, h_fd, formula blocks) per oracle-sampled piece
     spans = []  # (index among the metric's pieces, lo, hi, (A, B, f) pieces)
     for i, (plo, phi_, *forms) in enumerate(metric.verification_pieces()):
         lo, hi = max(plo, lo_clip), min(phi_, hi_clip)
@@ -254,17 +252,17 @@ def verify_ric_lower(
     for (i, lo, hi, forms), rs in zip(spans, grids):
         if rs.size == 0:
             continue
-        blocks = ricci_berger(*berger_jets(*forms, rs))
+        drawn = _oracle_radii(lo, hi, i, cfg) if cfg.oracle else None
+        at = rs if drawn is None else np.concatenate([rs, drawn[0]])
+        blocks = ricci_berger(*berger_jets(*forms, at)).as_dict(metric.is_round)
         stats = {}
-        for name, values in blocks.as_dict(metric.is_round).items():
-            j = int(np.argmin(values))
+        for name, values in blocks.items():
+            j = int(np.argmin(values[:rs.size]))
             vmin = float(values[j])
             stats[name] = BlockStat(vmin, float(rs[j]), vmin - bound)
         pieces.append(PieceReport([lo, hi], int(rs.size), stats))
-        if cfg.oracle:
-            drawn = _oracle_radii(lo, hi, i, cfg)
-            if drawn is not None:
-                samples.append((*drawn, forms))
+        if drawn is not None:
+            samples.append((*drawn, np.array([v[rs.size:] for v in blocks.values()])))
     if not pieces:
         raise ParameterError(f"the grid samples no piece of {metric.label} in "
                              f"[{lo_clip:g}, {hi_clip:g}] (r_min_frac = {cfg.r_min_frac:g})")

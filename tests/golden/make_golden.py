@@ -10,21 +10,29 @@ glue at acceptance criterion 5's grid with 8 oracle radii per piece, seeds
 0-19 (the benchmark's oracle-crosscheck runs).  It pins the known finding
 that glue seed 12 reads 1.0751e-04, above criterion 5's 1e-4.
 <config>_descriptor.json holds the metric descriptor that bubble, surgery
-and glue write to `out_descriptor`, as the CLI writes it.
+and glue write to `out_descriptor`: the bytes `verify.write_json` writes.
 Regenerate only when a change is meant to alter reports, from the
 repository root:
 
     PYTHONPATH=src python tests/golden/make_golden.py
+
+With --check nothing is written: every golden is regenerated in memory and
+compared byte for byte with the committed file, and the command exits 1
+naming each file that differs.  The golden tests compare at a tolerance,
+so this is the check that a change leaves every report unchanged.
 """
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import json
+import sys
+import tempfile
 from pathlib import Path
 
 from warpforge.cli import build, load_config
-from warpforge.verify import GridConfig, verify_ric_lower
+from warpforge.verify import GridConfig, verify_ric_lower, write_json
 
 HERE = Path(__file__).resolve().parent
 CONFIGS = HERE.parent.parent / "configs"
@@ -67,23 +75,48 @@ def oracle_table() -> dict:
     return table
 
 
+def file_text(write) -> str:
+    """The text that write(path) puts in a fresh file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "golden.json"
+        write(path)
+        return path.read_text()
+
+
 def descriptor_text(config: str) -> str:
     """The out_descriptor file the CLI writes for a shipped config."""
     metric, _, _ = cli_case(config)
-    return json.dumps(metric.descriptor(), indent=2)
+    return file_text(lambda path: write_json(path, metric.descriptor()))
 
 
-def main() -> None:
-    for name in NAMES:
-        verify_ric_lower(*case(name)).write(HERE / f"{name}.json")
-        print(f"wrote {name}.json")
+def goldens() -> dict[str, str]:
+    """{file name: text} of every golden, regenerated in memory."""
+    texts = {f"{name}.json": file_text(verify_ric_lower(*case(name)).write) for name in NAMES}
     for config in ORACLE_CASES:
-        (HERE / f"{config}_descriptor.json").write_text(descriptor_text(config))
-        print(f"wrote {config}_descriptor.json")
+        texts[f"{config}_descriptor.json"] = descriptor_text(config)
     table = {"grid": TABLE_GRID, "seeds": list(TABLE_SEEDS), "oracle_max_rel_err": oracle_table()}
-    (HERE / "oracle_table.json").write_text(json.dumps(table, indent=2) + "\n")
-    print("wrote oracle_table.json")
+    texts["oracle_table.json"] = json.dumps(table, indent=2) + "\n"
+    return texts
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="Write the golden reports.")
+    parser.add_argument("--check", action="store_true",
+                        help="write nothing; exit 1 naming each golden that differs")
+    check = parser.parse_args(argv).check
+    differ = []
+    for name, text in goldens().items():
+        path = HERE / name
+        if not check:
+            path.write_text(text)
+            print(f"wrote {name}")
+        elif not path.exists() or path.read_bytes() != text.encode():
+            differ.append(name)
+            print(f"differs: {name}")
+    if check and not differ:
+        print("every golden is byte-identical")
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

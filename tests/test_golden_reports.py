@@ -7,7 +7,9 @@ must match exactly; block minima and margins may move by rounding only
 piece whose value ties the minimum within that tolerance.  Oracle errors
 are compared at relative 1e-9 (of max(1, |golden|)), and the oracle table
 of three targets x 20 seeds at relative 1e-9 of each entry.  The metric
-descriptors of bubble, surgery and glue must match byte for byte.
+descriptors of bubble, surgery and glue, as `verify.write_json` writes
+them, must match byte for byte.  `make_golden.py --check` compares every
+golden byte for byte; only its comparison is tested here.
 """
 
 import json
@@ -20,6 +22,7 @@ from warpforge.verify import _piece_grids, verify_ric_lower
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 sys.path.insert(0, str(GOLDEN))
+import make_golden  # noqa: E402
 from make_golden import (  # noqa: E402
     NAMES, ORACLE_CASES, case, descriptor_text, oracle_table,
 )
@@ -77,3 +80,18 @@ def test_oracle_table_matches_golden():
 @pytest.mark.parametrize("config", ORACLE_CASES)
 def test_descriptor_matches_golden(config):
     assert descriptor_text(config) == (GOLDEN / f"{config}_descriptor.json").read_text()
+
+
+def test_check_names_each_golden_that_differs(tmp_path, monkeypatch, capsys):
+    texts = {"a.json": "{}", "b.json": '{\n  "x": 1.0\n}'}
+    monkeypatch.setattr(make_golden, "goldens", lambda: dict(texts))
+    monkeypatch.setattr(make_golden, "HERE", tmp_path)
+    assert make_golden.main([]) == 0
+    assert make_golden.main(["--check"]) == 0
+    # a changed last digit, and a golden that is missing
+    (tmp_path / "b.json").write_text('{\n  "x": 1.0000000000000002\n}')
+    texts["c.json"] = "[]"
+    capsys.readouterr()
+    assert make_golden.main(["--check"]) == 1
+    assert capsys.readouterr().out.split("\n")[:2] == ["differs: b.json", "differs: c.json"]
+    assert not (tmp_path / "c.json").exists()

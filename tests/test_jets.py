@@ -54,6 +54,30 @@ def test_mul_by_a_float_scales_each_field():
                 assert np.array_equal(got, want)
 
 
+def test_constant_operand_moves_the_value_only():
+    # j + c, c + j, j - c and c - j never lift c to a jet; each channel keeps
+    # the bits of the lifted form with Jet2(c, 0.0, 0.0), with one intended
+    # difference: j + c and c + j keep a -0.0 derivative entry, which the
+    # lifted form's + 0.0 made +0.0 (d - 0.0 and 0.0 - d round as before)
+    rng = np.random.default_rng(21)
+    v, d1, d2 = rng.normal(size=(3, 256))
+    d1[::7], d1[1::7], d2[::5], d2[2::5] = -0.0, 0.0, -0.0, 0.0
+    x = Jet2(v, d1, d2)
+    for c in (2.5, -0.75, 0.0, -0.0, float(rng.normal())):
+        lift = Jet2(c, 0.0, 0.0)
+        for op, got, lifted in (("j + c", x + c, x + lift), ("c + j", c + x, lift + x),
+                                ("j - c", x - c, x - lift), ("c - j", c - x, lift - x)):
+            assert np.array_equal(_bits(got.v), _bits(lifted.v)), (op, c)
+            for raw, g, want in ((d1, got.d1, lifted.d1), (d2, got.d2, lifted.d2)):
+                negzero = (raw == 0.0) & np.signbit(raw)
+                if op in ("j - c", "c - j"):
+                    assert np.array_equal(_bits(g), _bits(want)), (op, c)
+                    continue
+                assert np.array_equal(_bits(g), _bits(raw)), (op, c)
+                assert np.array_equal(_bits(g)[:, ~negzero], _bits(want)[:, ~negzero]), (op, c)
+                assert np.all(np.signbit(g[negzero])) and negzero.any(), (op, c)
+
+
 def test_pow_sqrt_at_4():
     out = jet_pow(jet_var(4.0), 0.5)
     assert out.v == pytest.approx(2.0, abs=1e-15)

@@ -1,5 +1,6 @@
 """Grid verification: reports, determinism, refinement, profile bounds, scans."""
 
+import dataclasses
 import json
 import math
 from collections import Counter
@@ -11,7 +12,7 @@ from conftest import strict_json
 
 from warpforge.cli import build, load_config
 from warpforge.construction import build_bubble
-from warpforge.curvature import WarpedMetric
+from warpforge.curvature import WarpedMetric, berger_jets, fd_ricci_oracle, ricci_berger
 from warpforge.jets import jet_sin
 from warpforge.profiles import (
     ParameterError, Piece, Profile, make_A, make_f2, make_h3, make_lambda, rule_const,
@@ -19,6 +20,7 @@ from warpforge.profiles import (
 from warpforge.verify import (
     REFINE_FRAC,
     GridConfig,
+    _oracle_radii,
     _piece_grids,
     export_curvature_csv,
     radial_grid,
@@ -228,6 +230,46 @@ def test_oracle_nothing_checked_reads_zero():
     cfg = GridConfig(points_per_piece=64, oracle=True, n_oracle=8, seed=3)
     report = verify_ric_lower(narrow, bound=0.0, cfg=cfg)
     assert report.oracle_checked and report.oracle_max_rel_err == 0.0
+
+
+@pytest.mark.parametrize("seed", [11, 12])
+@pytest.mark.parametrize("command", ["bubble", "surgery", "glue"])
+def test_oracle_error_keeps_the_bits_of_a_per_piece_evaluation(command, seed):
+    # verify evaluates each piece once, on its grid followed by its oracle
+    # radii; the error must equal, bit for bit, one recomputed from an
+    # evaluation of each piece's closed forms on its oracle radii alone
+    metric, _, _ = shipped(command, command)
+    cfg = GridConfig(points_per_piece=64, oracle=True, n_oracle=32, seed=seed)  # criterion 5
+    report = verify_ric_lower(metric, 0.0, cfg)
+    reported = [p.interval for p in report.pieces]
+    lo_clip, hi_clip = metric.r_range
+    errs = []
+    for i, (plo, phi_, *forms) in enumerate(metric.verification_pieces()):
+        lo, hi = max(plo, lo_clip), min(phi_, hi_clip)
+        drawn = _oracle_radii(lo, hi, i, cfg)
+        if [lo, hi] not in reported or drawn is None:
+            continue
+        radii, h_fd = drawn
+        formula = ricci_berger(*berger_jets(*forms, radii)).as_dict(metric.is_round)
+        oracle = fd_ricci_oracle(metric, radii, h_fd=h_fd)
+        fd = oracle.as_dict(metric.is_round)
+        errs += [np.abs(fd[k] - f) / np.maximum(0.1, np.abs(f)) for k, f in formula.items()]
+        errs.append(oracle.cross_ir_mag / np.maximum(0.1, np.abs(formula["rr"])))
+    assert len(errs) > 10
+    want = float(np.max(np.concatenate(errs)))
+    assert float.hex(report.oracle_max_rel_err) == float.hex(want)
+
+
+@pytest.mark.parametrize("command,config", SHIPPED)
+def test_as_dict_is_dataclasses_asdict(command, config):
+    # as_dict walks the dataclass fields without copying: the same dict, keys
+    # in the same order, NaN and infinities kept
+    metric, bound, grid = shipped(command, config)
+    report = verify_ric_lower(metric, bound, dataclasses.replace(grid, points_per_piece=64))
+    report.oracle_max_rel_err = math.nan
+    report.pieces[0].blocks["rr"].margin = -math.inf
+    got, want = report.as_dict(), dataclasses.asdict(report)
+    assert got == want and json.dumps(got) == json.dumps(want)
 
 
 # -- verification evaluates pieces, not profiles ---------------------------------
