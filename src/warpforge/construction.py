@@ -14,6 +14,10 @@ Three pipelines are assembled from the profile constructors:
     surgery's interior cone and splices the two, equalizing the warp
     coefficients by the min-rule.
 
+Each piece is a rule and its params (see profiles); the rules of the
+surgery's pieces and of the glue's rescaled pieces are defined here, and
+their params hold every value they read, the glue's warp factor included.
+
 Every profile checks its own C1 joints when it is built; every other
 structural claim a builder makes (exactness of the outer and inner pieces,
 bi-Lipschitz distortion, blow-down factors) is re-measured on grids.
@@ -35,6 +39,7 @@ from .profiles import (
     ParameterError,
     Piece,
     Profile,
+    const,
     make_A,
     make_B,
     make_cubic_logwarp,
@@ -45,10 +50,11 @@ from .profiles import (
     make_model_mu,
     make_step2_h,
     make_xi,
+    poly_in_t,
     quintic_hermite_coeffs,
-    rule_const,
-    rule_poly_in_t,
+    smoothing_window,
     sn_jet,
+    sn_over_r,
 )
 from .verify import radial_grid
 
@@ -90,8 +96,7 @@ def c1_smooth(profile: Profile, windows: list[tuple[float, float]]) -> Profile:
         right = profile.pieces[profile.piece_index(x1)]([at, x1])
         coeffs = quintic_hermite_coeffs(x0, left.v[0], left.d1[0], left.d2[0],
                                         x1, right.v[1], right.d1[1], right.d2[1])
-        hermite = Piece(x0, x1, rule_poly_in_t(coeffs, x0, x1 - x0), "smoothing_window",
-                        {"at": at, "window": window})
+        hermite = Piece(x0, x1, smoothing_window, {"at": at, "window": window, "coeffs": coeffs})
         hermites.append((at, window, hermite, abs(float(right.d2[0] - left.d2[1]))))
         pieces += profile.trimmed(start, x0) + [hermite]
         start = x1
@@ -154,8 +159,8 @@ def build_berger_core(m: float = 1e-3, r1: float = 2.0, r_max: float = 1e3) -> W
     a unit-radius sphere factor.  On (0, r1/2) the radial block equals
     k^2 exactly; beyond r1 it vanishes and the Hopf block is 2(1-m^2)/A^2."""
     A = make_A(m, r1, r_max=r_max)
-    B = make_B(m, r1, A, r_max=r_max)
-    f = Profile([Piece(0.0, r_max, rule_const(1.0), "const", {})], "f_const")
+    B = make_B(m, r1, A)
+    f = Profile([Piece(0.0, r_max, const, {"value": 1.0})], "f_const")
     return WarpedMetric(A, B, f, (0.0, r_max), "berger_core")
 
 
@@ -181,10 +186,10 @@ def build_bubble(
         raise ParameterError(f"epsilon = {epsilon} outside (0, 1/10)")
     r_max = 16.0 * r3
     A = make_A(m, r1, r_max=r_max)
-    B = make_B(m, r1, A, r_max=r_max)
-    h3 = make_h3(m, epsilon, r1, r3, A.params["A_r1"], r_max=r_max)
+    B = make_B(m, r1, A)
+    h3 = make_h3(m, epsilon, r1, r3, A.params["A_r1"])
     f2 = make_f2(delta2, alpha2, r_max=r_max)
-    f4 = make_f4(alpha2, delta2, epsilon, r3, h3, f2, r_max=r_max)
+    f4 = make_f4(alpha2, delta2, epsilon, r3, h3, f2)
 
     base_A = Profile(A.trimmed(0.0, r1) + h3.pieces, "bubble_base_A")
     base_B = Profile(B.trimmed(0.0, r1) + h3.pieces, "bubble_base_B")
@@ -244,6 +249,31 @@ class SurgeryMetric:
     params: SurgeryParams
 
 
+def cone(rj: Jet2, angle: float) -> Jet2:
+    return rj * angle
+
+
+def cutoff_blend(rj: Jet2, angle: float, coeffs, x0: float, L: float, kappa: float) -> Jet2:
+    """angle r sqrt(xi mu^2 + 1 - xi): the cutoff xi (a polynomial in t) takes
+    the model sphere family's factor mu = sn_kappa(r)/r to the round sphere's 1."""
+    xij = poly_in_t(rj, coeffs, x0, L)
+    muj = sn_over_r(rj, kappa)
+    return rj * angle * jet_sqrt(xij * muj * muj + (1.0 - xij))
+
+
+def model_cone(rj: Jet2, angle: float, kappa: float) -> Jet2:
+    return sn_jet(kappa, rj) * angle
+
+
+def angle_bridge(rj: Jet2, coeffs, x0: float, L: float, kappa: float) -> Jet2:
+    """The cone-angle bridge h (a polynomial in t) times mu = sn_kappa(r)/r."""
+    return poly_in_t(rj, coeffs, x0, L) * sn_over_r(rj, kappa)
+
+
+def ambient(rj: Jet2, kappa: float) -> Jet2:
+    return sn_jet(kappa, rj)
+
+
 def build_surgery(
     kappa: float,
     f0: float,
@@ -276,9 +306,9 @@ def build_surgery(
         raise ParameterError(f"r_hat = {r_hat} must be positive")
 
     r_max = 2.0  # radius of the model base ball
-    mu = make_model_mu(kappa, r_max=r_max)
-    h = make_step2_h(epsilon, r_max=r_max)
-    f_plus = Profile([Piece(0.0, r_max, rule_const(delta_hat * f0), "const", {})], "f_plus")
+    make_model_mu(kappa, r_max=r_max)  # rejects a kappa whose sn vanishes on the ball
+    h = make_step2_h(epsilon).pieces[1].params  # the bridge's polynomial, checked when built
+    f_plus = Profile([Piece(0.0, r_max, const, {"value": delta_hat * f0})], "f_plus")
     warp, delta = make_cubic_logwarp(f_plus, alpha, r_m, rho=rho, eta=eta)
     r2 = (1 - rho) * r_m
     if r3 is None:
@@ -289,31 +319,14 @@ def build_surgery(
         raise ParameterError(f"cutoff interval [r3, 2 r3] must end below r2 = {r2}")
 
     one_m_eps = 1.0 - epsilon
-    xi_profile = make_xi(r3, r_max=r_max)
-
-    def rule_cone(rj: Jet2) -> Jet2:
-        return rj * one_m_eps
-
-    def rule_blend(rj: Jet2) -> Jet2:
-        xij = xi_profile.pieces[1].rule(rj)
-        muj = mu.pieces[0].rule(rj)
-        return rj * one_m_eps * jet_sqrt(xij * muj * muj + (1.0 - xij))
-
-    def rule_model_cone(rj: Jet2) -> Jet2:
-        return sn_jet(kappa, rj) * one_m_eps
-
-    def rule_bridge(rj: Jet2) -> Jet2:
-        return h.pieces[1].rule(rj) * mu.pieces[0].rule(rj)
-
-    def rule_ambient(rj: Jet2) -> Jet2:
-        return sn_jet(kappa, rj)
+    xi = make_xi(r3, r_max=r_max).pieces[1].params  # the cutoff's polynomial, checked when built
     phi = Profile(
         [
-            Piece(0.0, r3, rule_cone, "cone", {"angle": one_m_eps}),
-            Piece(r3, 2 * r3, rule_blend, "cutoff_blend", {"r3": r3}),
-            Piece(2 * r3, 0.5, rule_model_cone, "model_cone", {"kappa": kappa}),
-            Piece(0.5, 1.0, rule_bridge, "angle_bridge", {"epsilon": epsilon}),
-            Piece(1.0, r_max, rule_ambient, "ambient", {"kappa": kappa}),
+            Piece(0.0, r3, cone, {"angle": one_m_eps}),
+            Piece(r3, 2 * r3, cutoff_blend, {"angle": one_m_eps, **xi, "kappa": kappa}),
+            Piece(2 * r3, 0.5, model_cone, {"angle": one_m_eps, "kappa": kappa}),
+            Piece(0.5, 1.0, angle_bridge, {**h, "kappa": kappa}),
+            Piece(1.0, r_max, ambient, {"kappa": kappa}),
         ],
         "surgery_phi",
     )
@@ -348,21 +361,24 @@ def bilipschitz_check(s: SurgeryMetric) -> float:
 # gluing
 # ---------------------------------------------------------------------------
 
+def rescaled(rj: Jet2, rule, params: dict, scale: float, shift: float,
+             factor: float) -> Jet2:
+    """factor * scale * rule((r - shift) / scale, **params)."""
+    inv = 1.0 / scale
+    c = factor * scale
+    # fed the reparametrized jet, the inner rule carries the chain rule
+    j = rule(Jet2((rj.v - shift) * inv, rj.d1 * inv, rj.d2 * inv), **params)
+    return Jet2(c * j.v, c * j.d1, c * j.d2)
+
+
 def _affine_pieces(profile: Profile, s: float, shift: float, lo: float, hi: float,
                    warp_factor: float = 1.0) -> list[Piece]:
     """Pieces of x -> warp_factor * s * profile((x - shift) / s) on [lo, hi]."""
-    out = []
     inv = 1.0 / s
-    c = warp_factor * s
-    for p in profile.trimmed((lo - shift) * inv, (hi - shift) * inv):
-        def rule(rj: Jet2, _inner=p.rule) -> Jet2:
-            # feeding the reparametrized jet makes _inner carry the chain
-            # rule, so the output is the inner jet times the overall factor
-            j = _inner(Jet2((rj.v - shift) * inv, rj.d1 * inv, rj.d2 * inv))
-            return Jet2(c * j.v, c * j.d1, c * j.d2)
-        out.append(Piece(p.lo * s + shift, p.hi * s + shift, rule, f"affine({p.name})",
-                         {**p.params, "scale": s, "shift": shift}))
-    return out
+    return [Piece(p.lo * s + shift, p.hi * s + shift, rescaled,
+                  {"rule": p.rule, "params": p.params, "scale": s, "shift": shift,
+                   "factor": warp_factor})
+            for p in profile.trimmed((lo - shift) * inv, (hi - shift) * inv)]
 
 
 def glue_bubble(s: SurgeryMetric, b: Bubble) -> WarpedMetric:

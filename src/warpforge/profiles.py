@@ -1,7 +1,10 @@
 """Piecewise radial profiles.
 
 Every metric coefficient in this package is a Profile: an ordered list of
-closed-form pieces on [0, r_max], each evaluable to a 2-jet.  Constructors
+closed-form pieces on [0, r_max], each evaluable to a 2-jet.  A piece is a
+rule and its params: a module-level function rule(rj, **params) and a dict
+holding exactly that function's inputs, so a profile's descriptor (each
+piece's interval, rule name and params) determines it.  Constructors
 below build the specific profiles the metric constructions need (Berger
 warp pair A/B, polynomial warp factors, cone-flattening slopes, cutoffs,
 space-form factors, blow-down reparameterizations) and re-verify every
@@ -46,19 +49,23 @@ class ConstructionError(RuntimeError):
 
 @dataclass
 class Piece:
-    """One closed form on [lo, hi].  rule maps the identity jet of a 1-d array
-    of radii to fields of the same shape; calling the piece at a radius or an
-    array of radii gives fields of the input's shape (0-d for a scalar)."""
+    """One closed form on [lo, hi]: rule(rj, **params).  rule maps the
+    identity jet of a 1-d array of radii to fields of the same shape, and
+    params holds exactly its other inputs; calling the piece at a radius or
+    an array of radii gives fields of the input's shape (0-d for a scalar)."""
 
     lo: float
     hi: float
-    rule: Callable[[Jet2], Jet2]
-    name: str
+    rule: Callable[..., Jet2]
     params: dict = field(default_factory=dict)
+
+    @property
+    def name(self) -> str:
+        return self.rule.__name__
 
     def __call__(self, r) -> Jet2:
         try:
-            out = self.rule(jet_var(r))
+            out = self.rule(jet_var(r), **self.params)
         except JetDomainError as e:
             raise JetDomainError(f"piece '{self.name}' on [{self.lo:g}, {self.hi:g}]: {e}") from e
         shape = np.shape(r)
@@ -140,7 +147,7 @@ class Profile:
         for p in self.pieces:
             a, b = max(p.lo, lo), min(p.hi, hi)
             if a < b:
-                out.append(Piece(a, b, p.rule, p.name, dict(p.params)))
+                out.append(Piece(a, b, p.rule, dict(p.params)))
         if not out:
             raise ParameterError(f"[{lo}, {hi}] is outside profile '{self.label}'")
         return out
@@ -169,9 +176,13 @@ def write_csv(path, header: str, *columns) -> None:
             fh.write(",".join(repr(float(x)) for x in row) + "\n")
 
 
-def _jsonable(d: dict) -> dict:
-    return {k: (float(v) if isinstance(v, (int, float, np.floating)) else str(v))
-            for k, v in d.items()}
+def _jsonable(x):
+    """params as JSON values: a nested rule by its name, numbers as floats."""
+    if isinstance(x, dict):
+        return {k: _jsonable(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_jsonable(v) for v in x]
+    return x.__name__ if callable(x) else float(x)
 
 
 # ---------------------------------------------------------------------------
@@ -193,27 +204,27 @@ def quintic_hermite_coeffs(x0, v0, d10, d20, x1, v1, d11, d21):
     return [c0, c1, c2, c3, c4, c5]
 
 
-def rule_poly_in_t(coeffs, x0: float, L: float):
-    def rule(rj: Jet2) -> Jet2:
-        return jet_poly(coeffs, (rj - x0) * (1.0 / L))
-    return rule
+def affine(rj: Jet2, value: float, slope: float, anchor: float) -> Jet2:
+    """value + slope (r - anchor)."""
+    return (rj - anchor) * slope + value
 
 
-def rule_affine(value_at: float, slope: float, anchor: float):
-    def rule(rj: Jet2) -> Jet2:
-        return (rj - anchor) * slope + value_at
-    return rule
+def const(rj: Jet2, value: float) -> Jet2:
+    return rj * 0.0 + value
 
 
-def rule_const(c: float):
-    def rule(rj: Jet2) -> Jet2:
-        return rj * 0.0 + c
-    return rule
+def poly_in_t(rj: Jet2, coeffs, x0: float, L: float) -> Jet2:
+    """sum_k coeffs[k] t^k in t = (r - x0)/L."""
+    return jet_poly(coeffs, (rj - x0) * (1.0 / L))
 
 
-def smoothstep_jet(t: Jet2) -> Jet2:
-    """Quintic smoothstep 6t^5 - 15t^4 + 10t^3 on [0, 1]."""
-    return jet_poly([0.0, 0.0, 0.0, 10.0, -15.0, 6.0], t)
+SMOOTHSTEP = (0.0, 0.0, 0.0, 10.0, -15.0, 6.0)  # 6t^5 - 15t^4 + 10t^3 on [0, 1]
+
+
+def smoothing_window(rj: Jet2, at: float, window: float, coeffs) -> Jet2:
+    """c1_smooth's quintic in t on [at - window, at + window]."""
+    x0 = at - window
+    return poly_in_t(rj, coeffs, x0, (at + window) - x0)
 
 
 def _flat_step(t):
@@ -303,6 +314,10 @@ def solve_cone_slope(m: float, r1: float) -> float:
     return math.acos(m) / r1
 
 
+def sin_over_k(rj: Jet2, k: float) -> Jet2:
+    return jet_sin(rj * k) * (1.0 / k)
+
+
 def make_A(m: float, r1: float = 2.0, r_max: Optional[float] = None) -> Profile:
     """Hopf-fiber warp: sin(k r)/k up to r1, then affine with slope m."""
     if not 0.0 < m < 0.01:
@@ -315,21 +330,28 @@ def make_A(m: float, r1: float = 2.0, r_max: Optional[float] = None) -> Profile:
     if not math.pi / 3 <= k * r1 < math.pi / 2:
         raise ParameterError(f"k*r1 = {k * r1} outside [pi/3, pi/2)")
     A1 = math.sin(k * r1) / k
-
-    def rule_sin(rj: Jet2) -> Jet2:
-        return jet_sin(rj * k) * (1.0 / k)
-
     return Profile(
         pieces=[
-            Piece(0.0, r1, rule_sin, "sin_over_k", {"k": k}),
-            Piece(r1, r_max, rule_affine(A1, m, r1), "affine", {"value": A1, "slope": m}),
+            Piece(0.0, r1, sin_over_k, {"k": k}),
+            Piece(r1, r_max, affine, {"value": A1, "slope": m, "anchor": r1}),
         ],
         label="A",
         params={"k": k, "A_r1": A1},
     )
 
 
-def make_B(m: float, r1: float, A: Profile, r_max: Optional[float] = None) -> Profile:
+def bump_bridge(rj: Jet2, b: float, m: float, L: float) -> Jet2:
+    """b + m L F((r - L)/L), F the integral of _flat_step: slope m times the step."""
+    t = (rj.v - L) / L
+    s, ds = _flat_step_jet(t)
+    return Jet2(
+        b + m * L * _flat_step_integral(t),
+        m * s * rj.d1,
+        (m / L) * ds * rj.d1 * rj.d1 + m * s * rj.d2,
+    )
+
+
+def make_B(m: float, r1: float, A: Profile) -> Profile:
     """Plateau b, then a bump bridge with 0 <= B'' <= 4m/r1, then affine = A.
 
     B' on the bridge is m times a C-infinity step, so B'' = m * step' peaks
@@ -337,8 +359,6 @@ def make_B(m: float, r1: float, A: Profile, r_max: Optional[float] = None) -> Pr
     The step's integral is read from a table built once per process
     (_flat_step_integral).
     """
-    if r_max is None:
-        r_max = A.r_max
     k, A1 = A.params["k"], A.params["A_r1"]
     L = 0.5 * r1
     T1 = float(_flat_step_integral(1.0)[0])  # = 1/2 up to quadrature
@@ -349,24 +369,18 @@ def make_B(m: float, r1: float, A: Profile, r_max: Optional[float] = None) -> Pr
         )
     if not b < math.sqrt(1 - m**2) / k:
         raise ParameterError(f"b = {b} >= sqrt(1-m^2)/k")
-
-    def rule_bridge(rj: Jet2) -> Jet2:
-        t = (rj.v - L) / L
-        s, ds = _flat_step_jet(t)
-        return Jet2(
-            b + m * L * _flat_step_integral(t),
-            m * s * rj.d1,
-            (m / L) * ds * rj.d1 * rj.d1 + m * s * rj.d2,
-        )
-
     return Profile(
         pieces=[
-            Piece(0.0, L, rule_const(b), "const", {"value": b}),
-            Piece(L, r1, rule_bridge, "bump_bridge", {"b": b, "m": m}),
-            Piece(r1, r_max, rule_affine(A1, m, r1), "affine", {"value": A1, "slope": m}),
+            Piece(0.0, L, const, {"value": b}),
+            Piece(L, r1, bump_bridge, {"b": b, "m": m, "L": L}),
+            Piece(r1, A.r_max, affine, {"value": A1, "slope": m, "anchor": r1}),
         ],
         label="B",
     )
+
+
+def poly_warp(rj: Jet2, delta2: float, alpha2: float) -> Jet2:
+    return jet_pow(rj * rj + 1.0, 0.5 * alpha2) * delta2
 
 
 def make_f2(delta2: float, alpha2: float, r_max: float) -> Profile:
@@ -375,31 +389,23 @@ def make_f2(delta2: float, alpha2: float, r_max: float) -> Profile:
         raise ParameterError(f"alpha2 = {alpha2} outside (0, 1/2]")
     if not 0.0 < delta2 < 1.0:
         raise ParameterError(f"delta2 = {delta2} outside (0, 1)")
-
-    def rule(rj: Jet2) -> Jet2:
-        return jet_pow(rj * rj + 1.0, 0.5 * alpha2) * delta2
-
-    piece = Piece(0.0, r_max, rule, "poly_warp", {"delta2": delta2, "alpha2": alpha2})
-    return Profile([piece], "f2")
+    return Profile([Piece(0.0, r_max, poly_warp, {"delta2": delta2, "alpha2": alpha2})], "f2")
 
 
-def make_h3(
-    m: float,
-    epsilon: float,
-    r1: float,
-    r3: float,
-    A_r1: float,
-    r_max: Optional[float] = None,
-) -> Profile:
-    """Cone-flattening slope: h'' = c/r on [r1, r3], affine slope 1-eps after.
+def log_flatten(rj: Jet2, c: float, m: float, A_r1: float, r1: float) -> Jet2:
+    """A_r1 + m (r - r1) + c (r ln(r/r1) - r + r1)."""
+    return (rj - r1) * m + (rj * jet_ln(rj * (1.0 / r1)) - rj + r1) * c + A_r1
+
+
+def make_h3(m: float, epsilon: float, r1: float, r3: float, A_r1: float) -> Profile:
+    """Cone-flattening slope: h'' = c/r on [r1, r3], affine slope 1-eps after,
+    up to 16 r3.
 
     c = (1 - eps - m)/ln(r3/r1) spends the slope budget exactly; the
     constraint r*h'' = c <= 10/ln(r3) is checked, not assumed.
     """
     if r3 <= r1:
         raise ParameterError(f"r3 = {r3} must exceed r1 = {r1}")
-    if r_max is None:
-        r_max = 16.0 * r3
     c = (1.0 - epsilon - m) / math.log(r3 / r1)
     budget = 10.0 / math.log(r3)
     if c > budget:
@@ -410,46 +416,28 @@ def make_h3(
             f"minimal r3 is {math.exp(ln_min):.6g}"
         )
 
-    def rule_log(rj: Jet2) -> Jet2:
-        # A_r1 + m (r - r1) + c (r ln(r/r1) - r + r1)
-        return (
-            (rj - r1) * m
-            + (rj * jet_ln(rj * (1.0 / r1)) - rj + r1) * c
-            + A_r1
-        )
-
-    h3_r3 = float(rule_log(jet_var(r3)).v[0])
+    flatten = Piece(r1, r3, log_flatten, {"c": c, "m": m, "A_r1": A_r1, "r1": r1})
+    h3_r3 = float(flatten(r3).v)
     R3 = r3 - h3_r3 / (1.0 - epsilon)
 
     return Profile(
         pieces=[
-            Piece(r1, r3, rule_log, "log_flatten", {"c": c, "m": m, "A_r1": A_r1}),
-            Piece(
-                r3,
-                r_max,
-                rule_affine(0.0, 1.0 - epsilon, R3),
-                "cone_affine",
-                {"slope": 1.0 - epsilon, "R3": R3},
-            ),
+            flatten,
+            Piece(r3, 16.0 * r3, affine, {"value": 0.0, "slope": 1.0 - epsilon, "anchor": R3}),
         ],
         label="h3",
         params={"R3": R3, "h3_r3": h3_r3},
     )
 
 
-def make_f4(
-    alpha2: float,
-    delta2: float,
-    epsilon: float,
-    r3: float,
-    h3: Profile,
-    f2: Profile,
-    r_max: Optional[float] = None,
-) -> Profile:
-    """Switch the warp to delta*(r - R3)^alpha beyond r3, C1 by the matching
-    exponent/coefficient formulas (verified, not trusted)."""
-    if r_max is None:
-        r_max = 16.0 * r3
+def power_tail(rj: Jet2, delta: float, alpha: float, R3: float) -> Jet2:
+    return jet_pow(rj - R3, alpha) * delta
+
+
+def make_f4(alpha2: float, delta2: float, epsilon: float, r3: float, h3: Profile,
+            f2: Profile) -> Profile:
+    """Switch the warp to delta*(r - R3)^alpha on [r3, 16 r3], C1 by the
+    matching exponent/coefficient formulas (verified, not trusted)."""
     h3_r3, R3 = h3.params["h3_r3"], h3.params["R3"]
     t3 = h3_r3 / (1.0 - epsilon)  # = r3 - R3
     alpha = alpha2 * (r3 * t3) / (1.0 + r3 * r3)
@@ -463,17 +451,17 @@ def make_f4(
         raise ParameterError(f"delta = {delta} outside (0, 1)")
     if not R3 > 0:
         raise ConstructionError(f"R3 = {R3} <= 0")
-
-    def rule_tail(rj: Jet2) -> Jet2:
-        return jet_pow(rj - R3, alpha) * delta
-
     pieces = f2.trimmed(0.0, r3) + [
-        Piece(r3, r_max, rule_tail, "power_tail", {"delta": delta, "alpha": alpha, "R3": R3})
+        Piece(r3, 16.0 * r3, power_tail, {"delta": delta, "alpha": alpha, "R3": R3})
     ]
     try:
         return Profile(pieces, label="f4")
     except ConstructionError as exc:
         raise ConstructionError(f"f4 matching formulas failed C1 check: {exc}") from exc
+
+
+def power_law(rj: Jet2, p: float, coeff: float, r3: float) -> Jet2:
+    return jet_pow(rj * (1.0 / r3), p) * coeff
 
 
 def make_lambda(r3: float, R3: float, r_max: Optional[float] = None) -> Profile:
@@ -485,14 +473,10 @@ def make_lambda(r3: float, R3: float, r_max: Optional[float] = None) -> Profile:
         r_max = 16.0 * r3
     p = r3 / (r3 - R3)
     C0 = r3 - R3
-
-    def rule_power(rj: Jet2) -> Jet2:
-        return jet_pow(rj * (1.0 / r3), p) * C0
-
     return Profile(
         pieces=[
-            Piece(0.0, r3, rule_power, "power_law", {"p": p, "coeff": C0}),
-            Piece(r3, r_max, rule_affine(C0, 1.0, r3), "shift", {"R3": R3}),
+            Piece(0.0, r3, power_law, {"p": p, "coeff": C0, "r3": r3}),
+            Piece(r3, r_max, affine, {"value": C0, "slope": 1.0, "anchor": r3}),
         ],
         label="lambda",
     )
@@ -502,9 +486,9 @@ def make_lambda(r3: float, R3: float, r_max: Optional[float] = None) -> Profile:
 # surgery profiles
 # ---------------------------------------------------------------------------
 
-def make_step2_h(epsilon: float, r_max: float = 2.0) -> Profile:
-    """Cone-angle bridge: (1-eps) r below 1/2, r above 1, quintic Hermite
-    between, matching value/slope/curvature at both ends.
+def make_step2_h(epsilon: float) -> Profile:
+    """Cone-angle bridge on [0, 2]: (1-eps) r below 1/2, r above 1, quintic
+    Hermite between, matching value/slope/curvature at both ends.
 
     The exact anchors force mean slope 1 + eps on the bridge, so any C^1
     choice has max |h''| >= 12 eps; the quintic lands near 20 eps and the
@@ -516,13 +500,11 @@ def make_step2_h(epsilon: float, r_max: float = 2.0) -> Profile:
     coeffs = quintic_hermite_coeffs(
         lo, (1.0 - epsilon) * lo, 1.0 - epsilon, 0.0, hi, 1.0, 1.0, 0.0
     )
-    bridge = rule_poly_in_t(coeffs, lo, hi - lo)
-
     prof = Profile(
         pieces=[
-            Piece(0.0, lo, rule_affine(0.0, 1.0 - epsilon, 0.0), "cone", {"slope": 1 - epsilon}),
-            Piece(lo, hi, bridge, "hermite_bridge", {"epsilon": epsilon}),
-            Piece(hi, r_max, rule_affine(hi, 1.0, hi), "identity", {}),
+            Piece(0.0, lo, affine, {"value": 0.0, "slope": 1.0 - epsilon, "anchor": 0.0}),
+            Piece(lo, hi, poly_in_t, {"coeffs": coeffs, "x0": lo, "L": hi - lo}),
+            Piece(hi, 2.0, affine, {"value": hi, "slope": 1.0, "anchor": hi}),
         ],
         label="step2_h",
     )
@@ -578,6 +560,15 @@ def cubic_logwarp_smallness_checks(alpha: float, r_m: float, rho: float, eta: fl
         )
 
 
+def power_warp(rj: Jet2, delta: float, alpha: float) -> Jet2:
+    return jet_pow(rj, alpha) * delta
+
+
+def log_cubic(rj: Jet2, coeffs, x0: float, L: float) -> Jet2:
+    """exp of a cubic in t = (r - x0)/L."""
+    return jet_exp(poly_in_t(rj, coeffs, x0, L))
+
+
 def make_cubic_logwarp(
     f_plus: Profile,
     alpha: float,
@@ -612,18 +603,10 @@ def make_cubic_logwarp(
     d0, d1_ = m0 * L, m1 * L
     dy = y1 - y0
     coeffs = [y0, d0, 3.0 * dy - 2.0 * d0 - d1_, -2.0 * dy + d0 + d1_]
-    cubic = rule_poly_in_t(coeffs, r2, L)
-
-    def rule_interp(rj: Jet2) -> Jet2:
-        return jet_exp(cubic(rj))
-
-    def rule_inner(rj: Jet2) -> Jet2:
-        return jet_pow(rj, alpha) * delta
-
     prof = Profile(
         pieces=[
-            Piece(0.0, r2, rule_inner, "power_warp", {"delta": delta, "alpha": alpha}),
-            Piece(r2, r2p, rule_interp, "log_cubic", {"alpha": alpha}),
+            Piece(0.0, r2, power_warp, {"delta": delta, "alpha": alpha}),
+            Piece(r2, r2p, log_cubic, {"coeffs": coeffs, "x0": r2, "L": L}),
         ]
         + f_plus.trimmed(r2p, f_plus.r_max),
         label="f2_surgery",
@@ -647,15 +630,11 @@ def make_xi(r3: float, r_max: Optional[float] = None) -> Profile:
         raise ParameterError(f"r3 = {r3} must be positive")
     if r_max is None:
         r_max = 8.0 * r3
-
-    def rule_bridge(rj: Jet2) -> Jet2:
-        return smoothstep_jet((rj - r3) * (1.0 / r3))
-
     prof = Profile(
         pieces=[
-            Piece(0.0, r3, rule_const(0.0), "zero", {}),
-            Piece(r3, 2.0 * r3, rule_bridge, "smoothstep", {"r3": r3}),
-            Piece(2.0 * r3, r_max, rule_const(1.0), "one", {}),
+            Piece(0.0, r3, const, {"value": 0.0}),
+            Piece(r3, 2.0 * r3, poly_in_t, {"coeffs": SMOOTHSTEP, "x0": r3, "L": r3}),
+            Piece(2.0 * r3, r_max, const, {"value": 1.0}),
         ],
         label="xi",
     )
@@ -671,31 +650,28 @@ def make_xi(r3: float, r_max: Optional[float] = None) -> Profile:
 _MU_SERIES_SWITCH = 1e-3
 
 
+def sn_over_r(rj: Jet2, kappa: float) -> Jet2:
+    """mu(r) = sn_kappa(r)/r, series-evaluated below r = 1e-3; the constant 1
+    when kappa = 0."""
+    if kappa == 0.0:
+        return const(rj, 1.0)
+    series = [1.0, 0.0, -kappa / 6.0, 0.0, kappa**2 / 120.0, 0.0,
+              -kappa**3 / 5040.0, 0.0, kappa**4 / 362880.0]
+    small = rj.v < _MU_SERIES_SWITCH
+    safe = Jet2(np.where(small, _MU_SERIES_SWITCH, rj.v), rj.d1, rj.d2)
+    closed = sn_jet(kappa, safe) / safe
+    ser = jet_poly(series, rj)
+    return Jet2(np.where(small, ser.v, closed.v), np.where(small, ser.d1, closed.d1),
+                np.where(small, ser.d2, closed.d2))
+
+
 def make_model_mu(kappa: float, r_max: float = 2.0) -> Profile:
-    """Space-form factor mu(r) = sn_kappa(r)/r, series-evaluated below r = 1e-3."""
+    """Space-form factor mu(r) = sn_kappa(r)/r on [0, r_max]."""
     if kappa > 0 and kappa * r_max**2 >= (math.pi / 2) ** 2:
         raise ParameterError(
             f"kappa = {kappa} too large for r_max = {r_max}: sn would vanish"
         )
-
-    if kappa == 0.0:
-        rule = rule_const(1.0)
-        name = "flat"
-    else:
-        series = [1.0, 0.0, -kappa / 6.0, 0.0, kappa**2 / 120.0, 0.0,
-                  -kappa**3 / 5040.0, 0.0, kappa**4 / 362880.0]
-        name = "sn_over_r"
-
-        def rule(rj: Jet2) -> Jet2:
-            small = rj.v < _MU_SERIES_SWITCH
-            safe = Jet2(np.where(small, _MU_SERIES_SWITCH, rj.v), rj.d1, rj.d2)
-            closed = sn_jet(kappa, safe) / safe
-            ser = jet_poly(series, rj)
-            pick = lambda a, b: np.where(small, a, b)
-            return Jet2(pick(ser.v, closed.v), pick(ser.d1, closed.d1),
-                        pick(ser.d2, closed.d2))
-
-    return Profile([Piece(0.0, r_max, rule, name, {"kappa": kappa})], "mu")
+    return Profile([Piece(0.0, r_max, sn_over_r, {"kappa": kappa})], "mu")
 
 
 def sn_jet(kappa: float, rj: Jet2) -> Jet2:

@@ -9,8 +9,9 @@ finite-difference oracle's `oracle_max_rel_err` for bubble, surgery and
 glue at acceptance criterion 5's grid with 8 oracle radii per piece, seeds
 0-19 (the benchmark's oracle-crosscheck runs).  It pins the known finding
 that glue seed 12 reads 1.0751e-04, above criterion 5's 1e-4.
-<config>_descriptor.json holds the metric descriptor that bubble, surgery
-and glue write to `out_descriptor`: the bytes `verify.write_json` writes.
+<config>_descriptor.json holds the metric descriptor that bubble, surgery,
+surgery_curved and glue write to `out_descriptor`: the bytes
+`verify.write_json` writes.
 Regenerate only when a change is meant to alter reports, from the
 repository root:
 
@@ -39,6 +40,7 @@ CONFIGS = HERE.parent.parent / "configs"
 
 CLI_CASES = ("bubble", "surgery", "surgery_curved", "glue", "bubble_broken")
 ORACLE_CASES = ("bubble", "surgery", "glue")
+DESCRIPTOR_CASES = ORACLE_CASES + ("surgery_curved",)
 ORACLE_GRID = dict(points_per_piece=64, oracle=True, n_oracle=4, seed=0)
 TABLE_GRID = dict(points_per_piece=64, oracle=True, n_oracle=8)
 TABLE_SEEDS = range(20)
@@ -92,7 +94,7 @@ def descriptor_text(config: str) -> str:
 def goldens() -> dict[str, str]:
     """{file name: text} of every golden, regenerated in memory."""
     texts = {f"{name}.json": file_text(verify_ric_lower(*case(name)).write) for name in NAMES}
-    for config in ORACLE_CASES:
+    for config in DESCRIPTOR_CASES:
         texts[f"{config}_descriptor.json"] = descriptor_text(config)
     table = {"grid": TABLE_GRID, "seeds": list(TABLE_SEEDS), "oracle_max_rel_err": oracle_table()}
     texts["oracle_table.json"] = json.dumps(table, indent=2) + "\n"

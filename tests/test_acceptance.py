@@ -36,7 +36,7 @@ from warpforge.construction import (
 from warpforge.curvature import WarpedMetric, fd_ricci_oracle, scale_warp
 from warpforge.jets import jet_sin
 from warpforge.limits import gh_error, holder_exponent, max_distortion
-from warpforge.profiles import Piece, Profile, make_model_mu, rule_const
+from warpforge.profiles import Piece, Profile, const, make_model_mu
 from warpforge.verify import GridConfig, verify_ric_lower
 
 BUBBLE_KW = dict(epsilon=0.05, alpha2=0.01, delta2=0.01, m=1e-3, r1=2.0, r3=1e3)
@@ -50,8 +50,8 @@ def verdict(num: int, ok: bool, detail: str) -> None:
     assert ok, f"criterion {num}: {detail}"
 
 
-def single(rule, name, r_max):
-    return Profile([Piece(0.0, r_max, rule, name, {})], name)
+def single(rule, name, r_max, **params):
+    return Profile([Piece(0.0, r_max, rule, params)], name)
 
 
 @pytest.fixture(scope="module")
@@ -80,8 +80,8 @@ def test_criterion_01_analytic_oracles():
     # closed form is checked from r = 1e-2 up: below that the cancellation in
     # (1 - phi'^2)/phi^2 costs eps/r^2 and the identity is pure noise
     sine, ident = single(lambda rj: jet_sin(rj), "sin", 3.0), single(lambda rj: rj, "id", 4.0)
-    round_s4 = WarpedMetric(sine, sine, single(rule_const(0.5), "f", 3.0), (0.0, 3.0), "roundS4")
-    flat = WarpedMetric(ident, ident, single(rule_const(0.1), "f", 4.0), (0.0, 4.0), "flat")
+    round_s4 = WarpedMetric(sine, sine, single(const, "f", 3.0, value=0.5), (0.0, 3.0), "roundS4")
+    flat = WarpedMetric(ident, ident, single(const, "f", 4.0, value=0.1), (0.0, 4.0), "flat")
     worst_closed = 0.0
     rs = np.geomspace(1e-2, 2.9, 200)
     blocks = round_s4.blocks(rs)

@@ -55,7 +55,7 @@ def surgery():
 # -- c1_smooth ---------------------------------------------------------------
 
 def test_smooth_of_smooth_piece_is_identity():
-    prof = Profile([Piece(0.0, 4.0, lambda rj: jet_sin(rj) + 2.0, "sin", {})], "s")
+    prof = Profile([Piece(0.0, 4.0, lambda rj: jet_sin(rj) + 2.0)], "s")
     out = c1_smooth(prof, [(2.0, 0.01)])
     rs = np.linspace(1.99, 2.01, 101)
     a, b = prof(rs), out(rs)
@@ -65,7 +65,7 @@ def test_smooth_of_smooth_piece_is_identity():
 
 def test_smoothing_a_one_piece_profile_reports_C1():
     # the window adds two joints, and the quintic is only C2 at its ends
-    prof = Profile([Piece(0.0, 4.0, lambda rj: jet_sin(rj) + 2.0, "sin", {})], "s")
+    prof = Profile([Piece(0.0, 4.0, lambda rj: jet_sin(rj) + 2.0)], "s")
     out = c1_smooth(prof, [(2.0, 0.01)])
     assert (prof.smoothness, len(out.pieces)) == ("smooth", 3)
     assert out.smoothness == out.descriptor()["smoothness"] == "C1"
@@ -328,7 +328,7 @@ def test_blowdown_regional_bounds(bubble):
 def test_blowdown_flat_degenerate_case(bubble):
     # lambda(r) = r keeps every core stretch in bounds but is not the exterior
     # isometry r - R3; the bubble's own blow-down gives the default sup
-    ident = Profile([Piece(0.0, 1.5 * bubble.metric.r_range[1], lambda rj: rj, "id", {})], "id")
+    ident = Profile([Piece(0.0, 1.5 * bubble.metric.r_range[1], lambda rj: rj)], "id")
     with pytest.raises(ConstructionError, match="not an isometry beyond r3"):
         blowdown_lipschitz(bubble, lam=ident)
     sup = blowdown_lipschitz(bubble, lam=bubble.blowdown())

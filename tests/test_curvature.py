@@ -23,8 +23,8 @@ from warpforge.profiles import (
     ParameterError,
     Piece,
     Profile,
-    rule_affine,
-    rule_const,
+    affine,
+    const,
 )
 from warpforge.jets import jet_sin, jet_pow
 from warpforge.verify import GridConfig, verify_ric_lower
@@ -32,8 +32,8 @@ from warpforge.verify import GridConfig, verify_ric_lower
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
-def single_piece(rule, name, r_max=4.0):
-    return Profile([Piece(0.0, r_max, rule, name, {})], name)
+def single_piece(rule, name, r_max=4.0, **params):
+    return Profile([Piece(0.0, r_max, rule, params)], name)
 
 
 def sin_profile(r_max=3.0):
@@ -45,7 +45,7 @@ def id_profile(r_max=4.0):
 
 
 def const_profile(c, r_max=4.0):
-    return single_piece(rule_const(c), "const", r_max)
+    return single_piece(const, "const", r_max, value=c)
 
 
 def jet_at(profile, r):
@@ -291,8 +291,8 @@ def test_oracle_zoom_handles_extreme_radii():
 def test_oracle_rejects_breakpoint_proximity():
     phi = Profile(
         [
-            Piece(0.0, 1.0, lambda rj: rj, "id", {}),
-            Piece(1.0, 3.0, rule_affine(1.0, 1.0, 1.0), "affine", {}),
+            Piece(0.0, 1.0, lambda rj: rj),
+            Piece(1.0, 3.0, affine, {"value": 1.0, "slope": 1.0, "anchor": 1.0}),
         ],
         "split",
     )
@@ -562,8 +562,8 @@ def test_verify_differences_each_piece_at_its_own_step(monkeypatch):
     # a piece narrower than 50 H_FD (relative) takes a smaller step: verify
     # makes one oracle call per distinct step, on exactly the radii of the
     # pieces that take it
-    phi = Profile([Piece(0.0, 1.0, jet_sin, "sin", {}), Piece(1.0, 1.002, jet_sin, "sin", {}),
-                   Piece(1.002, 3.0, jet_sin, "sin", {})], "sin_narrow")
+    phi = Profile([Piece(0.0, 1.0, jet_sin), Piece(1.0, 1.002, jet_sin),
+                   Piece(1.002, 3.0, jet_sin)], "sin_narrow")
     m = cone_metric(phi, const_profile(0.5, r_max=3.0), (0.1, 3.0), "narrow")
     step = {(lo, hi): min(verify.H_FD, (hi - lo) / hi / 50.0)
             for lo, hi, *_ in m.verification_pieces()}

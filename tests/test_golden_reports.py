@@ -7,24 +7,31 @@ must match exactly; block minima and margins may move by rounding only
 piece whose value ties the minimum within that tolerance.  Oracle errors
 are compared at relative 1e-9 (of max(1, |golden|)), and the oracle table
 of three targets x 20 seeds at relative 1e-9 of each entry.  The metric
-descriptors of bubble, surgery and glue, as `verify.write_json` writes
-them, must match byte for byte.  `make_golden.py --check` compares every
+descriptors of bubble, surgery, surgery_curved and glue, as
+`verify.write_json` writes them, must match byte for byte, and must
+determine the metric: rebuilt from that JSON alone, each gives the same
+report and the same block bits.  `make_golden.py --check` compares every
 golden byte for byte; only its comparison is tested here.
 """
 
+import inspect
 import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from warpforge import construction, profiles, verify
+from warpforge.curvature import WarpedMetric
+from warpforge.profiles import Piece, Profile
 from warpforge.verify import _piece_grids, verify_ric_lower
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 sys.path.insert(0, str(GOLDEN))
 import make_golden  # noqa: E402
 from make_golden import (  # noqa: E402
-    NAMES, ORACLE_CASES, case, descriptor_text, oracle_table,
+    DESCRIPTOR_CASES, NAMES, case, descriptor_text, oracle_table,
 )
 
 ROUNDING = 1e-12
@@ -77,9 +84,57 @@ def test_oracle_table_matches_golden():
             assert abs(got - ref) <= 1e-9 * abs(ref), (config, seed, got, ref)
 
 
-@pytest.mark.parametrize("config", ORACLE_CASES)
+@pytest.mark.parametrize("config", DESCRIPTOR_CASES)
 def test_descriptor_matches_golden(config):
     assert descriptor_text(config) == (GOLDEN / f"{config}_descriptor.json").read_text()
+
+
+def rule_named(name: str):
+    """The one module-level function of that name in warpforge.profiles or
+    warpforge.construction: a lambda, a closure or a partial has none."""
+    found = [fn for module in (profiles, construction)
+             if inspect.isfunction(fn := getattr(module, name, None))
+             and fn.__module__ == module.__name__ and fn.__qualname__ == name]
+    assert len(found) == 1, f"rule {name!r}: {len(found)} module-level functions"
+    return found[0]
+
+
+def rule_params(params: dict) -> dict:
+    """A descriptor's params with each nested rule name resolved."""
+    return {k: rule_named(v) if k == "rule" else rule_params(v) if isinstance(v, dict) else v
+            for k, v in params.items()}
+
+
+def metric_from(d: dict) -> WarpedMetric:
+    """The metric a descriptor describes, from the descriptor alone."""
+    built = {key: Profile([Piece(*p["interval"], rule_named(p["rule"]), rule_params(p["params"]))
+                           for p in prof["pieces"]], prof["label"])
+             for key, prof in d["profiles"].items()}
+    A, B = (built["phi"],) * 2 if d["form"] == "cone" else (built["A"], built["B"])
+    return WarpedMetric(A, B, built["f"], tuple(d["r_range"]), d["label"])
+
+
+def verified_blocks(monkeypatch, metric, bound, grid):
+    """(report dict, each piece's blocks as one array) of one verify."""
+    seen, ricci = [], verify.ricci_berger
+    with monkeypatch.context() as patch:
+        patch.setattr(verify, "ricci_berger", lambda *jets: seen.append(ricci(*jets)) or seen[-1])
+        report = verify_ric_lower(metric, bound, grid).as_dict()
+    return report, [np.stack(list(b.as_dict(metric.is_round).values())) for b in seen]
+
+
+@pytest.mark.parametrize("config", DESCRIPTOR_CASES)
+def test_descriptor_determines_the_metric(monkeypatch, config):
+    metric, bound, grid = case(config)
+    descriptor = json.loads(descriptor_text(config))
+    rebuilt = metric_from(descriptor)
+    assert rebuilt.descriptor() == metric.descriptor()
+    report, blocks = verified_blocks(monkeypatch, metric, bound, grid)
+    report_rebuilt, blocks_rebuilt = verified_blocks(monkeypatch, rebuilt, bound, grid)
+    assert report_rebuilt == report
+    assert len(blocks_rebuilt) == len(blocks) == len(report["pieces"])
+    for got, want in zip(blocks_rebuilt, blocks):
+        assert got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_check_names_each_golden_that_differs(tmp_path, monkeypatch, capsys):

@@ -24,7 +24,7 @@ from warpforge.profiles import (
     make_model_mu,
     make_step2_h,
     make_xi,
-    rule_const,
+    const,
     Piece,
     Profile,
     _flat_step,
@@ -139,8 +139,8 @@ def test_bridge_B_within_one_ulp_of_quadrature(monkeypatch, command, name):
                         lambda *args: seen.append(args[-1]) or berger_jets(*args))
     verify_ric_lower(metric, bound, grid)
     rs = np.concatenate(seen)
-    on_bridge = sum(((rs >= p.lo) & (rs < p.hi)).sum()
-                    for p in metric.B.pieces if "bump_bridge" in p.name)
+    on_bridge = sum(((rs >= p.lo) & (rs < p.hi)).sum() for p in metric.B.pieces
+                    if profiles.bump_bridge in (p.rule, p.params.get("rule")))
     assert on_bridge > 1000
     table = metric.B(rs).v
     monkeypatch.setattr(profiles, "_flat_step_integral", _flat_step_quadrature)
@@ -306,7 +306,7 @@ def test_step2_h_jets_match_fd():
 # -- make_cubic_logwarp ---------------------------------------------------------
 
 def constant_profile(c, r_max=2.0, label="fplus"):
-    return Profile([Piece(0.0, r_max, rule_const(c), "const", {})], label)
+    return Profile([Piece(0.0, r_max, const, {"value": c})], label)
 
 
 def test_cubic_logwarp_constant_ambient():
@@ -398,8 +398,8 @@ def test_every_constructed_profile_passes_c1(A, B, f4_pair):
 
 
 def test_profile_checks_its_joints_when_constructed():
-    pieces = [Piece(0.0, 1.0, lambda rj: rj, "id", {}),
-              Piece(1.0, 2.0, lambda rj: rj + 0.5, "jump", {})]
+    pieces = [Piece(0.0, 1.0, lambda rj: rj),
+              Piece(1.0, 2.0, lambda rj: rj + 0.5)]
     with pytest.raises(ConstructionError, match=r"profile 'p' is not C1 at r=1\.0"):
         Profile(pieces, "p")
 
@@ -408,7 +408,7 @@ def test_one_piece_profile_is_not_evaluated_when_constructed():
     def rule(rj):
         raise AssertionError("rule evaluated")
 
-    prof = Profile([Piece(0.0, 1.0, rule, "never", {})], "p")
+    prof = Profile([Piece(0.0, 1.0, rule)], "p")
     assert prof.breakpoints == []
 
 
@@ -431,8 +431,10 @@ def test_jets_match_fd_bubble_profiles(A, B):
 def test_domain_error_reports_worst_value_and_count():
     # array failures name the smallest offending value, how many entries
     # offend and the piece's radius range, never a whole array repr
-    prof = Profile([Piece(0.0, 1.0, lambda rj: jet_ln(rj - 0.5), "ln_shift", {}),
-                    Piece(1.0, 4.0, lambda rj: jet_ln(rj - 0.5), "ln", {})], "p")
+    def ln_shift(rj):
+        return jet_ln(rj - 0.5)
+
+    prof = Profile([Piece(0.0, 1.0, ln_shift), Piece(1.0, 4.0, ln_shift)], "p")
     cases = [
         (lambda: prof(np.array([0.0, 0.25, 0.5, 0.75, 0.9, 2.0])),
          r"piece 'ln_shift' on \[0, 1\]: ln of nonpositive value \(min v=-0\.5, 3 of 5 entries\)"),

@@ -15,7 +15,7 @@ from warpforge.construction import build_bubble
 from warpforge.curvature import WarpedMetric, berger_jets, fd_ricci_oracle, ricci_berger
 from warpforge.jets import jet_sin
 from warpforge.profiles import (
-    ParameterError, Piece, Profile, make_A, make_f2, make_h3, make_lambda, rule_const,
+    ParameterError, Piece, Profile, make_A, make_f2, make_h3, make_lambda, const,
 )
 from warpforge.verify import (
     REFINE_FRAC,
@@ -41,16 +41,16 @@ def shipped(command, config):
     return metric, bound, grid
 
 
-def cone(phi_rule, f_rule, r_range, label, r_max=None):
+def cone(phi_rule, f_value, r_range, label, r_max=None):
     r_max = r_max or r_range[1]
-    phi = Profile([Piece(0.0, r_max, phi_rule, "phi", {})], label + "_phi")
-    f = Profile([Piece(0.0, r_max, f_rule, "f", {})], label + "_f")
+    phi = Profile([Piece(0.0, r_max, phi_rule)], label + "_phi")
+    f = Profile([Piece(0.0, r_max, const, {"value": f_value})], label + "_f")
     return WarpedMetric(phi, phi, f, r_range, label)
 
 
 @pytest.fixture(scope="module")
 def round_s4():
-    return cone(lambda rj: jet_sin(rj), rule_const(0.5), (0.0, 3.0), "roundS4")
+    return cone(lambda rj: jet_sin(rj), 0.5, (0.0, 3.0), "roundS4")
 
 
 @pytest.fixture(scope="module")
@@ -226,7 +226,7 @@ def test_report_writes_non_finite_as_null(nan_oracle_report, tmp_path):
 
 def test_oracle_nothing_checked_reads_zero():
     # a piece too narrow to difference (h_fd would fall below 1e-7) is skipped
-    narrow = cone(lambda rj: jet_sin(rj), rule_const(0.5), (1.0, 1.000004), "narrow", r_max=3.0)
+    narrow = cone(lambda rj: jet_sin(rj), 0.5, (1.0, 1.000004), "narrow", r_max=3.0)
     cfg = GridConfig(points_per_piece=64, oracle=True, n_oracle=8, seed=3)
     report = verify_ric_lower(narrow, bound=0.0, cfg=cfg)
     assert report.oracle_checked and report.oracle_max_rel_err == 0.0
