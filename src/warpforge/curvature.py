@@ -25,15 +25,19 @@ coordinates, so up to the Ricci contractions the oracle carries only live
 entries: the metric's 8, their first derivatives, and the 66 first-kind
 and 66 second-kind Christoffel symbols the live pattern allows, by index
 tables derived at import.  The trig of the chart angles is evaluated once
-per call, since every radius takes the same angle steps, and the profiles
-are read once per chunk on each radius' 5 x 5 radial sub-stencil, which
-holds every distinct radius of its 169 chart points.  Each entry is
-computed from the same operands in the same order as in the dense 6 x 6
-algebra, so the blocks match it bit for bit.
+per call, since every radius takes the same angle steps.  Every distinct
+radius of a radius' 169 chart points lies on its 5 x 5 radial sub-stencil,
+which holds only 9 distinct radii at the step H_FD: `stencil_radii` names
+them, and the oracle reads the profile values there once, or takes them
+from its caller (verify_ric_lower hands over the values of its own
+evaluation of each piece).  Each entry is computed from the same operands
+in the same order as in the dense 6 x 6 algebra, so the blocks match it
+bit for bit.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -101,9 +105,13 @@ def scale_warp(blocks: RicciBlocks, f: Jet2, lam: float) -> RicciBlocks:
 def berger_jets(A: Callable, B: Callable, f: Callable, rs) -> tuple[Jet2, Jet2, Jet2]:
     """The jets of a Berger triple of radial callables at rs: a metric's
     profiles, or one verification piece's closed forms.  A B that is A (a
-    round metric, or a piece the glue's A and B share) reuses A's jet."""
+    round metric, or a piece the glue's A and B share), or a piece of A's
+    rule on equal params, reuses A's jet: a rule is a pure function of its
+    params, so B's own evaluation would give the same bits."""
     aj = A(rs)
-    return aj, aj if B is A else B(rs), f(rs)
+    same = B is A or (isinstance(A, Piece) and isinstance(B, Piece)
+                      and B.rule is A.rule and B.params == A.params)
+    return aj, aj if same else B(rs), f(rs)
 
 
 # ---------------------------------------------------------------------------
@@ -281,25 +289,40 @@ def _chart_angles(h_fd: float) -> tuple:
             *_by_value(x[..., 4], lambda t: math.sin(t) ** 2))
 
 
-def _chart_metric(metric: WarpedMetric, r: np.ndarray, h: float,
-                  angles: tuple) -> np.ndarray:
+@functools.lru_cache(maxsize=8)
+def _radial_factors(h: float) -> tuple[np.ndarray, np.ndarray]:
+    """(rho, where): the sorted distinct rho of the 5 x 5 radial sub-stencil
+    of step h, and the index into rho of each of the 13 x 13 chart points,
+    both read-only (they are cached per step).  Only slots 0-4 step along
+    rho, and adding a zero step is exact, so point (i, j) has the rho of
+    sub-stencil point (_RADIAL_SLOT[i], _RADIAL_SLOT[j])."""
+    offs = np.zeros(5)
+    offs[1:] = _OFFS * h
+    rho, where = np.unique((1.0 + offs[:, None]) + offs, return_inverse=True)
+    where = where.reshape(5, 5)[_RADIAL_SLOT[:, None], _RADIAL_SLOT]
+    rho.flags.writeable = where.flags.writeable = False
+    return rho, where
+
+
+def stencil_radii(r0, h_fd: float = H_FD) -> np.ndarray:
+    """(n, k) radii at which fd_ricci_oracle(metric, r0, h_fd) reads the
+    profiles: row i is r0's i-th radius (flattened) times the k distinct rho
+    of its radial sub-stencil (k = 9 at H_FD), in increasing order."""
+    r = np.array(r0, dtype=float, ndmin=1).ravel()
+    return r[:, None] * _radial_factors(h_fd)[0]
+
+
+def _chart_metric(radial, r: np.ndarray, where: np.ndarray, angles: tuple) -> np.ndarray:
     """Live entries (n, 13, 13, len(_LIVE)) of the coordinate metric in
     coordinates (rho, theta, phi, psi, u, v), zoomed by 1/r so that the base
     point sits at rho = 1 regardless of the physical radius.  Point (i, j)
-    of radius r[k]'s stencil is the base point plus steps i and j, with
-    step h along rho and the angles' trig from _chart_angles.
-
-    Only slots 0-4 step along rho, and adding a zero step is exact, so the
-    profiles are read once, on the 5 x 5 radial sub-stencil of each radius,
-    and copied to the other slots."""
+    of radius r[k]'s stencil is the base point plus steps i and j; radial
+    holds the profile values (A, B, f), each (n, k), at stencil_radii(r),
+    and where (13, 13) and angles the radial slots and the angles' trig of
+    the step, from _radial_factors and _chart_angles."""
     ct, st, su2 = angles
-    offs = np.zeros((r.size, 5))
-    offs[:, 1:] = _OFFS * h
-    rho = (1.0 + offs[:, :, None]) + offs[:, None, :]
-    r0 = r[:, None, None]
-    s = 1.0 / r0
-    radial = np.stack([s * c for c in metric.coefficients(rho * r0)])
-    a, b, w = radial[:, :, _RADIAL_SLOT[:, None], _RADIAL_SLOT]
+    s = 1.0 / r[:, None]
+    a, b, w = ((s * c)[:, where] for c in radial)
     g = np.empty(a.shape + (len(_LIVE),))
     e = _entries(g)  # views of g's entries, each written in place
     e[0, 0][...] = 1.0
@@ -330,12 +353,13 @@ def _block_inverse(g: np.ndarray) -> np.ndarray:
     return np.stack([inv[ij] for ij in _LIVE], axis=-1)
 
 
-def _oracle_pairs(metric: WarpedMetric, r: np.ndarray, h_fd: float,
+def _oracle_pairs(radial, r: np.ndarray, h_fd: float, where: np.ndarray,
                   angles: tuple) -> np.ndarray:
     """The oracle's frame pairs (n, 8) of Ricci in the zoomed chart at radii
-    r (n,), with step h_fd along every coordinate."""
+    r (n,), with step h_fd along every coordinate, from the profile values
+    radial at stencil_radii(r, h_fd)."""
     n, m = r.size, len(_LIVE)
-    g = _chart_metric(metric, r, h_fd, angles)  # (n, 13, 13, m)
+    g = _chart_metric(radial, r, where, angles)  # (n, 13, 13, m)
     g0 = _entries(g[:, 0, 0].copy())  # the center, for the frame
 
     # Gamma^a_{bc} = 1/2 g^{ad} (d_b g_{dc} + d_c g_{db} - d_d g_{bc}) at each
@@ -393,22 +417,27 @@ def _oracle_pairs(metric: WarpedMetric, r: np.ndarray, h_fd: float,
     return (frame[:, _LEFT, None, :] @ ricci[:, None] @ frame[:, _RIGHT, :, None])[..., 0, 0]
 
 
-def fd_ricci_oracle(metric: WarpedMetric, r0, h_fd: float = H_FD) -> RicciBlocks:
+def fd_ricci_oracle(metric: WarpedMetric, r0, h_fd: float = H_FD,
+                    radial=None) -> RicciBlocks:
     """Ricci blocks at radius r0 (a float or an array of radii, possibly
     empty) from finite differences of the raw chart, shaped like r0.
 
     Shares nothing with the closed-form path except the profile value
-    channel.  Each r0 must sit inside a smooth piece, at relative distance
-    > 10*h_fd from the nearest breakpoint; h_fd must be finite and > 0.
-    The radii are differenced in batches of at most ORACLE_CHUNK: the
-    Christoffel symbols on nested 5-point stencils (13 x 13 chart points
-    per radius), then Ricci from their differences.  Each chunk reads each
-    profile once, and the angle trig is shared by all chunks.  Up to the
-    Ricci contractions, the stages carry only the live entries: the chart
-    metric's 8 of 36 and the Christoffel symbols' 66 of 216, with each
-    entry computed from the same operands in the same order as the dense
-    6 x 6 algebra.  So a radius gets the same blocks, bit for bit, as the
-    dense algebra would give, alone or in any batch or chunk.
+    channel: radial, the values (A, B, f) of the metric's profiles at
+    stencil_radii(r0, h_fd), each (n, k), as metric.coefficients gives
+    them there; when it is None the oracle reads them itself, once per
+    chunk.  Each r0 must sit inside a smooth piece, at relative distance
+    > 10*h_fd from the nearest breakpoint, so its stencil (within 4*h_fd)
+    lies in that piece too; h_fd must be finite and > 0.  The radii are
+    differenced in batches of at most ORACLE_CHUNK: the Christoffel symbols
+    on nested 5-point stencils (13 x 13 chart points per radius, at the k
+    distinct radii of stencil_radii), then Ricci from their differences.
+    The angle trig is shared by all chunks.  Up to the Ricci contractions,
+    the stages carry only the live entries: the chart metric's 8 of 36 and
+    the Christoffel symbols' 66 of 216, with each entry computed from the
+    same operands in the same order as the dense 6 x 6 algebra.  So a
+    radius gets the same blocks, bit for bit, as the dense algebra would
+    give, alone or in any batch or chunk.
     """
     if not (isinstance(h_fd, numbers.Real) and math.isfinite(h_fd) and h_fd > 0.0):
         raise ParameterError(f"h_fd = {h_fd!r} must be a finite number > 0")
@@ -421,11 +450,19 @@ def fd_ricci_oracle(metric: WarpedMetric, r0, h_fd: float = H_FD) -> RicciBlocks
     if np.any(margin <= 10.0 * h_fd):
         raise ParameterError(f"r0 = {r[np.argmin(margin)]} within 10*h_fd of a breakpoint "
                              f"(relative margin {np.min(margin):.2e})")
+    rho, where = _radial_factors(h_fd)
+    if radial is not None and [np.shape(c) for c in radial] != [(r.size, rho.size)] * 3:
+        raise ParameterError(f"radial must be 3 arrays of shape {(r.size, rho.size)}, "
+                             f"got {[np.shape(c) for c in radial]}")
 
     angles = _chart_angles(h_fd)
-    pairs = np.concatenate([
-        _oracle_pairs(metric, r[k:k + ORACLE_CHUNK], h_fd, angles)
-        for k in range(0, max(r.size, 1), ORACLE_CHUNK)])
+    pairs = []
+    for k in range(0, max(r.size, 1), ORACLE_CHUNK):
+        rk = r[k:k + ORACLE_CHUNK]
+        values = (metric.coefficients(stencil_radii(rk, h_fd)) if radial is None
+                  else [c[k:k + ORACLE_CHUNK] for c in radial])
+        pairs.append(_oracle_pairs(values, rk, h_fd, where, angles))
+    pairs = np.concatenate(pairs)
 
     scale = 1.0 / (r * r)  # undo the zoom: Ric(g) = s^2 Ric(s^2 g), s = 1/r0
     shape = np.shape(r0)

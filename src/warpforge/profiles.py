@@ -67,7 +67,8 @@ class Piece:
         try:
             out = self.rule(jet_var(r), **self.params)
         except JetDomainError as e:
-            raise JetDomainError(f"piece '{self.name}' on [{self.lo:g}, {self.hi:g}]: {e}") from e
+            raise JetDomainError(f"piece '{_rule_label(self.rule, self.params)}' on "
+                                 f"[{self.lo:g}, {self.hi:g}]: {e}") from e
         shape = np.shape(r)
         return Jet2(out.v.reshape(shape), out.d1.reshape(shape), out.d2.reshape(shape))
 
@@ -174,6 +175,16 @@ def write_csv(path, header: str, *columns) -> None:
         fh.write(header + "\n")
         for row in zip(*columns):
             fh.write(",".join(repr(float(x)) for x in row) + "\n")
+
+
+def _rule_label(rule, params: dict) -> str:
+    """rule's name, followed by the label of the rule it wraps when its
+    params hold one as "rule" with its own "params" (the glue's rescaled
+    pieces read rescaled(log_flatten))."""
+    inner = params.get("rule")
+    if not callable(inner):
+        return rule.__name__
+    return f"{rule.__name__}({_rule_label(inner, params.get('params', {}))})"
 
 
 def _jsonable(x):

@@ -8,8 +8,9 @@ cross-checks random radii against the finite-difference oracle.  The same
 configuration always produces a bit-identical report.
 
 Each piece is evaluated once per call, on its grid followed by its oracle
-radii, and the oracle pass is one batch: one oracle call per distinct step
-on every sampled piece's radii (one call for the shipped targets), each
+radii and their stencil radii, and the oracle pass is one batch: one
+oracle call per distinct step on every sampled piece's radii (one call for
+the shipped targets), given the profile values of that evaluation, each
 error still attributed to its piece.
 
 A verification piece lies inside one piece of every profile, so its blocks
@@ -30,8 +31,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .curvature import H_FD, WarpedMetric, berger_jets, fd_ricci_oracle, ricci_berger
-from .jets import JetDomainError
+from .curvature import (H_FD, WarpedMetric, berger_jets, fd_ricci_oracle, ricci_berger,
+                        stencil_radii)
+from .jets import Jet2, JetDomainError
 from .profiles import ConstructionError, ParameterError, write_csv
 
 
@@ -152,11 +154,13 @@ def radial_grid(lo: float, hi: float, n: int) -> np.ndarray:
 def _geomspace_rows(start: np.ndarray, stop: np.ndarray, n: int) -> np.ndarray:
     """np.geomspace(start, stop, n, axis=1), each row as its own call gives
     it: once any row of a call has equal log10 ends, numpy rounds every row
-    of that call differently, so such rows get a call of their own."""
+    of that call differently, so such rows get a call of their own (and an
+    empty set of rows none)."""
     flat = np.log10(start) == np.log10(stop)
     out = np.empty((start.size, n))
     for rows in (flat, ~flat):
-        out[rows] = np.geomspace(start[rows], stop[rows], n, axis=1)
+        if rows.any():
+            out[rows] = np.geomspace(start[rows], stop[rows], n, axis=1)
     return out
 
 
@@ -177,7 +181,7 @@ def _piece_grids(lo, hi, cfg: GridConfig, global_max: float) -> list[np.ndarray]
         _geomspace_rows(a, np.minimum(a + REFINE_FRAC * width, b), n_ref),
         _geomspace_rows(np.maximum(b - REFINE_FRAC * width, a), b, n_ref),
     ], axis=1)
-    rows.sort(axis=1)
+    rows.sort(axis=1, kind="stable")  # three sorted runs: a merge, same values
     first = np.ones(rows.shape, dtype=bool)
     first[:, 1:] = rows[:, 1:] != rows[:, :-1]
     grids = iter([row[keep] for row, keep in zip(rows, first)])
@@ -206,20 +210,22 @@ def _oracle_radii(lo: float, hi: float, piece_index: int,
 
 def _oracle_errors(metric: WarpedMetric, samples: list) -> list[float]:
     """Max scaled error |oracle - formula| / max(0.1, |formula|) per sampled
-    piece, given as (radii, h_fd, formula blocks (block, radius)), the
-    blocks sliced from the piece's one evaluation in verify_ric_lower;
-    equivalent to |o - f| <= max(1e-5, 1e-4 |f|) scaled to 1e-4.  The oracle
-    makes one call per distinct step on every radius that takes it,
-    elementwise in the radii, so a radius gets the same bits as in a call
-    on its piece alone."""
-    sizes = [rs.size for rs, _, _ in samples]
-    radii = np.concatenate([rs for rs, _, _ in samples])
-    steps = np.repeat([h_fd for _, h_fd, _ in samples], sizes)
-    formula = np.concatenate([blocks for _, _, blocks in samples], axis=1)
+    piece, given as (radii, h_fd, formula blocks (block, radius), profile
+    values at the radii's stencil_radii), the blocks and values sliced from
+    the piece's one evaluation in verify_ric_lower; equivalent to
+    |o - f| <= max(1e-5, 1e-4 |f|) scaled to 1e-4.  The oracle makes one
+    call per distinct step on every radius that takes it, elementwise in
+    the radii, so a radius gets the same bits as in a call on its piece
+    alone."""
+    sizes = [rs.size for rs, *_ in samples]
+    radii = np.concatenate([rs for rs, *_ in samples])
+    steps = np.repeat([h_fd for _, h_fd, *_ in samples], sizes)
+    formula = np.concatenate([blocks for _, _, blocks, _ in samples], axis=1)
     fd = np.empty((len(formula) + 1, radii.size))  # the same blocks, then cross_ir_mag
     for h_fd in np.unique(steps):
         at = steps == h_fd
-        oracle = fd_ricci_oracle(metric, radii[at], h_fd=float(h_fd))
+        radial = [np.concatenate(c) for c in zip(*(v for _, h, _, v in samples if h == h_fd))]
+        oracle = fd_ricci_oracle(metric, radii[at], h_fd=float(h_fd), radial=radial)
         fd[:, at] = [*oracle.as_dict(metric.is_round).values(), oracle.cross_ir_mag]
     errs = np.abs(fd[:-1] - formula) / np.maximum(0.1, np.abs(formula))
     # mixed radial/sphere block must vanish in rotational symmetry (row 0 is rr)
@@ -232,7 +238,10 @@ def verify_ric_lower(
     metric: WarpedMetric, bound: float, cfg: Optional[GridConfig] = None
 ) -> VerificationReport:
     """Sample every smooth piece of the metric and compare each Ricci block
-    minimum against the bound."""
+    minimum against the bound.  With cfg.oracle, each sampled piece is
+    evaluated once, on its grid, its oracle radii and their stencil_radii:
+    the blocks come from the first two parts, and the oracle reads the
+    profile values from the third, so no profile is called."""
     cfg = cfg or GridConfig()
     counts = ("points_per_piece", "refine_factor") + (("n_oracle",) if cfg.oracle else ())
     for name in counts:
@@ -242,7 +251,7 @@ def verify_ric_lower(
     lo_clip = metric.r_range[0] if cfg.r_min is None else cfg.r_min
     hi_clip = metric.r_range[1] if cfg.r_max is None else cfg.r_max
     pieces = []
-    samples = []  # (radii, h_fd, formula blocks) per oracle-sampled piece
+    samples = []  # (radii, h_fd, formula blocks, stencil values) per oracle-sampled piece
     spans = []  # (index among the metric's pieces, lo, hi, (A, B, f) pieces)
     for i, (plo, phi_, *forms) in enumerate(metric.verification_pieces()):
         lo, hi = max(plo, lo_clip), min(phi_, hi_clip)
@@ -253,8 +262,13 @@ def verify_ric_lower(
         if rs.size == 0:
             continue
         drawn = _oracle_radii(lo, hi, i, cfg) if cfg.oracle else None
-        at = rs if drawn is None else np.concatenate([rs, drawn[0]])
-        blocks = ricci_berger(*berger_jets(*forms, at)).as_dict(metric.is_round)
+        at = rs
+        if drawn is not None:  # then the oracle radii, then the radii of their stencils
+            at = np.concatenate([rs, drawn[0], stencil_radii(*drawn).ravel()])
+        jets = berger_jets(*forms, at)
+        m = rs.size + (0 if drawn is None else drawn[0].size)  # blocks at grid and radii only
+        blocks = ricci_berger(*(Jet2(j.v[:m], j.d1[:m], j.d2[:m]) for j in jets))
+        blocks = blocks.as_dict(metric.is_round)
         stats = {}
         for name, values in blocks.items():
             j = int(np.argmin(values[:rs.size]))
@@ -262,7 +276,8 @@ def verify_ric_lower(
             stats[name] = BlockStat(vmin, float(rs[j]), vmin - bound)
         pieces.append(PieceReport([lo, hi], int(rs.size), stats))
         if drawn is not None:
-            samples.append((*drawn, np.array([v[rs.size:] for v in blocks.values()])))
+            radial = [j.v[m:].reshape(drawn[0].size, -1) for j in jets]
+            samples.append((*drawn, np.array([v[rs.size:] for v in blocks.values()]), radial))
     if not pieces:
         raise ParameterError(f"the grid samples no piece of {metric.label} in "
                              f"[{lo_clip:g}, {hi_clip:g}] (r_min_frac = {cfg.r_min_frac:g})")

@@ -12,6 +12,7 @@ from warpforge.construction import (
     build_berger_core,
     build_bubble,
     build_surgery,
+    _affine_pieces,
     c1_smooth,
     glue_bubble,
 )
@@ -27,7 +28,7 @@ from warpforge.profiles import (
     make_f4,
     make_h3,
 )
-from warpforge.jets import jet_sin
+from warpforge.jets import JetDomainError, jet_sin
 from warpforge.verify import GridConfig, verify_ric_lower
 
 BUBBLE_KW = dict(epsilon=0.05, alpha2=0.01, delta2=0.01, m=1e-3, r1=2.0, r3=1e3)
@@ -314,6 +315,21 @@ def test_glue_exponent_mismatch_rejected(surgery):
     wrong = build_bubble(epsilon=0.02, alpha2=alpha2, delta2=0.01, r3=1e3)
     with pytest.raises(ParameterError):
         glue_bubble(surgery, wrong)
+
+
+def test_glue_piece_domain_error_names_the_rule_it_rescales(glued):
+    # every glue piece's rule is rescaled: the message names the rule inside,
+    # while the descriptor keeps the rule's own name
+    h3 = make_h3(1e-3, 0.05, 2.0, 1e3, make_A(1e-3, 2.0).params["A_r1"])
+    (piece,) = _affine_pieces(h3, 2.0, 0.0, 0.0, 100.0)
+    message = (r"piece 'rescaled\(log_flatten\)' on \[4, 100\]: "
+               r"ln of nonpositive value \(min v=-3\.0, 1 of 1 entries\)")
+    with pytest.raises(JetDomainError, match=f"^{message}$"):
+        piece(-12.0)
+    assert piece.name == "rescaled"
+    metric, _ = glued
+    rules = {p["rule"] for p in metric.A.descriptor()["pieces"]}
+    assert rules == {"rescaled"}
 
 
 # -- blow-down ---------------------------------------------------------------------

@@ -303,25 +303,59 @@ def test_oracle_rejects_breakpoint_proximity():
 
 def test_oracle_reads_each_profile_once_per_call(monkeypatch):
     # the nested 5-point stencils make 169 chart points per radius, of which
-    # the 5 x 5 radial sub-stencil holds every distinct rho; the chart reads
-    # each profile once per fd_ricci_oracle call, at those 25 radii per radius
+    # the 5 x 5 radial sub-stencil holds every distinct rho, 9 at H_FD; the
+    # chart reads each profile once per fd_ricci_oracle call, at those 9
+    # radii per radius
     metric = build_bubble(epsilon=0.05, alpha2=0.01, delta2=0.01).metric
-    calls = Counter()
+    calls, points = Counter(), Counter()
     evaluate = Profile.__call__
 
     def counted(self, r):
         calls[self.label] += 1
+        points[self.label] += np.size(r)
         return evaluate(self, r)
 
     monkeypatch.setattr(Profile, "__call__", counted)
     for r0 in (0.7, 50.0, 2500.0, np.array([0.7, 1.4, 50.0, 2500.0])):
         calls.clear()
+        points.clear()
         fd_ricci_oracle(metric, r0)
         assert calls == {"bubble_base_A": 1, "bubble_base_B": 1, "f4": 1}, (r0, calls)
+        assert set(points.values()) == {9 * np.size(r0)}, (r0, points)
     # past the cap, once per chunk of at most ORACLE_CHUNK radii
     calls.clear()
     fd_ricci_oracle(metric, np.linspace(40.0, 60.0, 2 * curvature.ORACLE_CHUNK + 1))
     assert calls == {"bubble_base_A": 3, "bubble_base_B": 3, "f4": 3}, calls
+
+
+def test_stencil_radii_are_the_distinct_radii_of_the_chart():
+    # 9 distinct rho at H_FD, sorted, each the radius times its rho; at
+    # another step the sums may round apart into more, never beyond 25
+    r = np.array([0.7, 50.0])
+    rs = curvature.stencil_radii(r)
+    assert rs.shape == (2, 9) and np.all(np.diff(rs, axis=1) > 0)
+    rho, where = curvature._radial_factors(curvature.H_FD)
+    offs = np.concatenate([[0.0], curvature._OFFS * curvature.H_FD])
+    sub = (1.0 + offs[:, None]) + offs
+    assert np.array_equal(rho, np.unique(sub)) and where.shape == (13, 13)
+    assert np.array_equal(rho[where[:5, :5]], sub)
+    assert np.array_equal(rs, r[:, None] * rho)
+    assert curvature.stencil_radii(1.0, 1e-5).shape == (1, 14)
+
+
+def test_oracle_takes_the_profile_values_it_is_given():
+    # the values at stencil_radii are the oracle's only reads of the metric:
+    # given the profiles' own values it matches its own reads bit for bit,
+    # and values of any other shape are refused
+    metric = build_bubble(epsilon=0.05, alpha2=0.01, delta2=0.01).metric
+    rs = np.array([0.7, 1.4, 50.0, 2500.0])
+    radial = metric.coefficients(curvature.stencil_radii(rs))
+    given = fd_ricci_oracle(metric, rs, radial=radial)
+    assert np.array_equal(_block_bits(given), _block_bits(fd_ricci_oracle(metric, rs)))
+    with pytest.raises(ParameterError, match="radial"):
+        fd_ricci_oracle(metric, rs[:3], radial=radial)
+    with pytest.raises(ParameterError, match="radial"):
+        fd_ricci_oracle(metric, rs, radial=radial[:2])
 
 
 def _block_bits(blocks):
@@ -522,11 +556,12 @@ def fd_ricci_oracle_dense(metric, r, h_fd):
 
 
 def _oracle_calls(monkeypatch, metric, cfg):
-    """(radii, h_fd, blocks) of every oracle call one verify makes."""
+    """(radii, h_fd, blocks) of every oracle call one verify makes, on the
+    profile values verify hands it."""
     calls = []
 
-    def recorded(m, r0, h_fd):
-        blocks = fd_ricci_oracle(m, r0, h_fd=h_fd)
+    def recorded(m, r0, h_fd, radial):
+        blocks = fd_ricci_oracle(m, r0, h_fd=h_fd, radial=radial)
         calls.append((r0, h_fd, blocks))
         return blocks
 
@@ -537,7 +572,10 @@ def _oracle_calls(monkeypatch, metric, cfg):
 
 @pytest.mark.parametrize("name", ["bubble", "surgery", "glue"])
 def test_oracle_bit_identical_to_dense_reference(monkeypatch, name):
-    # each oracle-sampled piece of the shipped targets, at criterion 5's grid
+    # each oracle-sampled piece of the shipped targets, at criterion 5's grid;
+    # the oracle reads the values of verify's own evaluation of each piece,
+    # the reference reads the profiles, so this also checks that every
+    # stencil radius lies in its radius' verification piece
     _, metric, _, _ = build(name, load_config(CONFIGS / f"{name}.json", name))
     cfg = GridConfig(points_per_piece=64, oracle=True, n_oracle=8, seed=11)
     calls = _oracle_calls(monkeypatch, metric, cfg)
@@ -601,6 +639,8 @@ def test_oracle_live_entries_are_the_charts_nonzeros(name):
         _, g = _dense_chart(metric, rs, h_fd)
         assert np.all(g[..., dead] == 0.0), (name, rs)
         live = np.stack([g[..., i, j] for i, j in curvature._LIVE], axis=-1)
-        got = curvature._chart_metric(metric, rs, h_fd, curvature._chart_angles(h_fd))
+        radial = metric.coefficients(curvature.stencil_radii(rs, h_fd))
+        _, where = curvature._radial_factors(h_fd)
+        got = curvature._chart_metric(radial, rs, where, curvature._chart_angles(h_fd))
         assert np.array_equal(got.view(np.uint64), live.view(np.uint64)), (name, rs)
     assert curvature._GAMMA.size == 66 and curvature._SYM_TERMS.shape == (3, 66)

@@ -169,8 +169,8 @@ def nan_oracle_report(round_s4, monkeypatch):
     from warpforge import verify
     from warpforge.curvature import fd_ricci_oracle
 
-    def nan_rr(metric, r0, h_fd):
-        blocks = fd_ricci_oracle(metric, r0, h_fd=h_fd)
+    def nan_rr(metric, r0, h_fd, radial):
+        blocks = fd_ricci_oracle(metric, r0, h_fd=h_fd, radial=radial)
         blocks.rr = np.full_like(blocks.rr, np.nan)
         return blocks
 
@@ -292,6 +292,21 @@ def test_verify_never_evaluates_a_profile(monkeypatch):
             [p["interval"] for p in golden["pieces"]], config
 
 
+def test_oracle_checked_verify_never_evaluates_a_profile(monkeypatch):
+    # the oracle reads the profile values at its stencil radii from verify's
+    # own evaluation of each piece: with the oracle on, no profile is called
+    targets = [(config, shipped(command, config)) for command, config in SHIPPED]
+
+    def refuse(self, r):
+        raise AssertionError(f"profile {self.label} evaluated")
+
+    monkeypatch.setattr(Profile, "__call__", refuse)
+    for config, (metric, bound, grid) in targets:
+        cfg = dataclasses.replace(grid, points_per_piece=64, oracle=True, n_oracle=32)
+        report = verify_ric_lower(metric, bound, cfg)
+        assert report.oracle_checked and 0.0 < report.oracle_max_rel_err < 1e-3, config
+
+
 def test_glue_evaluates_each_shared_phi_piece_once(monkeypatch):
     # glued A and B share the surgery's phi pieces, and the surgery's round
     # metric has B = A: one jet serves both
@@ -313,6 +328,38 @@ def test_glue_evaluates_each_shared_phi_piece_once(monkeypatch):
             spans = sum(any(lo <= a and b <= hi for a, b in reported) for lo, hi, _ in mine)
             assert spans and calls[id(piece)] == spans, (command, piece.name, calls[id(piece)],
                                                           spans)
+
+
+def _inner_name(piece):
+    """A piece's rule name, or for a glue piece the name of the rule it rescales."""
+    return piece.params["rule"].__name__ if piece.name == "rescaled" else piece.name
+
+
+@pytest.mark.parametrize("command, calls_per_verify", [("bubble", 15), ("glue", 29)])
+def test_berger_jets_shares_pieces_of_equal_rule_and_params(monkeypatch, command,
+                                                            calls_per_verify):
+    # the bubble's A and B are distinct profiles, yet on 3 of its 6
+    # verification pieces (log_flatten, the r3 window and the exterior
+    # affine) their pieces hold the same rule on equal params, and so do the
+    # glue's rescaled copies of them: one jet serves both (a verify made 18
+    # and 32 rule calls while only a B that is A shared)
+    metric, bound, grid = shipped(command, command)
+    equal = [(A, B) for _, _, A, B, _ in metric.verification_pieces()
+             if A is not B and A.rule is B.rule and A.params == B.params]
+    assert sorted(_inner_name(A) for A, _ in equal) == \
+        ["affine", "log_flatten", "smoothing_window"], command
+    for A, B in equal:  # B's own evaluation, were it made, gives the same bits
+        rs = np.linspace(A.lo, A.hi, 17)[1:-1]
+        a, b = A(rs), B(rs)
+        for got, want in ((a.v, b.v), (a.d1, b.d1), (a.d2, b.d2)):
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    calls, call = Counter(), Piece.__call__
+    monkeypatch.setattr(Piece, "__call__",
+                        lambda self, r: calls.update([_inner_name(self)]) or call(self, r))
+    verify_ric_lower(metric, bound, grid)
+    assert sum(calls.values()) == calls_per_verify, calls
+    assert calls["log_flatten"] == calls["affine"] == 1, calls
 
 
 # -- the batched grid builder against the per-piece reference ------------------
