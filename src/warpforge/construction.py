@@ -22,10 +22,19 @@ Every profile checks its own C1 joints when it is built; every other
 structural claim a builder makes (exactness of the outer and inner pieces,
 bi-Lipschitz distortion, blow-down factors) is re-measured on grids.
 Ricci lower bounds are the verify module's job.
+
+build_bubble memoizes what no warp parameter enters, in two bounded
+caches (16 keys each, an int and a float kept apart): the core A, B, h3
+by (m, r1, r3, epsilon), and the base metric.A, metric.B by those and
+smooth.  Scan rows that differ only in alpha2 or delta2 build their base
+once and share its Profiles as values, so nothing may mutate a built
+Profile or Piece; a test that patches a builder internal clears both
+caches (_bubble_core.cache_clear(), _bubble_base.cache_clear()).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -80,7 +89,7 @@ def c1_smooth(profile: Profile, windows: list[tuple[float, float]]) -> Profile:
     SmoothingError, and the measured one is stored in
     params['smooth_dev@<at>'].
     """
-    pieces, hermites, start = [], [], profile.r_min
+    pieces, checks, start = [], [], profile.r_min
     for at, window in sorted(windows):
         x0, x1 = at - window, at + window
         if not start < x0 < x1 < profile.r_max:
@@ -91,23 +100,25 @@ def c1_smooth(profile: Profile, windows: list[tuple[float, float]]) -> Profile:
             raise ParameterError(
                 f"smoothing window [{x0}, {x1}] crosses other breakpoints {crossed}"
             )
-        # each side's piece once, at the window end and at the joint
-        left = profile.pieces[profile.piece_index(x0)]([x0, at])
-        right = profile.pieces[profile.piece_index(x1)]([at, x1])
+        # each side's piece once: at the window end, the joint and the
+        # deviation radii on its side (the joint's radius belongs to the right)
+        rs = np.linspace(x0, x1, 257)[1:-1]
+        k = int(np.searchsorted(rs, at))
+        left = profile.pieces[profile.piece_index(x0)](np.concatenate(([x0, at], rs[:k])))
+        right = profile.pieces[profile.piece_index(x1)](np.concatenate(([at, x1], rs[k:])))
         coeffs = quintic_hermite_coeffs(x0, left.v[0], left.d1[0], left.d2[0],
                                         x1, right.v[1], right.d1[1], right.d2[1])
         hermite = Piece(x0, x1, smoothing_window, {"at": at, "window": window, "coeffs": coeffs})
-        hermites.append((at, window, hermite, abs(float(right.d2[0] - left.d2[1]))))
+        new = hermite(rs)
+        dev = float(np.max(np.abs(new.v - np.concatenate((left.v[2:], right.v[2:])))
+                           + np.abs(new.d1 - np.concatenate((left.d1[2:], right.d1[2:])))))
+        checks.append((at, dev, window * (abs(float(right.d2[0] - left.d2[1])) + 1e-3)))
         pieces += profile.trimmed(start, x0) + [hermite]
         start = x1
     out = Profile(pieces + profile.trimmed(start, profile.r_max), profile.label,
                   dict(profile.params))
 
-    for at, window, hermite, jump in hermites:
-        rs = np.linspace(hermite.lo, hermite.hi, 257)[1:-1]
-        new, old = hermite(rs), profile(rs)
-        dev = float(np.max(np.abs(new.v - old.v) + np.abs(new.d1 - old.d1)))
-        eps_smooth = window * (jump + 1e-3)
+    for at, dev, eps_smooth in checks:
         if dev > eps_smooth:
             raise SmoothingError(
                 f"C1 deviation {dev:.3e} exceeds declared degradation {eps_smooth:.3e} "
@@ -164,6 +175,36 @@ def build_berger_core(m: float = 1e-3, r1: float = 2.0, r_max: float = 1e3) -> W
     return WarpedMetric(A, B, f, (0.0, r_max), "berger_core")
 
 
+def _windows(r1: float, r3: float) -> tuple[float, float]:
+    """The smoothing windows at r1 and r3 of a bubble on [0, 16 r3]."""
+    r_max = 16.0 * r3
+    return WINDOW_FRAC * min(r1 / 2.0, r3 - r1), WINDOW_FRAC * min(r3 - r1, r_max - r3)
+
+
+@functools.lru_cache(maxsize=16, typed=True)
+def _bubble_core(m: float, r1: float, r3: float,
+                 epsilon: float) -> tuple[Profile, Profile, Profile]:
+    """(A, B, h3) of a bubble on [0, 16 r3]: no warp parameter enters them."""
+    A = make_A(m, r1, r_max=16.0 * r3)
+    B = make_B(m, r1, A)
+    return A, B, make_h3(m, epsilon, r1, r3, A.params["A_r1"])
+
+
+@functools.lru_cache(maxsize=16, typed=True)
+def _bubble_base(m: float, r1: float, r3: float, epsilon: float,
+                 smooth: bool) -> tuple[Profile, Profile]:
+    """The bubble's base (A, B): the core's A and B up to r1, then h3, with
+    the r1 and r3 joints smoothed if smooth."""
+    A, B, h3 = _bubble_core(m, r1, r3, epsilon)
+    base_A = Profile(A.trimmed(0.0, r1) + h3.pieces, "bubble_base_A")
+    base_B = Profile(B.trimmed(0.0, r1) + h3.pieces, "bubble_base_B")
+    if smooth:
+        w1, w3 = _windows(r1, r3)
+        base_A = c1_smooth(base_A, [(r1, w1), (r3, w3)])
+        base_B = c1_smooth(base_B, [(r1, w1), (r3, w3)])
+    return base_A, base_B
+
+
 def build_bubble(
     epsilon: float,
     alpha2: float,
@@ -181,25 +222,25 @@ def build_bubble(
     budgets (which the source constructions leave as 'small enough'
     thresholds) are left to grid verification, so a bubble that builds can
     still fail verify_ric_lower.
+
+    Only the warp reads alpha2 and delta2, so the rest is memoized, each
+    part for its 16 most recent keys (typed: r3=1000 and r3=1000.0 are two
+    keys): the core (A, B, h3) by (m, r1, r3, epsilon), and the base
+    (metric.A, metric.B) by those and smooth.  Bubbles built from equal keys
+    share their base profiles as values, which nothing may mutate; each
+    call builds its own warp f2, f4 and f4's r3 window.  The checks fire
+    in the same order as without the caches (epsilon, A, B, h3, the warp,
+    then the smoothing), so a rejected build raises the same error, and a
+    call that raises caches nothing.
     """
     if not 0.0 < epsilon < 0.1:
         raise ParameterError(f"epsilon = {epsilon} outside (0, 1/10)")
-    r_max = 16.0 * r3
-    A = make_A(m, r1, r_max=r_max)
-    B = make_B(m, r1, A)
-    h3 = make_h3(m, epsilon, r1, r3, A.params["A_r1"])
-    f2 = make_f2(delta2, alpha2, r_max=r_max)
+    h3 = _bubble_core(m, r1, r3, epsilon)[2]
+    f2 = make_f2(delta2, alpha2, r_max=16.0 * r3)
     f4 = make_f4(alpha2, delta2, epsilon, r3, h3, f2)
-
-    base_A = Profile(A.trimmed(0.0, r1) + h3.pieces, "bubble_base_A")
-    base_B = Profile(B.trimmed(0.0, r1) + h3.pieces, "bubble_base_B")
-
+    base_A, base_B = _bubble_base(m, r1, r3, epsilon, smooth)
     if smooth:
-        w1 = WINDOW_FRAC * min(r1 / 2.0, r3 - r1)
-        w3 = WINDOW_FRAC * min(r3 - r1, r_max - r3)
-        base_A = c1_smooth(base_A, [(r1, w1), (r3, w3)])
-        base_B = c1_smooth(base_B, [(r1, w1), (r3, w3)])
-        f4 = c1_smooth(f4, [(r3, w3)])
+        f4 = c1_smooth(f4, [(r3, _windows(r1, r3)[1])])
 
     params = BubbleParams(m=m, r1=r1, epsilon=epsilon, alpha2=alpha2, delta2=delta2, r3=r3)
     return Bubble(WarpedMetric(base_A, base_B, f4, (0.0, 3.0 * r3), "bubble"), params)
@@ -209,9 +250,8 @@ def bubble_alpha2_for_alpha(alpha: float, epsilon: float, m: float = 1e-3, r1: f
                             r3: float = 1e3) -> float:
     """Invert the exterior-exponent matching formula: the alpha2 that makes
     the bubble's exterior warp exponent equal alpha (defaults as in
-    build_bubble)."""
-    A = make_A(m, r1, r_max=4 * r1)
-    h3 = make_h3(m, epsilon, r1, r3, A.params["A_r1"])
+    build_bubble).  It reads h3 from build_bubble's cached core."""
+    h3 = _bubble_core(m, r1, r3, epsilon)[2]
     t3 = h3.params["h3_r3"] / (1.0 - epsilon)
     alpha2 = alpha * (1.0 + r3 * r3) / (r3 * t3)
     if not 0.0 < alpha2 <= 0.5:

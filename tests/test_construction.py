@@ -1,10 +1,12 @@
 """Bubble/surgery assembly, smoothing, gluing, map distortion."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
+from warpforge import construction
 from warpforge.construction import (
     bilipschitz_check,
     blowdown_lipschitz,
@@ -29,7 +31,7 @@ from warpforge.profiles import (
     make_h3,
 )
 from warpforge.jets import JetDomainError, jet_sin
-from warpforge.verify import GridConfig, verify_ric_lower
+from warpforge.verify import GridConfig, scan_params, verify_ric_lower
 
 BUBBLE_KW = dict(epsilon=0.05, alpha2=0.01, delta2=0.01, m=1e-3, r1=2.0, r3=1e3)
 SURGERY_KW = dict(
@@ -84,6 +86,23 @@ def test_smooth_deviation_scales_with_window_and_jump(bubble_raw):
     for w, dev in devs.items():
         assert 0.02 * w * jump < dev < w * jump
     assert devs[2e-3] / devs[1e-3] == pytest.approx(2.0, rel=0.05)
+
+
+def test_smooth_deviation_is_read_through_the_profiles_own_dispatch(bubble_raw):
+    # c1_smooth evaluates each side's piece once, with the deviation radii
+    # on its side (the joint's radius on the right): the same bits as
+    # reading the profile itself
+    w1, w3 = construction._windows(2.0, 1e3)
+    metric = bubble_raw.metric
+    for profile, windows in ((metric.A, [(2.0, w1), (1e3, w3)]),
+                             (metric.B, [(2.0, w1), (1e3, w3)]), (metric.f, [(1e3, w3)])):
+        out = c1_smooth(profile, windows)
+        for at, window in windows:
+            hermite, = (p for p in out.pieces if p.params.get("at") == at)
+            rs = np.linspace(at - window, at + window, 257)[1:-1]
+            new, old = hermite(rs), profile(rs)
+            dev = float(np.max(np.abs(new.v - old.v) + np.abs(new.d1 - old.d1)))
+            assert out.params[f"smooth_dev@{at:g}"] == dev, (profile.label, at)
 
 
 def test_smooth_window_cannot_cross_breakpoints(bubble_raw):
@@ -205,6 +224,125 @@ def test_bubble_alpha2_inversion():
     alpha2 = bubble_alpha2_for_alpha(0.01, 0.02, 1e-3, 2.0, 1e3)
     b = build_bubble(epsilon=0.02, alpha2=alpha2, delta2=0.01, r3=1e3, smooth=False)
     assert b.metric.f.pieces[-1].params["alpha"] == pytest.approx(0.01, rel=1e-12)
+
+
+def test_make_B_rejects_only_an_m_that_rounds_out_of_b():
+    # bubble_alpha2_for_alpha reads h3 from build_bubble's core (A, B, h3),
+    # so it checks B as well.  b = A(r1) - m r1 T1/2 > A(r1)/2 on all of
+    # make_A's domain, so only the upper check can fire, once m r1/4 rounds
+    # out of b: below m = 3e-16, where build_bubble rejects the bubble with
+    # the same error
+    ms = np.concatenate([np.geomspace(1e-18, 0.01, 61)[:-1],
+                         np.random.default_rng(0).uniform(0.0, 0.01, 40)])
+    accepted, rejected = 0, []
+    for m in ms.tolist():
+        for r1 in np.geomspace(1e-6, 1e6, 13).tolist():
+            try:
+                A = make_A(m, r1)
+            except ParameterError:
+                continue
+            try:
+                make_B(m, r1, A)
+                accepted += 1
+            except ParameterError as exc:
+                assert m < 3e-16 and " >= sqrt(1-m^2)/k" in str(exc), (m, r1, exc)
+                rejected.append(m)
+    assert accepted > 1000 and rejected
+    with pytest.raises(ParameterError) as via_glue:
+        bubble_alpha2_for_alpha(0.01, 0.02, 2e-16, 2.0, 1e3)
+    with pytest.raises(ParameterError) as via_build:
+        build_bubble(epsilon=0.02, alpha2=0.01, delta2=0.01, m=2e-16)
+    assert str(via_glue.value) == str(via_build.value)
+
+
+# -- build_bubble's caches -----------------------------------------------------
+
+@pytest.fixture
+def cold():
+    """Empty build_bubble's caches, as in a fresh process."""
+    construction._bubble_core.cache_clear()
+    construction._bubble_base.cache_clear()
+
+
+@pytest.mark.parametrize("smooth", [True, False])
+def test_bubbles_differing_in_the_warp_share_their_base(cold, smooth):
+    a = build_bubble(smooth=smooth, **BUBBLE_KW).metric
+    for change in ({"alpha2": 0.2}, {"delta2": 0.3}):
+        b = build_bubble(smooth=smooth, **{**BUBBLE_KW, **change}).metric
+        assert b.A is a.A and b.B is a.B, change
+        assert b.f is not a.f and b.f.descriptor() != a.f.descriptor(), change
+    assert build_bubble(smooth=not smooth, **BUBBLE_KW).metric.A is not a.A
+
+
+SCAN_GRID = GridConfig(points_per_piece=64, refine_factor=4)
+SCAN_RANGES = {"alpha2": [0.005, 0.05, 0.7], "epsilon": [0.03, 0.06, 0.12],
+               "smooth": [True, False]}
+
+
+def scan_with_reports():
+    """A scan's rows as JSON, and each built row's metric descriptor and
+    verification report."""
+    reports = []
+
+    def builder(**kw):
+        metric = build_bubble(**kw).metric
+        report = verify_ric_lower(metric, 0.0, SCAN_GRID).as_dict()
+        reports.append(json.dumps([metric.descriptor(), report]))
+        return metric
+
+    rows = scan_params(builder, {"delta2": 0.01}, SCAN_RANGES, 0.0, SCAN_GRID)
+    return json.dumps(rows), reports
+
+
+def test_scan_is_the_same_from_a_cold_and_a_warm_cache(cold):
+    cold_rows, cold_reports = scan_with_reports()
+    assert construction._bubble_base.cache_info().currsize == 4  # 2 epsilon x smooth
+    warm_rows, warm_reports = scan_with_reports()
+    assert construction._bubble_base.cache_info().hits >= 12
+    assert len(cold_reports) == 8
+    assert (warm_rows, warm_reports) == (cold_rows, cold_reports)
+
+
+def test_int_and_float_r3_never_share_a_cache_entry(cold):
+    as_int = build_bubble(smooth=False, **{**BUBBLE_KW, "r3": 1000}).metric
+    as_float = build_bubble(smooth=False, **{**BUBBLE_KW, "r3": 1000.0}).metric
+    assert as_int.A is not as_float.A and as_int.B is not as_float.B
+    assert construction._bubble_core.cache_info().currsize == 2
+    assert construction._bubble_base.cache_info().currsize == 2
+    # a piece's ends keep the type of the r3 it was built from
+    assert [type(p.hi) for p in as_int.A.pieces if p.hi == 1000] == [int]
+    assert [type(p.hi) for p in as_float.A.pieces if p.hi == 1000] == [float]
+
+
+@pytest.mark.parametrize("change", [
+    {"epsilon": 0.2},                   # before the core
+    {"m": 0.02},                        # make_A, in the core
+    {"r3": 1.5},                        # make_h3, in the core
+    {"alpha2": 0.7},                    # make_f2, after a cached core
+    {"delta2": 0.9, "alpha2": 0.5},     # make_f4, after a cached core
+])
+def test_rejected_build_raises_the_same_message_twice(cold, change):
+    build_bubble(**BUBBLE_KW)  # the core of the last two is cached
+    messages = []
+    for _ in range(2):
+        with pytest.raises(ParameterError) as exc:
+            build_bubble(**{**BUBBLE_KW, **change})
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+
+
+def test_smoothed_scan_varying_only_alpha2_smooths_the_base_once(cold, monkeypatch):
+    # twice for the base (A and B), then once per row for the warp's r3
+    # window; building every row's base made 3 calls a row
+    calls, smooth = [], construction.c1_smooth
+    monkeypatch.setattr(construction, "c1_smooth",
+                        lambda profile, windows: calls.append(profile.label) or
+                        smooth(profile, windows))
+    rows = scan_params(lambda **kw: build_bubble(**kw).metric,
+                       {**BUBBLE_KW, "smooth": True}, {"alpha2": [0.005, 0.02, 0.05]},
+                       0.0, SCAN_GRID)
+    assert [row["built"] for row in rows] == [True] * 3
+    assert calls == ["bubble_base_A", "bubble_base_B", "f4", "f4", "f4"]
 
 
 # -- surgery -------------------------------------------------------------------
