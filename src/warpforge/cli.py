@@ -32,11 +32,10 @@ from .construction import (
 )
 from .jets import JetDomainError
 from .limits import gh_error, holder_exponent, max_distortion, schedule
-from .profiles import ConstructionError, ParameterError
+from .profiles import ConstructionError, ParameterError, radial_grid
 from .verify import (
     GridConfig,
     export_curvature_csv,
-    radial_grid,
     scan_params,
     verify_ric_lower,
     write_json,

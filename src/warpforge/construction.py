@@ -18,10 +18,11 @@ Each piece is a rule and its params (see profiles); the rules of the
 surgery's pieces and of the glue's rescaled pieces are defined here, and
 their params hold every value they read, the glue's warp factor included.
 
-Every profile checks its own C1 joints when it is built; every other
-structural claim a builder makes (exactness of the outer and inner pieces,
-bi-Lipschitz distortion, blow-down factors) is re-measured on grids.
-Ricci lower bounds are the verify module's job.
+Every profile checks its own C1 joints when it is built, and c1_smooth
+its deviation on 257 radii per window; every other structural claim (the
+glue collar's isometry, bi-Lipschitz distortion, blow-down factors) is a
+sampled sup (profiles.sampled_sup), and a failed one names its radius.
+Ricci lower bounds are the verify module's job; nothing here imports it.
 
 build_bubble memoizes what no warp parameter enters, in two bounded
 caches (16 keys each, an int and a float kept apart): the core A, B, h3
@@ -61,18 +62,15 @@ from .profiles import (
     make_xi,
     poly_in_t,
     quintic_hermite_coeffs,
+    sampled_sup,
     smoothing_window,
     sn_jet,
     sn_over_r,
 )
-from .verify import radial_grid
 
 
 class SmoothingError(ConstructionError):
     """c1_smooth left a larger footprint than its declared degradation."""
-
-
-DISTORTION_POINTS = 4096  # radii per region in the distortion checks
 
 
 # ---------------------------------------------------------------------------
@@ -185,6 +183,8 @@ def _windows(r1: float, r3: float) -> tuple[float, float]:
 def _bubble_core(m: float, r1: float, r3: float,
                  epsilon: float) -> tuple[Profile, Profile, Profile]:
     """(A, B, h3) of a bubble on [0, 16 r3]: no warp parameter enters them."""
+    if not 0.0 < epsilon < 0.1:
+        raise ParameterError(f"epsilon = {epsilon} outside (0, 1/10)")
     A = make_A(m, r1, r_max=16.0 * r3)
     B = make_B(m, r1, A)
     return A, B, make_h3(m, epsilon, r1, r3, A.params["A_r1"])
@@ -233,8 +233,6 @@ def build_bubble(
     then the smoothing), so a rejected build raises the same error, and a
     call that raises caches nothing.
     """
-    if not 0.0 < epsilon < 0.1:
-        raise ParameterError(f"epsilon = {epsilon} outside (0, 1/10)")
     h3 = _bubble_core(m, r1, r3, epsilon)[2]
     f2 = make_f2(delta2, alpha2, r_max=16.0 * r3)
     f4 = make_f4(alpha2, delta2, epsilon, r3, h3, f2)
@@ -382,17 +380,17 @@ def build_surgery(
 def bilipschitz_check(s: SurgeryMetric) -> float:
     """sup over (0, 2] of the spherical stretch max(phi_hat/phi, phi/phi_hat)
     between the surgery base and the ambient model base; must be <= 1+2 eps."""
-    rs = radial_grid(*s.metric.r_range, DISTORTION_POINTS)
-    phi_hat = s.metric.A(rs).v
-    phi_base = sn_jet(s.params.kappa, jet_var(rs)).v
-    ratio = np.maximum(phi_hat / phi_base, phi_base / phi_hat)
-    j = int(np.argmax(ratio))
-    sup = float(ratio[j])
+    def stretch(rs):
+        phi_hat = s.metric.A(rs).v
+        phi_base = sn_jet(s.params.kappa, jet_var(rs)).v
+        return np.maximum(phi_hat / phi_base, phi_base / phi_hat)
+
+    [(sup, at)] = sampled_sup(stretch, *s.metric.r_range)
     limit = 1.0 + 2.0 * s.params.epsilon
     if sup > limit:
         raise ConstructionError(
             f"bi-Lipschitz bound violated: sup ratio {sup:.6g} > 1+2eps = {limit:.6g} "
-            f"at r = {rs[j]:.6g}"
+            f"at r = {at:.6g}"
         )
     return sup
 
@@ -458,16 +456,16 @@ def glue_bubble(s: SurgeryMetric, b: Bubble) -> WarpedMetric:
     f = Profile(bub_f + sur_f, "glued_f")
 
     # collar isometry: both descriptions must agree on [r_hat/2, r_hat]
-    collar = np.linspace(shift + 0.55 * r_hat, shift + 0.95 * r_hat, 100)
-    t = collar - shift
-    for what, got, expected in (("base", A(collar).v, (1.0 - eps_s) * t),
-                                ("warp", f(collar).v, common * t**alpha)):
-        bad = np.abs(got - expected) > 1e-10 * expected
-        if bad.any():
-            j = int(np.argmax(bad))
-            raise ConstructionError(
-                f"collar {what} mismatch at x={collar[j]}: {got[j]} vs {expected[j]}"
-            )
+    def mismatch(xs):
+        t = xs - shift
+        base, warp = (1.0 - eps_s) * t, common * t**alpha
+        return np.abs(A(xs).v - base) / base, np.abs(f(xs).v - warp) / warp
+
+    collar = sampled_sup(mismatch, shift + 0.55 * r_hat, shift + 0.95 * r_hat)
+    for what, (worst, at) in zip(("base", "warp"), collar):
+        if worst > 1e-10:
+            raise ConstructionError(f"collar {what} mismatch: relative error {worst:.3g} "
+                                    f"> 1e-10 at x = {at}")
 
     return WarpedMetric(
         A, B, f, (0.0, x_max), "glued",
@@ -487,36 +485,27 @@ def blowdown_lipschitz(b: Bubble, lam: Optional[Profile] = None) -> float:
     lam = lam or b.blowdown()
     eps, m, r1, r3 = b.params.epsilon, b.params.m, b.params.r1, b.params.r3
     one_m_eps = 1.0 - eps
+    A, B = b.metric.A, b.metric.B
 
-    sup = 0.0
-    # core region [0, r1]
-    rs = np.geomspace(1e-8 * r1, r1, DISTORTION_POINTS)
-    lj, aj, bj = lam(rs), b.metric.A(rs), b.metric.B(rs)
-    fac_r = np.abs(lj.d1)
-    fac_x = one_m_eps * lj.v / aj.v
-    fac_yz = one_m_eps * lj.v / bj.v
-    if fac_r.max() > 1.0 + 1e-9:
-        raise ConstructionError(f"lambda' exceeds 1 on the core: {fac_r.max()}")
-    if fac_x.max() > (math.pi / 2) * one_m_eps * (1 + 1e-9):
-        raise ConstructionError(f"Hopf stretch {fac_x.max():.6g} > pi/2 (1-eps)")
-    if fac_yz.max() > math.pi * one_m_eps * (1 + 1e-9):
-        raise ConstructionError(f"YZ stretch {fac_yz.max():.6g} > pi (1-eps)")
-    sup = max(sup, float(fac_r.max()), float(fac_x.max()), float(fac_yz.max()))
+    def factors(rs):  # |lambda'|, the Hopf and YZ stretches, the isometry defects
+        lj = lam(rs)
+        hopf = one_m_eps * lj.v / A(rs).v
+        return (np.abs(lj.d1), hopf, one_m_eps * lj.v / B(rs).v,
+                np.abs(hopf - 1.0), np.abs(lj.d1 - 1.0))
 
-    # flattening region [r1, r3]
-    rs = np.geomspace(r1, r3, DISTORTION_POINTS)
-    lj, hj = lam(rs), b.metric.A(rs)
-    fac = one_m_eps * lj.v / hj.v
-    if fac.max() > one_m_eps / m * (1 + 1e-9):
-        raise ConstructionError(f"stretch {fac.max():.6g} > (1-eps)/m on [r1, r3]")
-    sup = max(sup, float(fac.max()), float(np.abs(lj.d1).max()))
-
-    # exterior: isometry, starting past any smoothing window around r3
-    start = max([r3] + [bp for bp in b.metric.A.breakpoints if bp > r3 * 0.9])
-    rs = np.geomspace(start * (1 + 1e-9), b.metric.r_range[1], 256)
-    lj, hj = lam(rs), b.metric.A(rs)
-    fac = one_m_eps * lj.v / hj.v
-    if np.max(np.abs(fac - 1.0)) > 1e-9 or np.max(np.abs(lj.d1 - 1.0)) > 1e-12:
-        raise ConstructionError("blow-down is not an isometry beyond r3")
-    sup = max(sup, float(fac.max()))
-    return sup
+    slope, hopf, yz, _, _ = sampled_sup(factors, 0.0, r1)
+    flat_slope, flat, _, _, _ = sampled_sup(factors, r1, r3)
+    # the exterior starts past any smoothing window around r3
+    start = max([r3] + [bp for bp in A.breakpoints if bp > r3 * 0.9])
+    _, ext, _, ext_dev, ext_slope = sampled_sup(factors, start, b.metric.r_range[1])
+    for what, bound, limit, (sup, at) in (
+        ("lambda' on the core", "1", 1.0 + 1e-9, slope),
+        ("Hopf stretch", "pi/2 (1-eps)", (math.pi / 2) * one_m_eps * (1 + 1e-9), hopf),
+        ("YZ stretch", "pi (1-eps)", math.pi * one_m_eps * (1 + 1e-9), yz),
+        ("stretch on [r1, r3]", "(1-eps)/m", one_m_eps / m * (1 + 1e-9), flat),
+        ("blow-down is not an isometry beyond r3: |stretch - 1|", "1e-9", 1e-9, ext_dev),
+        ("blow-down is not an isometry beyond r3: |lambda' - 1|", "1e-12", 1e-12, ext_slope),
+    ):
+        if sup > limit:
+            raise ConstructionError(f"{what} {sup:.6g} > {bound} at r = {at:.6g}")
+    return max(sup for sup, _ in (slope, hopf, yz, flat, flat_slope, ext))

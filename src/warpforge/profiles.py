@@ -8,7 +8,8 @@ piece's interval, rule name and params) determines it.  Constructors
 below build the specific profiles the metric constructions need (Berger
 warp pair A/B, polynomial warp factors, cone-flattening slopes, cutoffs,
 space-form factors, blow-down reparameterizations) and re-verify every
-inequality they are supposed to satisfy instead of trusting the algebra.
+inequality they are supposed to satisfy, as a sampled sup on SUP_POINTS
+radii (sampled_sup), instead of trusting the algebra.
 """
 
 from __future__ import annotations
@@ -194,6 +195,24 @@ def _jsonable(x):
     if isinstance(x, (list, tuple)):
         return [_jsonable(v) for v in x]
     return x.__name__ if callable(x) else float(x)
+
+
+SUP_POINTS = 10_001  # radii of every builder check and distortion bound
+
+
+def radial_grid(lo: float, hi: float, n: int) -> np.ndarray:
+    """n log-spaced radii on [lo, hi): a span that starts at r = 0 starts
+    at 1e-8 * hi, any other at lo itself, and hi is left out."""
+    return np.geomspace(lo if lo > 0 else 1e-8 * hi, hi * (1 - 1e-12), n)
+
+
+def sampled_sup(values, lo: float, hi: float) -> list[tuple[float, float]]:
+    """(sup, radius of the sup) of each row of values(rs), one row or
+    several, evaluated once at rs = radial_grid(lo, hi, SUP_POINTS)."""
+    rs = radial_grid(lo, hi, SUP_POINTS)
+    rows = np.atleast_2d(values(rs))
+    at = np.argmax(rows, axis=1)
+    return [(float(row[j]), float(rs[j])) for row, j in zip(rows, at)]
 
 
 # ---------------------------------------------------------------------------
@@ -520,14 +539,15 @@ def make_step2_h(epsilon: float) -> Profile:
         label="step2_h",
     )
 
-    rs = np.linspace(lo, hi, 4001)
-    out = prof(rs)
-    triple = np.abs(out.v - rs) + np.abs(out.d1 - 1.0) + np.abs(out.d2)
-    worst = float(triple.max())
+    def triple(rs):
+        out = prof(rs)
+        return np.abs(out.v - rs) + np.abs(out.d1 - 1.0) + np.abs(out.d2)
+
+    [(worst, at)] = sampled_sup(triple, lo, hi)
     if worst > 21.0 * epsilon:
         raise ConstructionError(
             f"bridge bound violated: max(|h-r|+|h'-1|+|h''|) = {worst:.4g} "
-            f"> 21*eps = {21*epsilon:.4g}"
+            f"> 21*eps = {21*epsilon:.4g} at r = {at:.6g}"
         )
     return prof
 
@@ -623,14 +643,15 @@ def make_cubic_logwarp(
         label="f2_surgery",
     )
 
-    rs = np.linspace(r2, r2p, 10_001)[1:-1]
-    out = prof(rs)
-    ratio = out.d2 / out.v + alpha / rs**2
-    worst = float(ratio.max())
+    def excess(rs):
+        out = prof(rs)
+        return out.d2 / out.v + alpha / rs**2
+
+    [(worst, at)] = sampled_sup(excess, r2, r2p)
     if worst > 0.0:
         raise ParameterError(
             f"concavity postcondition f''/f <= -alpha/r^2 violated by {worst:.3g} "
-            f"on the interpolation interval; use a smaller r_m"
+            f"at r = {at:.6g} on the interpolation interval; use a smaller r_m"
         )
     return prof, delta
 
@@ -649,12 +670,16 @@ def make_xi(r3: float, r_max: Optional[float] = None) -> Profile:
         ],
         label="xi",
     )
-    rs = np.linspace(r3, 2.0 * r3, 2001)
-    out = prof(rs)
-    if float((np.abs(out.d1) * rs).max()) > 4.0 or float(
-        (np.abs(out.d2) * rs * rs).max()
-    ) > 19.0:
-        raise ConstructionError("cutoff derivative certificates violated")
+
+    def scaled(rs):
+        out = prof(rs)
+        return np.abs(out.d1) * rs, np.abs(out.d2) * rs * rs
+
+    for (sup, at), what, limit in zip(sampled_sup(scaled, r3, 2.0 * r3),
+                                      ("|xi'| r", "|xi''| r^2"), (4.0, 19.0)):
+        if sup > limit:
+            raise ConstructionError(f"cutoff bound violated: {what} = {sup:.6g} > {limit:g} "
+                                    f"at r = {at:.6g}")
     return prof
 
 

@@ -145,12 +145,6 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def radial_grid(lo: float, hi: float, n: int) -> np.ndarray:
-    """n log-spaced radii on [lo, hi): the floor 1e-8 * hi keeps a range
-    that starts at r = 0 samplable, and hi itself is left out."""
-    return np.geomspace(max(lo, 1e-8 * hi), hi * (1 - 1e-12), n)
-
-
 def _geomspace_rows(start: np.ndarray, stop: np.ndarray, n: int) -> np.ndarray:
     """np.geomspace(start, stop, n, axis=1), each row as its own call gives
     it: once any row of a call has equal log10 ends, numpy rounds every row

@@ -1,9 +1,27 @@
-"""Shared helpers: independent derivative oracles for profile checks, and
-a strict JSON reader for the files the package writes."""
+"""Shared helpers: independent derivative oracles for profile checks, a
+strict JSON reader for the files the package writes, the radius a check's
+error names, and the fixture that empties build_bubble's caches."""
 
 import json
+import re
 
 import numpy as np
+import pytest
+
+from warpforge import construction
+
+
+@pytest.fixture
+def cold():
+    """Empty build_bubble's caches, as in a fresh process: a test that
+    patches a builder internal starts from here."""
+    construction._bubble_core.cache_clear()
+    construction._bubble_base.cache_clear()
+
+
+def named_radius(exc) -> float:
+    """The radius an error message names as "at r = <r>" or "at x = <x>"."""
+    return float(re.search(r" at [rx] = ([-+.\deE]+)", str(exc)).group(1))
 
 
 def strict_json(path):

@@ -11,7 +11,11 @@ glue at acceptance criterion 5's grid with 8 oracle radii per piece, seeds
 that glue seed 12 reads 1.0751e-04, above criterion 5's 1e-4.
 <config>_descriptor.json holds the metric descriptor that bubble, surgery,
 surgery_curved and glue write to `out_descriptor`: the bytes
-`verify.write_json` writes.
+`verify.write_json` writes.  cli_stdout.json holds the exit code and
+stdout of each shipped-config invocation (`warpforge <command> -c
+configs/<config>.json`, run by `warpforge.cli.main` in a fresh directory),
+which pins the sups the commands print: the bubble's blow-down stretch,
+the surgeries' bi-Lipschitz ratio and measured Ricci constant.
 Regenerate only when a change is meant to alter reports, from the
 repository root:
 
@@ -26,13 +30,16 @@ so this is the check that a change leaves every report unchanged.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import io
 import json
+import os
 import sys
 import tempfile
 from pathlib import Path
 
-from warpforge.cli import build, load_config
+from warpforge.cli import build, load_config, main as cli_main
 from warpforge.verify import GridConfig, verify_ric_lower, write_json
 
 HERE = Path(__file__).resolve().parent
@@ -44,6 +51,9 @@ DESCRIPTOR_CASES = ORACLE_CASES + ("surgery_curved",)
 ORACLE_GRID = dict(points_per_piece=64, oracle=True, n_oracle=4, seed=0)
 TABLE_GRID = dict(points_per_piece=64, oracle=True, n_oracle=8)
 TABLE_SEEDS = range(20)
+INVOCATIONS = (("bubble", "bubble"), ("surgery", "surgery"), ("surgery", "surgery_curved"),
+               ("glue", "glue"), ("scan", "scan"), ("limits", "limits"),
+               ("verify", "bubble_broken"))
 
 
 def cli_case(config: str):
@@ -91,6 +101,22 @@ def descriptor_text(config: str) -> str:
     return file_text(lambda path: write_json(path, metric.descriptor()))
 
 
+def cli_stdout(invocations=INVOCATIONS) -> dict:
+    """{config: {"command", "exit_code", "stdout"}} of each (command, config)
+    invocation, run in a fresh directory so that its files land there."""
+    out, home = {}, os.getcwd()
+    for command, config in invocations:
+        stdout = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(stdout):
+            os.chdir(tmp)
+            try:
+                code = cli_main([command, "-c", str(CONFIGS / f"{config}.json")])
+            finally:
+                os.chdir(home)
+        out[config] = {"command": command, "exit_code": code, "stdout": stdout.getvalue()}
+    return out
+
+
 def goldens() -> dict[str, str]:
     """{file name: text} of every golden, regenerated in memory."""
     texts = {f"{name}.json": file_text(verify_ric_lower(*case(name)).write) for name in NAMES}
@@ -98,6 +124,7 @@ def goldens() -> dict[str, str]:
         texts[f"{config}_descriptor.json"] = descriptor_text(config)
     table = {"grid": TABLE_GRID, "seeds": list(TABLE_SEEDS), "oracle_max_rel_err": oracle_table()}
     texts["oracle_table.json"] = json.dumps(table, indent=2) + "\n"
+    texts["cli_stdout.json"] = json.dumps(cli_stdout(), indent=2) + "\n"
     return texts
 
 

@@ -1,13 +1,16 @@
 """Bubble/surgery assembly, smoothing, gluing, map distortion."""
 
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
+from conftest import named_radius
 
 from warpforge import construction
 from warpforge.construction import (
+    Bubble,
     bilipschitz_check,
     blowdown_lipschitz,
     bubble_alpha2_for_alpha,
@@ -24,11 +27,14 @@ from warpforge.profiles import (
     ParameterError,
     Piece,
     Profile,
+    affine,
+    const,
     make_A,
     make_B,
     make_f2,
     make_f4,
     make_h3,
+    poly_in_t,
 )
 from warpforge.jets import JetDomainError, jet_sin
 from warpforge.verify import GridConfig, scan_params, verify_ric_lower
@@ -226,6 +232,16 @@ def test_bubble_alpha2_inversion():
     assert b.metric.f.pieces[-1].params["alpha"] == pytest.approx(0.01, rel=1e-12)
 
 
+@pytest.mark.parametrize("epsilon", [0.2, -0.5])
+def test_alpha2_inversion_checks_epsilon_and_caches_nothing(cold, epsilon):
+    message = f"^epsilon = {epsilon} outside \\(0, 1/10\\)$"
+    with pytest.raises(ParameterError, match=message):
+        build_bubble(**{**BUBBLE_KW, "epsilon": epsilon})
+    with pytest.raises(ParameterError, match=message):
+        bubble_alpha2_for_alpha(0.01, epsilon)
+    assert construction._bubble_core.cache_info().currsize == 0
+
+
 def test_make_B_rejects_only_an_m_that_rounds_out_of_b():
     # bubble_alpha2_for_alpha reads h3 from build_bubble's core (A, B, h3),
     # so it checks B as well.  b = A(r1) - m r1 T1/2 > A(r1)/2 on all of
@@ -256,13 +272,6 @@ def test_make_B_rejects_only_an_m_that_rounds_out_of_b():
 
 
 # -- build_bubble's caches -----------------------------------------------------
-
-@pytest.fixture
-def cold():
-    """Empty build_bubble's caches, as in a fresh process."""
-    construction._bubble_core.cache_clear()
-    construction._bubble_base.cache_clear()
-
 
 @pytest.mark.parametrize("smooth", [True, False])
 def test_bubbles_differing_in_the_warp_share_their_base(cold, smooth):
@@ -394,6 +403,16 @@ def test_surgery_bilipschitz(surgery):
     assert sup == pytest.approx(1 / (1 - surgery.params.epsilon), rel=1e-6)
 
 
+def test_bilipschitz_violation_names_its_radius(surgery):
+    # a record claiming a smaller epsilon than the one the surgery was built
+    # with: the cone's stretch 1/(1 - 0.02) exceeds 1 + 2 * 0.005
+    claimed = dataclasses.replace(surgery, params=dataclasses.replace(surgery.params, epsilon=0.005))
+    with pytest.raises(ConstructionError, match=r"^bi-Lipschitz bound violated: sup ratio "
+                                                r"1\.02041 > 1\+2eps = 1\.01 at r = ") as exc:
+        bilipschitz_check(claimed)
+    assert 0.0 < named_radius(exc.value) <= 0.5
+
+
 def test_surgery_curved_base_builds_and_verifies():
     s = build_surgery(kappa=-0.2, f0=1.0, lambda_bound=-0.7, epsilon=0.02,
                       alpha=0.01, r_hat=1e-3, delta_hat=1e-3)
@@ -427,6 +446,31 @@ def test_glue_collar_isometry_and_c1(glued):
     phi = g.A(xs).v
     expected = (1 - 0.02) * (xs - shift)
     assert np.allclose(phi, expected, rtol=1e-10)
+
+
+def test_glue_collar_base_mismatch_names_its_radius(cold, monkeypatch, surgery, glued):
+    # every glued piece 5e-10 high: within the joints' C1 tolerance (1e-9),
+    # outside the collar's (1e-10)
+    g, b = glued
+    rescaled = construction.rescaled
+    monkeypatch.setattr(construction, "rescaled",
+                        lambda rj, **kw: rescaled(rj, **kw) * (1 + 5e-10))
+    with pytest.raises(ConstructionError, match=r"^collar base mismatch: relative error "
+                                                r".* > 1e-10 at x = ") as exc:
+        glue_bubble(surgery, b)
+    assert 0.55e-3 <= named_radius(exc.value) - g.params["shift"] <= 0.95e-3
+
+
+def test_glue_collar_warp_mismatch_names_its_radius(surgery, glued):
+    # a surgery record whose delta is 5e-10 off its warp's: the surgery side
+    # of the collar [0.75, 0.95] r_hat carries the wrong coefficient
+    g, b = glued
+    off = dataclasses.replace(surgery, params=dataclasses.replace(
+        surgery.params, delta=surgery.params.delta * (1 + 5e-10)))
+    with pytest.raises(ConstructionError, match=r"^collar warp mismatch: relative error "
+                                                r".* > 1e-10 at x = ") as exc:
+        glue_bubble(off, b)
+    assert 0.75e-3 <= named_radius(exc.value) - g.params["shift"] <= 0.95e-3
 
 
 def test_glue_min_rule_coefficient(glued):
@@ -486,4 +530,59 @@ def test_blowdown_flat_degenerate_case(bubble):
     with pytest.raises(ConstructionError, match="not an isometry beyond r3"):
         blowdown_lipschitz(bubble, lam=ident)
     sup = blowdown_lipschitz(bubble, lam=bubble.blowdown())
-    assert sup == blowdown_lipschitz(bubble) == pytest.approx(1.3822539846954487, rel=1e-12)
+    assert sup == blowdown_lipschitz(bubble) == pytest.approx(1.382254069670445, rel=1e-12)
+
+
+
+def test_blowdown_sup_on_a_span_of_many_decades():
+    # r3 = 6.6e19 r1, and the sup sits on [r1, r3]; sampling that span from
+    # 1e-8 r3 = 2.1e11 instead of from r1 would read 1.13
+    b = build_bubble(epsilon=0.01, alpha2=0.1, delta2=0.01, m=1e-3, r1=0.32, r3=2.1e19,
+                     smooth=False)
+    lam = b.blowdown()
+    rs = np.geomspace(0.32, 2.1e19, 200_001)
+    dense = float(np.max(0.99 * lam(rs).v / b.metric.A(rs).v))
+    assert dense == pytest.approx(5.03, abs=0.01)
+    assert blowdown_lipschitz(b) == pytest.approx(dense, rel=1e-5)
+
+
+def lam_line(bubble, slope, value=0.0, anchor=0.0):
+    """A one-piece blow-down value + slope (r - anchor) past the bubble's end."""
+    r_max = 1.5 * bubble.metric.r_range[1]
+    return Profile([Piece(0.0, r_max, affine, {"value": value, "slope": slope, "anchor": anchor})],
+                   "lam")
+
+
+def lam_bent(bubble):
+    """r up to r1, then r + (r - r1)^2: C1, and far above A on [r1, r3]."""
+    r1, r_max = bubble.params.r1, 1.5 * bubble.metric.r_range[1]
+    return Profile([Piece(0.0, r1, affine, {"value": 0.0, "slope": 1.0, "anchor": 0.0}),
+                    Piece(r1, r_max, poly_in_t, {"coeffs": [r1, 1.0, 1.0], "x0": r1, "L": 1.0})],
+                   "lam")
+
+
+def thin_B(bubble):
+    """The bubble with B a constant a quarter of its blow-down at r1."""
+    quarter = float(bubble.blowdown()(bubble.params.r1).v) / 4
+    B = Profile([Piece(0.0, 1.5 * bubble.metric.r_range[1], const, {"value": quarter})], "B")
+    return Bubble(dataclasses.replace(bubble.metric, B=B), bubble.params)
+
+
+@pytest.mark.parametrize("region, message, make", [
+    ("core", r"lambda' on the core 1\.5 > 1", lambda b: (b, lam_line(b, 1.5))),
+    ("core", r"Hopf stretch .* > pi/2 \(1-eps\)", lambda b: (b, lam_line(b, 0.5, value=1.0))),
+    ("core", r"YZ stretch .* > pi \(1-eps\)", lambda b: (thin_B(b), None)),
+    ("flattening", r"stretch on \[r1, r3\] .* > \(1-eps\)/m", lambda b: (b, lam_bent(b))),
+    ("exterior", r"blow-down is not an isometry beyond r3: \|stretch - 1\| .* > 1e-9",
+     lambda b: (b, lam_line(b, 1.0))),
+    ("exterior", r"blow-down is not an isometry beyond r3: \|lambda' - 1\| .* > 1e-12",
+     lambda b: (b, lam_line(b, 1 + 1e-11, anchor=b.metric.f.pieces[-1].params["R3"]))),
+], ids=["core-slope", "core-hopf", "core-yz", "flattening", "exterior-stretch", "exterior-slope"])
+def test_blowdown_bound_violation_names_its_radius(bubble, region, message, make):
+    b, lam = make(bubble)
+    with pytest.raises(ConstructionError, match=f"^{message} at r = ") as exc:
+        blowdown_lipschitz(b, lam)
+    r1, r3 = bubble.params.r1, bubble.params.r3
+    lo, hi = {"core": (0.0, r1), "flattening": (r1, r3),
+              "exterior": (r3, bubble.metric.r_range[1])}[region]
+    assert lo < named_radius(exc.value) <= hi

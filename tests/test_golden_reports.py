@@ -11,7 +11,8 @@ descriptors of bubble, surgery, surgery_curved and glue, as
 `verify.write_json` writes them, must match byte for byte, and must
 determine the metric: rebuilt from that JSON alone, each gives the same
 report and the same block bits.  `make_golden.py --check` compares every
-golden byte for byte; only its comparison is tested here.
+golden byte for byte; only its comparison is tested here, and of the CLI
+stdout golden, the sups it pins and the capture of one invocation.
 """
 
 import inspect
@@ -150,3 +151,15 @@ def test_check_names_each_golden_that_differs(tmp_path, monkeypatch, capsys):
     assert make_golden.main(["--check"]) == 1
     assert capsys.readouterr().out.split("\n")[:2] == ["differs: b.json", "differs: c.json"]
     assert not (tmp_path / "c.json").exists()
+
+
+def test_cli_stdout_golden_pins_the_printed_sups():
+    golden = json.loads((GOLDEN / "cli_stdout.json").read_text())
+    assert {config: run["exit_code"] for config, run in golden.items()} == {
+        "bubble": 2, "surgery": 0, "surgery_curved": 0, "glue": 2, "scan": 0, "limits": 0,
+        "bubble_broken": 2}
+    assert "\nblow-down stretch sup: 1.38225\n" in golden["bubble"]["stdout"]
+    assert "\nbi-Lipschitz sup 1.02041 <= " in golden["surgery"]["stdout"]
+    assert "; measured Ricci constant C = 92.82 " in golden["surgery"]["stdout"]
+    # the capture itself, on the fastest invocation
+    assert make_golden.cli_stdout([("limits", "limits")]) == {"limits": golden["limits"]}

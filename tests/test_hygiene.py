@@ -1,7 +1,8 @@
 """Source hygiene of src/warpforge: every imported name is used, no
 module checks a condition with `assert`, which `python -O` strips, every
-JSON file is written by verify.write_json, and the build records hold only
-their builders' inputs."""
+JSON file is written by verify.write_json, every sampled check goes
+through profiles.sampled_sup, construction does not import verify, and the
+build records hold only their builders' inputs."""
 
 import ast
 import dataclasses
@@ -46,16 +47,32 @@ def test_no_assert_statements(path):
     assert lines == [], f"{path.name}: assert at lines {lines}"
 
 
+def calls_outside(source: str, functions: set, module: str, names: tuple) -> list[int]:
+    """Lines of module.<name>(...) calls, for each name in names, outside
+    the functions named in functions."""
+    tree = ast.parse(source)
+    inside = {id(n) for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+              and f.name in functions for n in ast.walk(f)}
+    return [n.lineno for n in ast.walk(tree)
+            if isinstance(n, ast.Call) and id(n) not in inside
+            and isinstance(n.func, ast.Attribute) and n.func.attr in names
+            and isinstance(n.func.value, ast.Name) and n.func.value.id == module]
+
+
 def bare_json_writes(source: str) -> list[int]:
     """Lines of json.dump/json.dumps calls outside a function named
     write_json, the one writer that keeps every file strict JSON."""
-    tree = ast.parse(source)
-    inside = {id(n) for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
-              and f.name == "write_json" for n in ast.walk(f)}
-    return [n.lineno for n in ast.walk(tree)
-            if isinstance(n, ast.Call) and id(n) not in inside
-            and isinstance(n.func, ast.Attribute) and n.func.attr in ("dump", "dumps")
-            and isinstance(n.func.value, ast.Name) and n.func.value.id == "json"]
+    return calls_outside(source, {"write_json"}, "json", ("dump", "dumps"))
+
+
+# The grids that are not a sampled sup: radial_grid itself, verify's piece
+# grids, c1_smooth's window radii and the CSV export's geomspace
+GRID_SITES = {"radial_grid", "_geomspace_rows", "c1_smooth", "cmd_export"}
+
+
+def bare_grids(source: str) -> list[int]:
+    """Lines of np.linspace/np.geomspace calls outside GRID_SITES."""
+    return calls_outside(source, GRID_SITES, "np", ("linspace", "geomspace"))
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
@@ -69,6 +86,27 @@ def test_bare_json_write_is_found():
               "def write_json(path, data):\n    json.dump(data, open(path, 'w'))\n"
               "def other(fh):\n    json.dump({}, fh)\n    return json.dumps([])\n")
     assert bare_json_writes(source) == [5, 6]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_grids_are_built_by_radial_grid_only(path):
+    lines = bare_grids(path.read_text())
+    assert lines == [], f"{path.name}: np.linspace/np.geomspace outside {GRID_SITES} at lines {lines}"
+
+
+def test_bare_grid_is_found():
+    source = ("import numpy as np\n"
+              "def radial_grid(lo, hi, n):\n    return np.geomspace(lo, hi, n)\n"
+              "def check(p):\n    rs = np.linspace(0, 1, 9)\n    return np.geomspace(1, 2, 3)\n")
+    assert bare_grids(source) == [5, 6]
+
+
+def test_construction_does_not_import_verify():
+    tree = ast.parse((SRC / "construction.py").read_text())
+    imports = [n for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom))]
+    names = [getattr(n, "module", None) or "" for n in imports]
+    names += [a.name for n in imports for a in n.names]
+    assert [name for name in names if "verify" in name] == []
 
 
 def test_unused_import_is_found():

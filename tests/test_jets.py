@@ -18,7 +18,7 @@ from warpforge.jets import (
     jet_var,
 )
 from warpforge.profiles import Piece, _flat_step_integral, bump_bridge
-from warpforge.verify import radial_grid
+from warpforge.profiles import radial_grid
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 

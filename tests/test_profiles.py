@@ -5,13 +5,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import bisect_root, fd_profile_check
+from conftest import bisect_root, fd_profile_check, named_radius
 
 from warpforge import profiles, verify
 from warpforge.cli import build, load_config
 from warpforge.jets import Jet2, JetDomainError, jet_ln, jet_pow
 from warpforge.profiles import (
     BRIDGE_PANELS,
+    SUP_POINTS,
     ConstructionError,
     ParameterError,
     make_A,
@@ -24,7 +25,10 @@ from warpforge.profiles import (
     make_model_mu,
     make_step2_h,
     make_xi,
+    affine,
     const,
+    radial_grid,
+    sampled_sup,
     Piece,
     Profile,
     _flat_step,
@@ -303,6 +307,18 @@ def test_step2_h_jets_match_fd():
     fd_profile_check(make_step2_h(0.05), n=100, seed=4, lo=0.05)
 
 
+def test_step2_h_bridge_violation_names_its_radius(cold, monkeypatch):
+    # K t^2 (1-t)^2 keeps the quintic's value and slope at both ends (so the
+    # profile stays C1) and adds 2K/L^2 = 0.8 to |h''| there
+    hermite = profiles.quintic_hermite_coeffs
+    monkeypatch.setattr(profiles, "quintic_hermite_coeffs",
+                        lambda *a: list(np.add(hermite(*a), [0, 0, 0.1, -0.2, 0.1, 0])))
+    with pytest.raises(ConstructionError,
+                       match=r"^bridge bound violated: .* > 21\*eps = 1\.05 at r = ") as exc:
+        make_step2_h(0.05)
+    assert 0.5 <= named_radius(exc.value) <= 1.0
+
+
 # -- make_cubic_logwarp ---------------------------------------------------------
 
 def constant_profile(c, r_max=2.0, label="fplus"):
@@ -338,6 +354,15 @@ def test_cubic_logwarp_concavity_bound():
     assert np.all(out.d2 / out.v <= -0.01 / rs**2)
 
 
+def test_cubic_logwarp_concavity_violation_names_its_radius():
+    # an ambient warp 1 + 50 r is log-convex enough at r2p to break f''/f <= -alpha/r^2
+    fp = Profile([Piece(0.0, 2.0, affine, {"value": 1.0, "slope": 50.0, "anchor": 0.0})], "fp")
+    with pytest.raises(ParameterError, match=r"^concavity postcondition .* violated by .* "
+                                             r"at r = .* use a smaller r_m$") as exc:
+        make_cubic_logwarp(fp, alpha=0.01, r_m=0.125)
+    assert (1 - 1 / 32) * 0.125 <= named_radius(exc.value) <= (1 + 1 / 32) * 0.125
+
+
 def test_cubic_logwarp_smallness_violation_named():
     fp = constant_profile(3e-4)
     with pytest.raises(ParameterError, match="rho"):
@@ -354,6 +379,19 @@ def test_xi_endpoints():
     assert float(xi(0.04).v) == 1.0
     assert float(xi.pieces[1](0.02).d1) == pytest.approx(0.0, abs=1e-12)
     assert float(xi.pieces[1](0.04).d1) == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("K, message", [
+    (5.0, r"\|xi''\| r\^2 = 40 > 19"),  # 2K/L^2 at 2 r3, times (2 r3)^2
+    (20.0, r"\|xi'\| r = .* > 4"),
+], ids=["second-derivative", "first-derivative"])
+def test_xi_bound_violation_names_its_radius(cold, monkeypatch, K, message):
+    # K t^2 (1-t)^2 keeps the step's ends at 0 and 1, both flat, so xi stays C1
+    monkeypatch.setattr(profiles, "SMOOTHSTEP",
+                        tuple(np.add(profiles.SMOOTHSTEP, np.multiply(K, [0, 0, 1, -2, 1, 0]))))
+    with pytest.raises(ConstructionError, match=f"^cutoff bound violated: {message} at r = ") as exc:
+        make_xi(0.02)
+    assert 0.02 <= named_radius(exc.value) <= 0.04
 
 
 def test_mu_limit_at_zero():
@@ -449,3 +487,29 @@ def test_domain_error_reports_worst_value_and_count():
         with pytest.raises(JetDomainError, match=f"^{message}$") as info:
             call()
         assert "array(" not in str(info.value)
+
+
+# -- radial_grid and sampled_sup ---------------------------------------------------
+
+def test_radial_grid_floors_only_a_span_that_starts_at_zero():
+    rs = radial_grid(0.0, 2.0, 5)
+    assert rs[0] == 2e-8 and rs[-1] == 2.0 * (1 - 1e-12)
+    # a span above r = 0 starts at its own lo, however many decades it spans
+    assert radial_grid(0.32, 2.1e19, 5)[0] == 0.32
+    assert np.all(np.diff(radial_grid(0.5, 1.0, 7)) > 0)
+
+
+def test_sampled_sup_gives_each_rows_sup_and_its_radius():
+    sizes = []
+
+    def rows(rs):
+        sizes.append(rs.size)
+        return -np.log(rs / 3.0) ** 2, rs
+
+    (peak, at), (top, top_at) = sampled_sup(rows, 1.0, 10.0)
+    assert sizes == [SUP_POINTS] and SUP_POINTS >= 10_001
+    assert peak == pytest.approx(0.0, abs=1e-7) and at == pytest.approx(3.0, rel=1e-3)
+    assert top == top_at == 10.0 * (1 - 1e-12)
+    # one row gives one pair; on a span from r = 0 the first radius is the floor
+    [(sup, sup_at)] = sampled_sup(lambda rs: -rs, 0.0, 1.0)
+    assert sup == -sup_at == -1e-8

@@ -15,7 +15,7 @@ from warpforge.construction import build_bubble
 from warpforge.curvature import WarpedMetric, berger_jets, fd_ricci_oracle, ricci_berger
 from warpforge.jets import jet_sin
 from warpforge.profiles import (
-    ParameterError, Piece, Profile, make_A, make_f2, make_h3, make_lambda, const,
+    ParameterError, Piece, Profile, make_A, make_f2, make_h3, make_lambda, const, radial_grid,
 )
 from warpforge.verify import (
     REFINE_FRAC,
@@ -23,7 +23,6 @@ from warpforge.verify import (
     _oracle_radii,
     _piece_grids,
     export_curvature_csv,
-    radial_grid,
     scan_params,
     verify_ric_lower,
 )
