@@ -225,6 +225,11 @@ def cmd_verify(cfg: dict, target: str) -> int:
     return EXIT_OK if ok else EXIT_VIOLATION
 
 
+def _shown(value) -> str:
+    """A scan's range value: a boolean as its table writes it, else as %g."""
+    return str(value).lower() if isinstance(value, bool) else f"{value:g}"
+
+
 def cmd_scan(cfg: dict) -> int:
     base = {"smooth": False, **cfg.get("base", {})}
     first = {k: values[0] for k, values in cfg["ranges"].items()}
@@ -240,7 +245,7 @@ def cmd_scan(cfg: dict) -> int:
     n_pass = sum(1 for r in rows if r.get("passed"))
     print(f"scan: {len(rows)} points, {n_pass} passed; table written to {out}")
     for row in rows:
-        keys = ", ".join(f"{k}={row[k]:g}" for k in sorted(cfg["ranges"]))
+        keys = ", ".join(f"{k}={_shown(row[k])}" for k in sorted(cfg["ranges"]))
         if row["built"]:
             print(f"  {keys}: {'PASS' if row['passed'] else 'FAIL'} "
                   f"worst margin {row['worst_margin']:.4g}")

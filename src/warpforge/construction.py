@@ -495,9 +495,8 @@ def blowdown_lipschitz(b: Bubble, lam: Optional[Profile] = None) -> float:
 
     slope, hopf, yz, _, _ = sampled_sup(factors, 0.0, r1)
     flat_slope, flat, _, _, _ = sampled_sup(factors, r1, r3)
-    # the exterior starts past any smoothing window around r3
-    start = max([r3] + [bp for bp in A.breakpoints if bp > r3 * 0.9])
-    _, ext, _, ext_dev, ext_slope = sampled_sup(factors, start, b.metric.r_range[1])
+    # the exterior is A's last piece, the exact affine past any window at r3
+    _, ext, _, ext_dev, ext_slope = sampled_sup(factors, A.pieces[-1].lo, b.metric.r_range[1])
     for what, bound, limit, (sup, at) in (
         ("lambda' on the core", "1", 1.0 + 1e-9, slope),
         ("Hopf stretch", "pi/2 (1-eps)", (math.pi / 2) * one_m_eps * (1 + 1e-9), hopf),

@@ -7,11 +7,10 @@ reported with margins against the requested bound, and an optional pass
 cross-checks random radii against the finite-difference oracle.  The same
 configuration always produces a bit-identical report.
 
-Each piece is evaluated once per call, on its grid followed by its oracle
-radii and their stencil radii, and the oracle pass is one batch: one
-oracle call per distinct step on every sampled piece's radii (one call for
-the shipped targets), given the profile values of that evaluation, each
-error still attributed to its piece.
+Each sampled piece has one plan, oracle on or off: one evaluation on its
+grid, its oracle radii (none with the oracle off) and their stencil radii.
+The oracle makes one call per distinct step on those radii of every piece
+(one call for the shipped targets), given the values of that evaluation.
 
 A verification piece lies inside one piece of every profile, so its blocks
 come straight from those pieces' closed forms, through berger_jets (a
@@ -183,59 +182,47 @@ def _piece_grids(lo, hi, cfg: GridConfig, global_max: float) -> list[np.ndarray]
 
 
 def _oracle_radii(lo: float, hi: float, piece_index: int,
-                  cfg: GridConfig) -> Optional[tuple[np.ndarray, float]]:
-    """(cfg.n_oracle random radii, step h_fd) of one piece's oracle samples,
-    or None when the piece is too narrow to difference."""
-    rel_width = (hi - lo) / hi
-    h_fd = min(H_FD, rel_width / 50.0)
-    if h_fd < 1e-7:
-        return None
-    rng = np.random.default_rng(cfg.seed + 1_000_003 * (piece_index + 1))
+                  cfg: GridConfig) -> tuple[np.ndarray, float]:
+    """(random radii, step h_fd) of one piece's oracle samples: cfg.n_oracle
+    radii, or none when the oracle is off or the piece is too narrow to
+    difference."""
+    h_fd = min(H_FD, (hi - lo) / hi / 50.0)
     margin = 12.0 * h_fd
     # flat-center floor: at radius r0 the zoomed chart sees curvature ~ r0^2
     # times the physical O(1) blocks, which must stay above the ~1e-8 fd
     # noise, so pieces reaching r = 0 are sampled from 0.04 * hi up
     a = max(lo * (1.0 + margin), 0.04 * hi)
     b = hi * (1.0 - margin)
-    if not a < b:
-        return None
+    if not (cfg.oracle and h_fd >= 1e-7 and a < b):
+        return np.array([]), h_fd
+    rng = np.random.default_rng(cfg.seed + 1_000_003 * (piece_index + 1))
     return np.exp(rng.uniform(np.log(a), np.log(b), size=cfg.n_oracle)), h_fd
 
 
-def _oracle_errors(metric: WarpedMetric, samples: list) -> list[float]:
-    """Max scaled error |oracle - formula| / max(0.1, |formula|) per sampled
-    piece, given as (radii, h_fd, formula blocks (block, radius), profile
-    values at the radii's stencil_radii), the blocks and values sliced from
-    the piece's one evaluation in verify_ric_lower; equivalent to
-    |o - f| <= max(1e-5, 1e-4 |f|) scaled to 1e-4.  The oracle makes one
-    call per distinct step on every radius that takes it, elementwise in
-    the radii, so a radius gets the same bits as in a call on its piece
-    alone."""
-    sizes = [rs.size for rs, *_ in samples]
-    radii = np.concatenate([rs for rs, *_ in samples])
-    steps = np.repeat([h_fd for _, h_fd, *_ in samples], sizes)
-    formula = np.concatenate([blocks for _, _, blocks, _ in samples], axis=1)
-    fd = np.empty((len(formula) + 1, radii.size))  # the same blocks, then cross_ir_mag
-    for h_fd in np.unique(steps):
-        at = steps == h_fd
-        radial = [np.concatenate(c) for c in zip(*(v for _, h, _, v in samples if h == h_fd))]
-        oracle = fd_ricci_oracle(metric, radii[at], h_fd=float(h_fd), radial=radial)
-        fd[:, at] = [*oracle.as_dict(metric.is_round).values(), oracle.cross_ir_mag]
-    errs = np.abs(fd[:-1] - formula) / np.maximum(0.1, np.abs(formula))
+def _oracle_errors(metric: WarpedMetric, h_fd: float, samples: list) -> np.ndarray:
+    """Scaled errors |oracle - formula| / max(0.1, |formula|), i.e.
+    |o - f| <= max(1e-5, 1e-4 |f|) scaled to 1e-4, of one step's samples:
+    per piece (radii, formula blocks, profile values at stencil_radii), from
+    its one evaluation.  One oracle call, elementwise in the radii."""
+    radii = np.concatenate([rs for rs, _, _ in samples])
+    formula = np.concatenate([blocks for _, blocks, _ in samples], axis=1)
+    radial = [np.concatenate(c) for c in zip(*(v for _, _, v in samples))]
+    oracle = fd_ricci_oracle(metric, radii, h_fd=h_fd, radial=radial)
+    fd = np.array(list(oracle.as_dict(metric.is_round).values()))
+    errs = np.abs(fd - formula) / np.maximum(0.1, np.abs(formula))
     # mixed radial/sphere block must vanish in rotational symmetry (row 0 is rr)
-    cross = fd[-1] / np.maximum(0.1, np.abs(formula[0]))
-    err = np.max([*errs, cross], axis=0)
-    return [float(np.max(e)) for e in np.split(err, np.cumsum(sizes)[:-1])]
+    cross = oracle.cross_ir_mag / np.maximum(0.1, np.abs(formula[0]))
+    return np.concatenate([errs.ravel(), cross])
 
 
 def verify_ric_lower(
     metric: WarpedMetric, bound: float, cfg: Optional[GridConfig] = None
 ) -> VerificationReport:
     """Sample every smooth piece of the metric and compare each Ricci block
-    minimum against the bound.  With cfg.oracle, each sampled piece is
-    evaluated once, on its grid, its oracle radii and their stencil_radii:
-    the blocks come from the first two parts, and the oracle reads the
-    profile values from the third, so no profile is called."""
+    minimum against the bound.  Each sampled piece is evaluated once, oracle
+    on or off, on its grid, its oracle radii and their stencil_radii: the
+    blocks come from the first two, their minima from the grid alone, and
+    the oracle reads the profile values from the third."""
     cfg = cfg or GridConfig()
     counts = ("points_per_piece", "refine_factor") + (("n_oracle",) if cfg.oracle else ())
     for name in counts:
@@ -245,7 +232,7 @@ def verify_ric_lower(
     lo_clip = metric.r_range[0] if cfg.r_min is None else cfg.r_min
     hi_clip = metric.r_range[1] if cfg.r_max is None else cfg.r_max
     pieces = []
-    samples = []  # (radii, h_fd, formula blocks, stencil values) per oracle-sampled piece
+    samples = {}  # h_fd -> (radii, formula blocks, stencil values) per piece at that step
     spans = []  # (index among the metric's pieces, lo, hi, (A, B, f) pieces)
     for i, (plo, phi_, *forms) in enumerate(metric.verification_pieces()):
         lo, hi = max(plo, lo_clip), min(phi_, hi_clip)
@@ -255,12 +242,10 @@ def verify_ric_lower(
     for (i, lo, hi, forms), rs in zip(spans, grids):
         if rs.size == 0:
             continue
-        drawn = _oracle_radii(lo, hi, i, cfg) if cfg.oracle else None
-        at = rs
-        if drawn is not None:  # then the oracle radii, then the radii of their stencils
-            at = np.concatenate([rs, drawn[0], stencil_radii(*drawn).ravel()])
+        radii, h_fd = _oracle_radii(lo, hi, i, cfg)
+        m = rs.size + radii.size  # blocks at the grid and the oracle radii only
+        at = np.concatenate([rs, radii, stencil_radii(radii, h_fd).ravel()]) if radii.size else rs
         jets = berger_jets(*forms, at)
-        m = rs.size + (0 if drawn is None else drawn[0].size)  # blocks at grid and radii only
         blocks = ricci_berger(*(Jet2(j.v[:m], j.d1[:m], j.d2[:m]) for j in jets))
         blocks = blocks.as_dict(metric.is_round)
         stats = {}
@@ -269,15 +254,17 @@ def verify_ric_lower(
             vmin = float(values[j])
             stats[name] = BlockStat(vmin, float(rs[j]), vmin - bound)
         pieces.append(PieceReport([lo, hi], int(rs.size), stats))
-        if drawn is not None:
-            radial = [j.v[m:].reshape(drawn[0].size, -1) for j in jets]
-            samples.append((*drawn, np.array([v[rs.size:] for v in blocks.values()]), radial))
+        if radii.size:
+            radial = [j.v[m:].reshape(radii.size, -1) for j in jets]
+            formula = np.array([v[rs.size:] for v in blocks.values()])
+            samples.setdefault(h_fd, []).append((radii, formula, radial))
     if not pieces:
         raise ParameterError(f"the grid samples no piece of {metric.label} in "
                              f"[{lo_clip:g}, {hi_clip:g}] (r_min_frac = {cfg.r_min_frac:g})")
     # np.max, not max: a NaN error must reach the report; 0.0 stays when no
     # piece was wide enough to difference
-    oracle_err = float(np.max(_oracle_errors(metric, samples))) if samples else 0.0
+    errs = [_oracle_errors(metric, h_fd, s) for h_fd, s in samples.items()]
+    oracle_err = float(np.max(np.concatenate(errs))) if errs else 0.0
     return VerificationReport(
         metric_id=metric.label,
         bound=bound,

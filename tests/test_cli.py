@@ -141,6 +141,24 @@ def test_scan_fixture(tmp_path, monkeypatch):
     assert sphere[0] > sphere[-1]
 
 
+def test_scan_prints_a_boolean_range_value_as_its_table_writes_it(tmp_path, monkeypatch,
+                                                                  capsys):
+    # %g printed True and False as 1 and 0
+    scan = json.loads((CONFIGS / "scan.json").read_text())
+    code, cfg = run_in(
+        tmp_path, monkeypatch, "scan.json", "scan",
+        patch={"base": {**scan["base"], "alpha2": 0.01},
+               "ranges": {"smooth": [True, False], "m": [0.001]},
+               "grid": {"points_per_piece": 64, "refine_factor": 2}},
+    )
+    assert code == 0
+    rows = strict_json(tmp_path / cfg["out_report"])
+    assert [row["smooth"] for row in rows] == [True, False]
+    lines = capsys.readouterr().out.splitlines()[1:]
+    assert [line.split(":")[0] for line in lines] == \
+        ["  m=0.001, smooth=true", "  m=0.001, smooth=false"]
+
+
 def test_scan_table_writes_non_finite_as_null(tmp_path, monkeypatch):
     row = {"alpha2": 0.005, "built": True, "error": None, "passed": False,
            "worst_margin": math.nan, "block_margin": {"rr": -math.inf, "s2": 0.5}}

@@ -533,6 +533,22 @@ def test_blowdown_flat_degenerate_case(bubble):
     assert sup == blowdown_lipschitz(bubble) == pytest.approx(1.382254069670445, rel=1e-12)
 
 
+@pytest.mark.parametrize("smooth", [True, False])
+def test_blowdown_exterior_is_the_exact_affine_piece(cold, monkeypatch, smooth):
+    # the isometry region starts at A's last piece, the exact affine past any
+    # smoothing window at r3, read from the build rather than guessed from
+    # the breakpoints near r3
+    los, sup = [], construction.sampled_sup
+    monkeypatch.setattr(construction, "sampled_sup",
+                        lambda values, lo, hi: los.append(lo) or sup(values, lo, hi))
+    b = build_bubble(smooth=smooth, **BUBBLE_KW)
+    los.clear()
+    blowdown_lipschitz(b)
+    exterior = b.metric.A.pieces[-1]
+    assert exterior.name == "affine" and los == [0.0, b.params.r1, exterior.lo]
+    assert (exterior.lo > b.params.r3) == smooth
+
+
 
 def test_blowdown_sup_on_a_span_of_many_decades():
     # r3 = 6.6e19 r1, and the sup sits on [r1, r3]; sampling that span from

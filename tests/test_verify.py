@@ -246,7 +246,7 @@ def test_oracle_error_keeps_the_bits_of_a_per_piece_evaluation(command, seed):
     for i, (plo, phi_, *forms) in enumerate(metric.verification_pieces()):
         lo, hi = max(plo, lo_clip), min(phi_, hi_clip)
         drawn = _oracle_radii(lo, hi, i, cfg)
-        if [lo, hi] not in reported or drawn is None:
+        if [lo, hi] not in reported or drawn[0].size == 0:
             continue
         radii, h_fd = drawn
         formula = ricci_berger(*berger_jets(*forms, radii)).as_dict(metric.is_round)
@@ -257,6 +257,62 @@ def test_oracle_error_keeps_the_bits_of_a_per_piece_evaluation(command, seed):
     assert len(errs) > 10
     want = float(np.max(np.concatenate(errs)))
     assert float.hex(report.oracle_max_rel_err) == float.hex(want)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("command", ["bubble", "surgery", "glue"])
+def test_oracle_radii_never_enter_a_grid_minimum(command, seed):
+    # the oracle radii share their piece's evaluation with its grid, yet
+    # every piece reads as it does with the oracle off
+    metric, _, _ = shipped(command, command)
+    cfg = GridConfig(points_per_piece=64, oracle=True, n_oracle=32, seed=seed)  # criterion 5
+    on = verify_ric_lower(metric, 0.0, cfg)
+    off = verify_ric_lower(metric, 0.0, dataclasses.replace(cfg, oracle=False))
+    assert on.oracle_max_rel_err > 0.0 and off.oracle_max_rel_err == 0.0
+    assert json.dumps(on.as_dict()["pieces"]) == json.dumps(off.as_dict()["pieces"])
+
+
+def test_a_piece_too_narrow_to_difference_keeps_its_grid_report(monkeypatch):
+    # the middle piece draws no oracle radii (h_fd would fall below 1e-7):
+    # it is reported from its grid, and the pieces around it are checked
+    # as a verify clipped to each of them alone checks it
+    from warpforge import verify
+
+    edges = [0.0, 1.0, 1.000004, 3.0]
+    phi = Profile([Piece(a, b, lambda rj: jet_sin(rj)) for a, b in zip(edges, edges[1:])], "phi")
+    f = Profile([Piece(0.0, 3.0, const, {"value": 0.5})], "f")
+    metric = WarpedMetric(phi, phi, f, (0.0, 3.0), "narrow_middle")
+    cfg = GridConfig(points_per_piece=64, oracle=True, n_oracle=8, seed=3)
+    sizes, jets = [], verify.berger_jets
+    monkeypatch.setattr(verify, "berger_jets", lambda *a: sizes.append(a[-1].size) or jets(*a))
+    on = verify_ric_lower(metric, 0.0, cfg)
+    # 8 oracle radii and the 9 stencil radii of each, beyond the grid
+    assert [n - p.grid for n, p in zip(sizes, on.pieces)] == [80, 0, 80]
+    off = verify_ric_lower(metric, 0.0, dataclasses.replace(cfg, oracle=False))
+    assert [p.interval for p in on.pieces] == [[a, b] for a, b in zip(edges, edges[1:])]
+    assert json.dumps(on.as_dict()["pieces"]) == json.dumps(off.as_dict()["pieces"])
+    alone = [verify_ric_lower(metric, 0.0, dataclasses.replace(cfg, **clip)).oracle_max_rel_err
+             for clip in (dict(r_max=1.0), dict(r_min=1.000004))]
+    assert 0.0 < min(alone) and max(alone) < 1e-4
+    assert float.hex(on.oracle_max_rel_err) == float.hex(max(alone))
+
+
+@pytest.mark.parametrize("oracle", [False, True])
+def test_verify_evaluates_each_reported_piece_once(monkeypatch, oracle):
+    # one berger_jets call per piece, on its grid and, with the oracle, its
+    # oracle radii and their stencil radii
+    from warpforge import verify
+
+    sizes, jets = [], verify.berger_jets
+    monkeypatch.setattr(verify, "berger_jets", lambda *a: sizes.append(a[-1].size) or jets(*a))
+    for command, config in SHIPPED:
+        metric, bound, grid = shipped(command, config)
+        cfg = dataclasses.replace(grid, points_per_piece=64, oracle=oracle, n_oracle=32)
+        sizes.clear()
+        report = verify_ric_lower(metric, bound, cfg)
+        grids = [p.grid for p in report.pieces]
+        assert len(sizes) == len(grids), config
+        assert (sizes != grids) == oracle and all(s >= g for s, g in zip(sizes, grids)), config
 
 
 @pytest.mark.parametrize("command,config", SHIPPED)
