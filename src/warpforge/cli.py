@@ -246,11 +246,13 @@ def cmd_scan(cfg: dict) -> int:
     print(f"scan: {len(rows)} points, {n_pass} passed; table written to {out}")
     for row in rows:
         keys = ", ".join(f"{k}={_shown(row[k])}" for k in sorted(cfg["ranges"]))
-        if row["built"]:
+        if not row["built"]:
+            print(f"  {keys}: rejected ({row['error']})")
+        elif row["error"]:
+            print(f"  {keys}: verify error ({row['error']})")
+        else:
             print(f"  {keys}: {'PASS' if row['passed'] else 'FAIL'} "
                   f"worst margin {row['worst_margin']:.4g}")
-        else:
-            print(f"  {keys}: rejected ({row['error']})")
     return EXIT_OK
 
 

@@ -15,8 +15,16 @@ The oracle makes one call per distinct step on those radii of every piece
 A verification piece lies inside one piece of every profile, so its blocks
 come straight from those pieces' closed forms, through berger_jets (a
 piece A and B share is evaluated once); the profiles' own dispatch is
-never used.  All pieces' grids are built together, in three batched
-np.geomspace calls, on every call: nothing is cached between calls.
+never used.  All new pieces' grids are built together, in three batched
+np.geomspace calls.
+
+A verify_ric_lower call keeps nothing: called on its own, it plans every
+piece in a store of its own, which it drops.  scan_params hands its rows
+one store for the whole scan, so rows whose metrics share a base (the
+same A and B profiles, as build_bubble gives rows that differ only in
+alpha2 or delta2) reuse each piece's grid, oracle radii and A and B jets,
+and evaluate only f, the Ricci blocks and the minima; the reports are
+bit-identical to standalone calls.
 """
 
 from __future__ import annotations
@@ -37,6 +45,7 @@ from .profiles import ConstructionError, ParameterError, write_csv
 
 
 REFINE_FRAC = 0.01  # share of a piece's width refined geometrically at each end
+BASES_KEPT = 16  # most bases a scan's store keeps, as construction._bubble_base does
 
 
 @dataclass
@@ -215,14 +224,36 @@ def _oracle_errors(metric: WarpedMetric, h_fd: float, samples: list) -> np.ndarr
     return np.concatenate([errs.ravel(), cross])
 
 
+def _base_plans(store: dict, metric: WarpedMetric, top: float) -> dict:
+    """The piece plans of metric's base in store: one dict per (A, B, top),
+    keyed by the identity of the A and B profiles, which the entry holds so
+    that no other profile can take their ids.  A profile's piece on [lo, hi]
+    is fixed by the profile, so a plan keyed by (piece index, lo, hi) within
+    a base always meets the same A and B pieces.  The BASES_KEPT most
+    recently used bases are kept."""
+    key = (id(metric.A), id(metric.B), top)
+    entry = store.pop(key, None) or (metric.A, metric.B, {})
+    store[key] = entry  # now the most recently used
+    if len(store) > BASES_KEPT:
+        del store[next(iter(store))]
+    return entry[2]
+
+
 def verify_ric_lower(
-    metric: WarpedMetric, bound: float, cfg: Optional[GridConfig] = None
+    metric: WarpedMetric, bound: float, cfg: Optional[GridConfig] = None, *,
+    _store: Optional[dict] = None,
 ) -> VerificationReport:
     """Sample every smooth piece of the metric and compare each Ricci block
     minimum against the bound.  Each sampled piece is evaluated once, oracle
     on or off, on its grid, its oracle radii and their stencil_radii: the
     blocks come from the first two, their minima from the grid alone, and
-    the oracle reads the profile values from the third."""
+    the oracle reads the profile values from the third.
+
+    A piece's plan (grid, oracle radii and step, evaluation radii, and the
+    A and B jets there) is taken from _store, scan_params' store for one
+    GridConfig, when the metric's base has it, and filed there otherwise;
+    without _store the call plans in an empty store of its own, and files
+    no jets, which no later piece of the call reads."""
     cfg = cfg or GridConfig()
     counts = ("points_per_piece", "refine_factor") + (("n_oracle",) if cfg.oracle else ())
     for name in counts:
@@ -238,14 +269,25 @@ def verify_ric_lower(
         lo, hi = max(plo, lo_clip), min(phi_, hi_clip)
         if lo < hi:
             spans.append((i, lo, hi, forms))
-    grids = _piece_grids([s[1] for s in spans], [s[2] for s in spans], cfg, hi_clip)
-    for (i, lo, hi, forms), rs in zip(spans, grids):
+    plans = _base_plans({} if _store is None else _store, metric, hi_clip)
+    new = [s for s in spans if s[:3] not in plans]
+    grids = _piece_grids([s[1] for s in new], [s[2] for s in new], cfg, hi_clip)
+    for (i, lo, hi, _), rs in zip(new, grids):
+        radii, h_fd = _oracle_radii(lo, hi, i, cfg) if rs.size else (rs, 0.0)
+        at = np.concatenate([rs, radii, stencil_radii(radii, h_fd).ravel()]) if radii.size else rs
+        plans[i, lo, hi] = [rs, radii, h_fd, at, None]  # A and B jets from the first evaluation
+    for i, lo, hi, forms in spans:
+        plan = plans[i, lo, hi]
+        rs, radii, h_fd, at, ab = plan
         if rs.size == 0:
             continue
-        radii, h_fd = _oracle_radii(lo, hi, i, cfg)
+        if ab is None:
+            jets = berger_jets(*forms, at)
+            if _store is not None:  # holding a call's own jets to its end costs ~4% of it
+                plan[4] = jets[:2]
+        else:
+            jets = (*ab, forms[2](at))
         m = rs.size + radii.size  # blocks at the grid and the oracle radii only
-        at = np.concatenate([rs, radii, stencil_radii(radii, h_fd).ravel()]) if radii.size else rs
-        jets = berger_jets(*forms, at)
         blocks = ricci_berger(*(Jet2(j.v[:m], j.d1[:m], j.d2[:m]) for j in jets))
         blocks = blocks.as_dict(metric.is_round)
         stats = {}
@@ -289,21 +331,34 @@ def scan_params(
     """Run builder + verifier over the cartesian product of `ranges`.
 
     Failures are data, not errors: each row records whether the build was
-    accepted, the verification verdict and the worst margin per block.
+    accepted, the verification verdict and the worst margin per block.  A
+    row whose build or verify raises a ParameterError, ConstructionError or
+    JetDomainError records it as its error, with passed false and built
+    telling which of the two raised, and the scan goes on.
+
+    The rows share one store of piece plans (see verify_ric_lower), which
+    lives for this call only: a row whose metric has the A and B profiles
+    of an earlier row's (build_bubble's rows that differ only in alpha2 or
+    delta2) reuses that base's grids, oracle radii and A and B jets per
+    (piece index, lo, hi), and a base beyond the BASES_KEPT most recently
+    used is dropped, so a scan whose rows share no base holds at most that
+    many.  Every row equals a standalone verify of its metric, bit for bit.
     """
     keys = sorted(ranges)
-    rows = []
+    rows, store = [], {}
     for combo in itertools.product(*(ranges[k] for k in keys)):
         params = dict(base)
         params.update(dict(zip(keys, combo)))
         row = {k: params[k] for k in keys}
+        metric = None
         try:
             metric = builder(**params)
+            report = verify_ric_lower(metric, bound, cfg, _store=store)
         except (ParameterError, ConstructionError, JetDomainError) as exc:
-            row.update(built=False, error=f"{type(exc).__name__}: {exc}", passed=False)
+            row.update(built=metric is not None, error=f"{type(exc).__name__}: {exc}",
+                       passed=False)
             rows.append(row)
             continue
-        report = verify_ric_lower(metric, bound, cfg)
         block_margin = {}
         for piece in report.pieces:
             for name, stat in piece.blocks.items():

@@ -16,6 +16,9 @@ stdout of each shipped-config invocation (`warpforge <command> -c
 configs/<config>.json`, run by `warpforge.cli.main` in a fresh directory),
 which pins the sups the commands print: the bubble's blow-down stretch,
 the surgeries' bi-Lipschitz ratio and measured Ricci constant.
+scan.json holds the table `warpforge scan -c configs/scan.json` writes
+to its out_report, byte for byte, so every row's margins are pinned to
+the bit, not only the 4 significant digits its stdout prints.
 Regenerate only when a change is meant to alter reports, from the
 repository root:
 
@@ -101,20 +104,34 @@ def descriptor_text(config: str) -> str:
     return file_text(lambda path: write_json(path, metric.descriptor()))
 
 
+def run_cli(command: str, config: str, written=None) -> tuple[int, str, str]:
+    """(exit code, stdout, text of the file named written, or "") of one
+    invocation, run in a fresh directory so that its files land there."""
+    stdout, home = io.StringIO(), os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(stdout):
+        os.chdir(tmp)
+        try:
+            code = cli_main([command, "-c", str(CONFIGS / f"{config}.json")])
+            text = Path(written).read_text() if written else ""
+        finally:
+            os.chdir(home)
+    return code, stdout.getvalue(), text
+
+
 def cli_stdout(invocations=INVOCATIONS) -> dict:
     """{config: {"command", "exit_code", "stdout"}} of each (command, config)
-    invocation, run in a fresh directory so that its files land there."""
-    out, home = {}, os.getcwd()
+    invocation."""
+    out = {}
     for command, config in invocations:
-        stdout = io.StringIO()
-        with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(stdout):
-            os.chdir(tmp)
-            try:
-                code = cli_main([command, "-c", str(CONFIGS / f"{config}.json")])
-            finally:
-                os.chdir(home)
-        out[config] = {"command": command, "exit_code": code, "stdout": stdout.getvalue()}
+        code, stdout, _ = run_cli(command, config)
+        out[config] = {"command": command, "exit_code": code, "stdout": stdout}
     return out
+
+
+def scan_table_text() -> str:
+    """The table the shipped scan writes to its out_report."""
+    written = load_config(CONFIGS / "scan.json", "scan").get("out_report", "scan_report.json")
+    return run_cli("scan", "scan", written)[2]
 
 
 def goldens() -> dict[str, str]:
@@ -125,6 +142,7 @@ def goldens() -> dict[str, str]:
     table = {"grid": TABLE_GRID, "seeds": list(TABLE_SEEDS), "oracle_max_rel_err": oracle_table()}
     texts["oracle_table.json"] = json.dumps(table, indent=2) + "\n"
     texts["cli_stdout.json"] = json.dumps(cli_stdout(), indent=2) + "\n"
+    texts["scan.json"] = scan_table_text()
     return texts
 
 

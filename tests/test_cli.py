@@ -159,6 +159,27 @@ def test_scan_prints_a_boolean_range_value_as_its_table_writes_it(tmp_path, monk
         ["  m=0.001, smooth=true", "  m=0.001, smooth=false"]
 
 
+def test_a_scan_row_whose_verify_raises_is_a_row(tmp_path, monkeypatch, capsys):
+    # with r_min = 500 the r3 = 50 bubble, on [0, 150], leaves the grid no
+    # piece: its verify raised and ended the scan, losing the r3 = 1000 row
+    scan = json.loads((CONFIGS / "scan.json").read_text())
+    code, cfg = run_in(
+        tmp_path, monkeypatch, "scan.json", "scan",
+        patch={"base": {**scan["base"], "alpha2": 0.01}, "ranges": {"r3": [1000, 50]},
+               "grid": {"points_per_piece": 64, "refine_factor": 2, "r_min": 500}},
+    )
+    assert code == 0
+    first, second = strict_json(tmp_path / cfg["out_report"])
+    assert first["built"] and first["error"] is None and first["worst_margin"] < 0
+    error = "ParameterError: the grid samples no piece of bubble in [500, 150]"
+    assert second.pop("error").startswith(error)
+    assert second == {"r3": 50, "built": True, "passed": False}
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("scan: 2 points, 0 passed")
+    assert lines[1].startswith("  r3=1000: FAIL worst margin")
+    assert lines[2].startswith(f"  r3=50: verify error ({error}")
+
+
 def test_scan_table_writes_non_finite_as_null(tmp_path, monkeypatch):
     row = {"alpha2": 0.005, "built": True, "error": None, "passed": False,
            "worst_margin": math.nan, "block_margin": {"rr": -math.inf, "s2": 0.5}}

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from conftest import strict_json
 
+from warpforge import verify
 from warpforge.cli import build, load_config
 from warpforge.construction import build_bubble
 from warpforge.curvature import WarpedMetric, berger_jets, fd_ricci_oracle, ricci_berger
@@ -18,8 +19,10 @@ from warpforge.profiles import (
     ParameterError, Piece, Profile, make_A, make_f2, make_h3, make_lambda, const, radial_grid,
 )
 from warpforge.verify import (
+    BASES_KEPT,
     REFINE_FRAC,
     GridConfig,
+    _base_plans,
     _oracle_radii,
     _piece_grids,
     export_curvature_csv,
@@ -548,6 +551,150 @@ def test_scan_delta2_leaves_base_blocks_unchanged():
     a, b = rows[0]["block_margin"], rows[1]["block_margin"]
     for name in ("rr", "sX", "sYZ"):
         assert a[name] == pytest.approx(b[name], rel=1e-9), name
+
+
+# -- scan rows that share a base reuse its piece plans ---------------------------
+
+SHARED_BASES = dict(alpha2=[0.005, 0.05, 0.2], epsilon=[0.03, 0.07], smooth=[True, False])
+SCAN = json.loads((CONFIGS / "scan.json").read_text())
+
+
+def scanned_reports(monkeypatch, ranges, cfg):
+    """[(metric, report)] of each row a scan_params call verifies; the scan
+    calls verify_ric_lower through the module, as the tracer sees it."""
+    seen, call = [], verify.verify_ric_lower
+
+    def recorded(metric, *args, **kwargs):
+        seen.append((metric, call(metric, *args, **kwargs)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(verify, "verify_ric_lower", recorded)
+    rows = scan_params(bubble_builder, dict(delta2=0.01, m=1e-3, r3=1e3), ranges, 0.0, cfg)
+    monkeypatch.setattr(verify, "verify_ric_lower", call)
+    assert len(rows) == len(seen) and all(row["built"] for row in rows)
+    return seen
+
+
+def hexed(report):
+    """Every float of a report, as float.hex gives it."""
+    return [float.hex(report.oracle_max_rel_err)] + [
+        (p.interval, p.grid, [(k, float.hex(b.min), float.hex(b.argmin), float.hex(b.margin))
+                              for k, b in p.blocks.items()]) for p in report.pieces]
+
+
+@pytest.mark.parametrize("seed", [None, 0, 1, 2, 3])  # None: the oracle off
+def test_scan_rows_equal_standalone_verifies(cold, monkeypatch, seed):
+    # rows that share a base (alpha2 varies over each of the 4 bases) reuse
+    # its grids, oracle radii and A and B jets; each report keeps its bits
+    cfg = GridConfig(points_per_piece=64, refine_factor=2, oracle=seed is not None,
+                     n_oracle=8, seed=seed or 0)
+    seen = scanned_reports(monkeypatch, SHARED_BASES, cfg)
+    assert len(seen) == 12 and len({(id(m.A), id(m.B)) for m, _ in seen}) == 4
+    for metric, report in seen:
+        assert report.oracle_checked == cfg.oracle
+        assert (report.oracle_max_rel_err > 0) == cfg.oracle
+        assert hexed(report) == hexed(verify_ric_lower(metric, 0.0, cfg))
+
+
+def verify_piece_calls(monkeypatch):
+    """A Counter of (id of the piece, first radius) that Piece.__call__
+    counts while a verify_ric_lower call runs (the first radius names the
+    span), and each counted piece by its id."""
+    calls, pieces, inside = Counter(), {}, []
+    piece_call, call = Piece.__call__, verify.verify_ric_lower
+
+    def verifying(*args, **kwargs):
+        inside.append(True)
+        try:
+            return call(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    def counted(self, r):
+        if inside:
+            pieces[id(self)] = self
+            calls[id(self), float(np.ravel(r)[0])] += 1
+        return piece_call(self, r)
+
+    monkeypatch.setattr(verify, "verify_ric_lower", verifying)
+    monkeypatch.setattr(Piece, "__call__", counted)
+    return calls, pieces
+
+
+def shipped_scan(monkeypatch):
+    """(Counter of verify's piece calls, the pieces, metrics) of the shipped
+    scan, as warpforge scan runs it."""
+    metrics = []
+    calls, pieces = verify_piece_calls(monkeypatch)
+    rows = scan_params(lambda **kw: metrics.append(bubble_builder(**kw)) or metrics[-1],
+                       {"smooth": False, **SCAN["base"]}, SCAN["ranges"], SCAN["bound"],
+                       GridConfig(**SCAN["grid"]))
+    assert len(rows) == len(metrics) == 5
+    return calls, pieces, metrics
+
+
+def test_scan_evaluates_a_shared_base_once_per_span(cold, monkeypatch):
+    # the 5 alpha2 rows of the shipped scan share one base: each A or B
+    # piece is evaluated once per span over the scan, f on each span 5 times
+    calls, pieces, metrics = shipped_scan(monkeypatch)
+    assert len({(id(m.A), id(m.B)) for m in metrics}) == 1
+    base = {id(p) for p in metrics[0].A.pieces + metrics[0].B.pieces}
+    warps = {id(p) for m in metrics for p in m.f.pieces}
+    ab = Counter({key: n for key, n in calls.items() if key[0] in base})
+    f = Counter()
+    for (piece, r0), n in calls.items():
+        if piece not in base:
+            assert piece in warps
+            f[r0] += n
+    spans = {r0 for _, r0 in ab}
+    assert len(spans) == len(metrics[0].verification_pieces()) == 4
+    assert set(ab.values()) == {1} and set(f) == spans and set(f.values()) == {5}
+
+
+def test_a_scan_keeps_nothing_for_the_next(cold, monkeypatch):
+    # the store lives for one scan_params call: the second identical scan
+    # (its bases now cached by build_bubble) evaluates as many pieces
+    runs = []
+    for _ in range(2):
+        calls, pieces, _ = shipped_scan(monkeypatch)
+        runs.append(Counter())
+        for (piece, r0), n in calls.items():
+            runs[-1][pieces[piece].name, r0] += n
+        monkeypatch.undo()
+    # f on 4 spans in 5 rows, A and B on 2 spans, their shared pieces on 2
+    assert sum(runs[0].values()) == 4 * 5 + 2 * 2 + 2 and runs[1] == runs[0]
+
+
+def test_the_store_keeps_the_most_recently_used_bases():
+    # base k is metric k's own profile at top 1.0
+    profiles = [Profile([Piece(0.0, 1.0, const, {"value": 1.0 + k})], f"p{k}")
+                for k in range(BASES_KEPT + 1)]
+    metrics = [WarpedMetric(p, p, p, (0.0, 1.0), "m") for p in profiles]
+    store = {}
+    plans = [_base_plans(store, m, 1.0) for m in metrics[:BASES_KEPT]]
+    assert _base_plans(store, metrics[0], 1.0) is plans[0]  # a hit: base 0 is the newest
+    assert _base_plans(store, metrics[0], 2.0) is not plans[0]  # a new base: base 1 goes
+    _base_plans(store, metrics[BASES_KEPT], 1.0)  # a new base: base 2 goes
+    assert len(store) == BASES_KEPT
+    assert _base_plans(store, metrics[0], 1.0) is plans[0]
+    assert _base_plans(store, metrics[3], 1.0) is plans[3]
+    assert _base_plans(store, metrics[1], 1.0) is not plans[1]
+
+
+def test_a_scan_whose_rows_share_no_base_keeps_at_most_bases_kept(cold, monkeypatch):
+    # a sweep over r3 builds a new base on every row
+    sizes, plans = [], verify._base_plans
+
+    def recorded(store, *args):
+        out = plans(store, *args)
+        sizes.append(len(store))
+        return out
+
+    monkeypatch.setattr(verify, "_base_plans", recorded)
+    r3 = [1e3 + 50.0 * k for k in range(BASES_KEPT + 3)]
+    scan_params(bubble_builder, dict(epsilon=0.05, alpha2=0.01, delta2=0.01, smooth=False),
+                {"r3": r3}, 0.0, GridConfig(points_per_piece=16, refine_factor=1))
+    assert sizes == [min(k + 1, BASES_KEPT) for k in range(len(r3))]
 
 
 # -- exports ----------------------------------------------------------------------
