@@ -57,12 +57,14 @@ class ConfigError(ValueError):
 # Physical parameter ranges are the constructors' to check, not the schema's.
 NUMBER, NONNEG, AUTO = "a finite number", "a finite number >= 0", 'a finite number or "auto"'
 FLAG, COUNT, INTEGER, TEXT = "a boolean", "a positive integer", "an integer", "a string"
+NATURAL = "a non-negative integer"
 
 _IS = {  # JSON true/false are not numbers; NaN and infinities are not finite
     NUMBER: lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max,
     NONNEG: lambda v: _IS[NUMBER](v) and v >= 0,
     AUTO: lambda v: v == "auto" or _IS[NUMBER](v),
     INTEGER: lambda v: type(v) is int, COUNT: lambda v: type(v) is int and v >= 1,
+    NATURAL: lambda v: type(v) is int and v >= 0,
     FLAG: lambda v: type(v) is bool, TEXT: lambda v: type(v) is str,
 }
 
@@ -79,7 +81,7 @@ _SURGERY = {"kappa": (NUMBER, True), "f0": (NUMBER, True), "lambda_bound": (NUMB
 _SCAN_POINT = {**_BUBBLE, "r3": (NUMBER, False)}
 _GRID = {"points_per_piece": (COUNT, False), "refine_factor": (COUNT, False),
          "r_min_frac": (NONNEG, False), "oracle": (FLAG, False), "n_oracle": (COUNT, False),
-         "seed": (INTEGER, False), "r_min": (NUMBER, False), "r_max": (NUMBER, False)}
+         "seed": (NATURAL, False), "r_min": (NUMBER, False), "r_max": (NUMBER, False)}
 _OUT = {"grid": (_GRID, False), "out_report": (TEXT, False), "out_csv": (TEXT, False),
         "out_descriptor": (TEXT, False)}
 
@@ -193,8 +195,8 @@ def _surgery_lines(s, report, bound) -> bool:
     min_ric = min(report.block_min(k) for k in ("rr", "s3", "s2"))
     measured = (s.params.lambda_bound - min_ric) / s.params.epsilon
     constant = (s.params.lambda_bound - bound) / s.params.epsilon
-    print(f"delta = {s.params.delta:.8g}; measured Ricci constant C = {measured:.4g} "
-          f"(asserted <= {constant:g})")
+    print(f"delta = {s.metric.f.pieces[0].params['delta']:.8g}; "  # inner cone delta r^alpha
+          f"measured Ricci constant C = {measured:.4g} (asserted <= {constant:g})")
     return ok
 
 

@@ -16,18 +16,19 @@ Three pipelines are assembled from the profile constructors:
 
 Each piece is a rule and its params (see profiles); the rules of the
 surgery's pieces and of the glue's rescaled pieces are defined here, and
-their params hold every value they read, the glue's warp factor included.
+their params hold every value they read, the glue's warp factor included;
+the build records hold inputs only; derived values live in the pieces.
 
 Every profile checks its own C1 joints when it is built, and c1_smooth
-its deviation on 257 radii per window; every other structural claim (the
+its deviation on 255 radii per window; every other structural claim (the
 glue collar's isometry, bi-Lipschitz distortion, blow-down factors) is a
 sampled sup (profiles.sampled_sup), and a failed one names its radius.
 Ricci lower bounds are the verify module's job; nothing here imports it.
 
 build_bubble memoizes what no warp parameter enters, in two bounded
-caches (16 keys each, an int and a float kept apart): the core A, B, h3
-by (m, r1, r3, epsilon), and the base metric.A, metric.B by those and
-smooth.  Scan rows that differ only in alpha2 or delta2 build their base
+caches (16 keys each, an int and a float kept apart): the core A, B, h3,
+h3(r3) by (m, r1, r3, epsilon), and the base metric.A, metric.B by those
+and smooth.  Scan rows that differ only in alpha2 or delta2 build their base
 once and share its Profiles as values, so nothing may mutate a built
 Profile or Piece; a test that patches a builder internal clears both
 caches (_bubble_core.cache_clear(), _bubble_base.cache_clear()).
@@ -82,10 +83,9 @@ def c1_smooth(profile: Profile, windows: list[tuple[float, float]]) -> Profile:
     pair, by the quintic Hermite matching value/d1/d2 at the window ends;
     the result is built, and its joints checked, once.
 
-    The C1 deviation over a window scales like window * |d2 jump| at the
-    joint; a deviation above window * (|d2 jump| + 1e-3) raises
-    SmoothingError, and the measured one is stored in
-    params['smooth_dev@<at>'].
+    The C1 deviation (max |dv| + |dd1| against the profile on a window's
+    255 interior radii) scales like window * |d2 jump| at the joint; one
+    above window * (|d2 jump| + 1e-3) raises SmoothingError.
     """
     pieces, checks, start = [], [], profile.r_min
     for at, window in sorted(windows):
@@ -113,8 +113,7 @@ def c1_smooth(profile: Profile, windows: list[tuple[float, float]]) -> Profile:
         checks.append((at, dev, window * (abs(float(right.d2[0] - left.d2[1])) + 1e-3)))
         pieces += profile.trimmed(start, x0) + [hermite]
         start = x1
-    out = Profile(pieces + profile.trimmed(start, profile.r_max), profile.label,
-                  dict(profile.params))
+    out = Profile(pieces + profile.trimmed(start, profile.r_max), profile.label)
 
     for at, dev, eps_smooth in checks:
         if dev > eps_smooth:
@@ -122,7 +121,6 @@ def c1_smooth(profile: Profile, windows: list[tuple[float, float]]) -> Profile:
                 f"C1 deviation {dev:.3e} exceeds declared degradation {eps_smooth:.3e} "
                 f"at r={at}; use a smaller window"
             )
-        out.params[f"smooth_dev@{at:g}"] = dev
     return out
 
 
@@ -139,7 +137,7 @@ WINDOW_FRAC = 1e-2
 
 @dataclass
 class BubbleParams:
-    """build_bubble's inputs; each derived constant lives in the piece that computes it."""
+    """build_bubble's inputs; each derived constant lives in the piece that holds it."""
 
     m: float
     r1: float
@@ -181,13 +179,13 @@ def _windows(r1: float, r3: float) -> tuple[float, float]:
 
 @functools.lru_cache(maxsize=16, typed=True)
 def _bubble_core(m: float, r1: float, r3: float,
-                 epsilon: float) -> tuple[Profile, Profile, Profile]:
-    """(A, B, h3) of a bubble on [0, 16 r3]: no warp parameter enters them."""
+                 epsilon: float) -> tuple[Profile, Profile, Profile, float]:
+    """(A, B, h3, h3(r3)) of a bubble on [0, 16 r3]: no warp parameter enters them."""
     if not 0.0 < epsilon < 0.1:
         raise ParameterError(f"epsilon = {epsilon} outside (0, 1/10)")
     A = make_A(m, r1, r_max=16.0 * r3)
     B = make_B(m, r1, A)
-    return A, B, make_h3(m, epsilon, r1, r3, A.params["A_r1"])
+    return (A, B, *make_h3(m, epsilon, r1, r3, A))
 
 
 @functools.lru_cache(maxsize=16, typed=True)
@@ -195,7 +193,7 @@ def _bubble_base(m: float, r1: float, r3: float, epsilon: float,
                  smooth: bool) -> tuple[Profile, Profile]:
     """The bubble's base (A, B): the core's A and B up to r1, then h3, with
     the r1 and r3 joints smoothed if smooth."""
-    A, B, h3 = _bubble_core(m, r1, r3, epsilon)
+    A, B, h3, _ = _bubble_core(m, r1, r3, epsilon)
     base_A = Profile(A.trimmed(0.0, r1) + h3.pieces, "bubble_base_A")
     base_B = Profile(B.trimmed(0.0, r1) + h3.pieces, "bubble_base_B")
     if smooth:
@@ -225,7 +223,7 @@ def build_bubble(
 
     Only the warp reads alpha2 and delta2, so the rest is memoized, each
     part for its 16 most recent keys (typed: r3=1000 and r3=1000.0 are two
-    keys): the core (A, B, h3) by (m, r1, r3, epsilon), and the base
+    keys): the core (A, B, h3, h3(r3)) by (m, r1, r3, epsilon), and the base
     (metric.A, metric.B) by those and smooth.  Bubbles built from equal keys
     share their base profiles as values, which nothing may mutate; each
     call builds its own warp f2, f4 and f4's r3 window.  The checks fire
@@ -233,9 +231,9 @@ def build_bubble(
     then the smoothing), so a rejected build raises the same error, and a
     call that raises caches nothing.
     """
-    h3 = _bubble_core(m, r1, r3, epsilon)[2]
+    h3_r3 = _bubble_core(m, r1, r3, epsilon)[3]
     f2 = make_f2(delta2, alpha2, r_max=16.0 * r3)
-    f4 = make_f4(alpha2, delta2, epsilon, r3, h3, f2)
+    f4 = make_f4(alpha2, delta2, epsilon, r3, h3_r3, f2)
     base_A, base_B = _bubble_base(m, r1, r3, epsilon, smooth)
     if smooth:
         f4 = c1_smooth(f4, [(r3, _windows(r1, r3)[1])])
@@ -248,9 +246,8 @@ def bubble_alpha2_for_alpha(alpha: float, epsilon: float, m: float = 1e-3, r1: f
                             r3: float = 1e3) -> float:
     """Invert the exterior-exponent matching formula: the alpha2 that makes
     the bubble's exterior warp exponent equal alpha (defaults as in
-    build_bubble).  It reads h3 from build_bubble's cached core."""
-    h3 = _bubble_core(m, r1, r3, epsilon)[2]
-    t3 = h3.params["h3_r3"] / (1.0 - epsilon)
+    build_bubble).  It reads h3(r3) from build_bubble's cached core."""
+    t3 = _bubble_core(m, r1, r3, epsilon)[3] / (1.0 - epsilon)
     alpha2 = alpha * (1.0 + r3 * r3) / (r3 * t3)
     if not 0.0 < alpha2 <= 0.5:
         raise ParameterError(
@@ -265,7 +262,7 @@ def bubble_alpha2_for_alpha(alpha: float, epsilon: float, m: float = 1e-3, r1: f
 
 @dataclass
 class SurgeryParams:
-    """build_surgery's inputs (r3 resolved) and the delta make_cubic_logwarp returns."""
+    """build_surgery's inputs (r3 resolved); delta is the warp's first piece's."""
 
     lambda_bound: float
     epsilon: float
@@ -275,7 +272,6 @@ class SurgeryParams:
     rho: float
     r_m: float
     r3: float          # cutoff radius of the cone/ambient interpolation
-    delta: float
     eta: float
     kappa: float
     f0: float
@@ -347,7 +343,7 @@ def build_surgery(
     make_model_mu(kappa, r_max=r_max)  # rejects a kappa whose sn vanishes on the ball
     h = make_step2_h(epsilon).pieces[1].params  # the bridge's polynomial, checked when built
     f_plus = Profile([Piece(0.0, r_max, const, {"value": delta_hat * f0})], "f_plus")
-    warp, delta = make_cubic_logwarp(f_plus, alpha, r_m, rho=rho, eta=eta)
+    warp = make_cubic_logwarp(f_plus, alpha, r_m, rho=rho, eta=eta)
     r2 = (1 - rho) * r_m
     if r3 is None:
         r3 = r2 / 5.0
@@ -371,8 +367,7 @@ def build_surgery(
 
     params = SurgeryParams(
         lambda_bound=lambda_bound, epsilon=epsilon, alpha=alpha, r_hat=r_hat,
-        delta_hat=delta_hat, rho=rho, r_m=r_m, r3=r3,
-        delta=delta, eta=eta, kappa=kappa, f0=f0,
+        delta_hat=delta_hat, rho=rho, r_m=r_m, r3=r3, eta=eta, kappa=kappa, f0=f0,
     )
     return SurgeryMetric(WarpedMetric(phi, phi, warp, (0.0, r_max), "surgery"), params)
 
@@ -437,7 +432,7 @@ def glue_bubble(s: SurgeryMetric, b: Bubble) -> WarpedMetric:
     s_B = (r_hat / 2.0) / t_ext
     shift = s_B * tail["R3"]
 
-    delta_I = s.params.delta
+    delta_I = s.metric.f.pieces[0].params["delta"]  # the inner cone's delta r^alpha
     delta_II = tail["delta"] * s_B ** (1.0 - alpha)
     common = min(delta_I, delta_II)
 

@@ -1,10 +1,11 @@
 """Piecewise radial profiles.
 
 Every metric coefficient in this package is a Profile: an ordered list of
-closed-form pieces on [0, r_max], each evaluable to a 2-jet.  A piece is a
-rule and its params: a module-level function rule(rj, **params) and a dict
-holding exactly that function's inputs, so a profile's descriptor (each
-piece's interval, rule name and params) determines it.  Constructors
+closed-form pieces on [0, r_max], each evaluable to a 2-jet, and a label.
+A piece is a rule and its params: a module-level function rule(rj, **params)
+and a dict holding exactly that function's inputs, so a profile's
+descriptor (its label, each piece's interval, rule name and params)
+determines it, and a derived constant is read from its piece.  Constructors
 below build the specific profiles the metric constructions need (Berger
 warp pair A/B, polynomial warp factors, cone-flattening slopes, cutoffs,
 space-form factors, blow-down reparameterizations) and re-verify every
@@ -77,7 +78,7 @@ class Piece:
 @dataclass
 class Profile:
     """Pieces ordered by radius, each breakpoint belonging to the piece on its
-    right.  Called like a Piece: a scalar radius gives 0-d fields.
+    right, and a label.  Called like a Piece: a scalar radius gives 0-d fields.
 
     Every joint is C^1: constructing a profile of two or more pieces runs
     validate_c1, which raises ConstructionError at the first joint that is
@@ -86,7 +87,6 @@ class Profile:
 
     pieces: list[Piece]
     label: str
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if len(self.pieces) > 1:
@@ -366,7 +366,6 @@ def make_A(m: float, r1: float = 2.0, r_max: Optional[float] = None) -> Profile:
             Piece(r1, r_max, affine, {"value": A1, "slope": m, "anchor": r1}),
         ],
         label="A",
-        params={"k": k, "A_r1": A1},
     )
 
 
@@ -385,11 +384,12 @@ def make_B(m: float, r1: float, A: Profile) -> Profile:
     """Plateau b, then a bump bridge with 0 <= B'' <= 4m/r1, then affine = A.
 
     B' on the bridge is m times a C-infinity step, so B'' = m * step' peaks
-    at exactly 4m/r1; b comes from back-integrating to hit A(r1) at r1.
+    at exactly 4m/r1; b comes from back-integrating to hit A(r1) (A's affine
+    piece's value) at r1, and k is the k of A's sin_over_k piece.
     The step's integral is read from a table built once per process
     (_flat_step_integral).
     """
-    k, A1 = A.params["k"], A.params["A_r1"]
+    k, A1 = A.pieces[0].params["k"], A.pieces[1].params["value"]
     L = 0.5 * r1
     T1 = float(_flat_step_integral(1.0)[0])  # = 1/2 up to quadrature
     b = A1 - m * L * T1
@@ -427,9 +427,9 @@ def log_flatten(rj: Jet2, c: float, m: float, A_r1: float, r1: float) -> Jet2:
     return (rj - r1) * m + (rj * jet_ln(rj * (1.0 / r1)) - rj + r1) * c + A_r1
 
 
-def make_h3(m: float, epsilon: float, r1: float, r3: float, A_r1: float) -> Profile:
-    """Cone-flattening slope: h'' = c/r on [r1, r3], affine slope 1-eps after,
-    up to 16 r3.
+def make_h3(m: float, epsilon: float, r1: float, r3: float, A: Profile) -> tuple[Profile, float]:
+    """(h3, h3(r3)): h'' = c/r on [r1, r3] from A(r1), A's affine piece's value,
+    then slope 1-eps from R3 = r3 - h3(r3)/(1-eps) up to 16 r3.
 
     c = (1 - eps - m)/ln(r3/r1) spends the slope budget exactly; the
     constraint r*h'' = c <= 10/ln(r3) is checked, not assumed.
@@ -446,6 +446,7 @@ def make_h3(m: float, epsilon: float, r1: float, r3: float, A_r1: float) -> Prof
             f"minimal r3 is {math.exp(ln_min):.6g}"
         )
 
+    A_r1 = A.pieces[1].params["value"]
     flatten = Piece(r1, r3, log_flatten, {"c": c, "m": m, "A_r1": A_r1, "r1": r1})
     h3_r3 = float(flatten(r3).v)
     R3 = r3 - h3_r3 / (1.0 - epsilon)
@@ -456,20 +457,20 @@ def make_h3(m: float, epsilon: float, r1: float, r3: float, A_r1: float) -> Prof
             Piece(r3, 16.0 * r3, affine, {"value": 0.0, "slope": 1.0 - epsilon, "anchor": R3}),
         ],
         label="h3",
-        params={"R3": R3, "h3_r3": h3_r3},
-    )
+    ), h3_r3
 
 
 def power_tail(rj: Jet2, delta: float, alpha: float, R3: float) -> Jet2:
     return jet_pow(rj - R3, alpha) * delta
 
 
-def make_f4(alpha2: float, delta2: float, epsilon: float, r3: float, h3: Profile,
+def make_f4(alpha2: float, delta2: float, epsilon: float, r3: float, h3_r3: float,
             f2: Profile) -> Profile:
     """Switch the warp to delta*(r - R3)^alpha on [r3, 16 r3], C1 by the
-    matching exponent/coefficient formulas (verified, not trusted)."""
-    h3_r3, R3 = h3.params["h3_r3"], h3.params["R3"]
-    t3 = h3_r3 / (1.0 - epsilon)  # = r3 - R3
+    matching exponent/coefficient formulas (verified, not trusted); h3_r3
+    is make_h3's, and R3 = r3 - h3_r3/(1-eps) has the bits of h3's anchor."""
+    t3 = h3_r3 / (1.0 - epsilon)
+    R3 = r3 - t3
     alpha = alpha2 * (r3 * t3) / (1.0 + r3 * r3)
     delta = delta2 * (1.0 + r3 * r3) ** (0.5 * alpha2) / t3**alpha
     if not (math.isfinite(alpha) and math.isfinite(delta)):
@@ -606,10 +607,10 @@ def make_cubic_logwarp(
     r_m: float,
     rho: float = 1.0 / 32.0,
     eta: float = 0.0,
-) -> tuple[Profile, float]:
+) -> Profile:
     """Warp interpolation delta r^alpha -> f_plus via a cubic in ln f.
 
-    Returns the profile together with delta = f_plus(0) r_m^-alpha e^{2 eta r_m}.
+    delta = f_plus(0) r_m^-alpha e^{2 eta r_m} is the first piece's delta.
     The radial log-concavity f''/f <= -alpha/r^2 on the interpolation interval
     is sampled, and its failure names the fix (smaller r_m).
     """
@@ -653,7 +654,7 @@ def make_cubic_logwarp(
             f"concavity postcondition f''/f <= -alpha/r^2 violated by {worst:.3g} "
             f"at r = {at:.6g} on the interpolation interval; use a smaller r_m"
         )
-    return prof, delta
+    return prof
 
 
 def make_xi(r3: float, r_max: Optional[float] = None) -> Profile:

@@ -53,7 +53,7 @@ class GridConfig:
     """Sampling of verify_ric_lower: per piece, points_per_piece log-spaced
     radii plus max(8 refine_factor, 32) within REFINE_FRAC of its width at
     each end, none below r_min_frac * r_max; with oracle, n_oracle random
-    radii per piece (drawn from seed) are checked against the
+    radii per piece (drawn from seed, >= 0) are checked against the
     finite-difference oracle."""
 
     points_per_piece: int = 4096
@@ -255,11 +255,12 @@ def verify_ric_lower(
     without _store the call plans in an empty store of its own, and files
     no jets, which no later piece of the call reads."""
     cfg = cfg or GridConfig()
-    counts = ("points_per_piece", "refine_factor") + (("n_oracle",) if cfg.oracle else ())
-    for name in counts:
-        count = getattr(cfg, name)
-        if not (isinstance(count, numbers.Integral) and count >= 1):
-            raise ParameterError(f"{name} must be a positive integer, got {count!r}")
+    counts = ("points_per_piece", "refine_factor") + (("n_oracle", "seed") if cfg.oracle else ())
+    for name in counts:  # numpy's generators take seed 0, but no negative seed
+        value, least = getattr(cfg, name), (0 if name == "seed" else 1)
+        if not (isinstance(value, numbers.Integral) and value >= least):
+            kind = "a non-negative" if least == 0 else "a positive"
+            raise ParameterError(f"{name} must be {kind} integer, got {value!r}")
     lo_clip = metric.r_range[0] if cfg.r_min is None else cfg.r_min
     hi_clip = metric.r_range[1] if cfg.r_max is None else cfg.r_max
     pieces = []

@@ -106,7 +106,7 @@ def test_criterion_01_analytic_oracles():
 
 def test_criterion_02_plateau_identity():
     core = build_berger_core(m=1e-3, r1=2.0, r_max=1e3)
-    k = core.A.params["k"]
+    k = core.A.pieces[0].params["k"]
     rs = np.geomspace(1e-3, 0.999, 400)
     plateau_err = float(np.max(np.abs(core.blocks(rs).rr / (k * k) - 1.0)))
     rs = np.geomspace(2.0001, 999.0, 400)
@@ -225,9 +225,10 @@ def test_criterion_06_surgery_contract(surgery):
         for r in (1.0, 1.37, 1.99)
     )
     # item 3: warped-cone interior, bit-exact
+    delta = surgery.metric.f.pieces[0].params["delta"]
     interior_exact = all(
         float(surgery.metric.A(r).v) == (1.0 - p.epsilon) * r
-        and float(surgery.metric.f(r).v) == p.delta * r**p.alpha
+        and float(surgery.metric.f(r).v) == delta * r**p.alpha
         for r in (1e-4, 4.4e-4, 9.9e-4)
     )
     # item 4

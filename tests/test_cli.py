@@ -323,6 +323,9 @@ EXPORT_SURGERY = {"target": "surgery", "kappa": 0.0, "f0": 1.0, "lambda_bound": 
                  id="oracle-string"),
     pytest.param("bubble", shipped("bubble.json", grid={"r_min_frac": -1}), "grid.r_min_frac",
                  id="negative-r-min-frac"),
+    pytest.param("bubble", shipped("bubble.json", grid={"points_per_piece": 64, "oracle": True,
+                                                        "n_oracle": 4, "seed": -5000000}),
+                 "grid.seed", id="negative-seed"),
     pytest.param("surgery", shipped("surgery.json", grid={"bogus": 1}), "bogus",
                  id="unknown-grid-key"),
     pytest.param("limits", shipped("limits.json", j=2.5), "j", id="j-fraction"),

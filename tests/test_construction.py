@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 from conftest import named_radius
 
-from warpforge import construction
+from warpforge import construction, profiles
 from warpforge.construction import (
     Bubble,
+    SmoothingError,
     bilipschitz_check,
     blowdown_lipschitz,
     bubble_alpha2_for_alpha,
@@ -35,6 +36,8 @@ from warpforge.profiles import (
     make_f4,
     make_h3,
     poly_in_t,
+    quintic_hermite_coeffs,
+    smoothing_window,
 )
 from warpforge.jets import JetDomainError, jet_sin
 from warpforge.verify import GridConfig, scan_params, verify_ric_lower
@@ -80,6 +83,15 @@ def test_smoothing_a_one_piece_profile_reports_C1():
     assert out.smoothness == out.descriptor()["smoothness"] == "C1"
 
 
+def window_deviation(profile, hermite):
+    """c1_smooth's C1 deviation, recomputed: max |dv| + |dd1| of a window's
+    Hermite piece against the profile's own dispatch on the window's 255
+    interior radii."""
+    rs = np.linspace(hermite.lo, hermite.hi, 257)[1:-1]
+    new, old = hermite(rs), profile(rs)
+    return float(np.max(np.abs(new.v - old.v) + np.abs(new.d1 - old.d1)))
+
+
 def test_smooth_deviation_scales_with_window_and_jump(bubble_raw):
     # C1 deviation ~ window * |d2 jump| across the joint (pieces 0 and 1
     # meet at r1 = 2)
@@ -87,28 +99,38 @@ def test_smooth_deviation_scales_with_window_and_jump(bubble_raw):
     devs = {}
     for w in (1e-3, 2e-3, 4e-3):
         sm = c1_smooth(base, [(2.0, w)])
-        devs[w] = sm.params["smooth_dev@2"]
+        hermite, = (p for p in sm.pieces if p.name == "smoothing_window")
+        devs[w] = window_deviation(base, hermite)
     jump = abs(float(base.pieces[1](2.0).d2) - float(base.pieces[0](2.0).d2))
     for w, dev in devs.items():
         assert 0.02 * w * jump < dev < w * jump
     assert devs[2e-3] / devs[1e-3] == pytest.approx(2.0, rel=0.05)
 
 
-def test_smooth_deviation_is_read_through_the_profiles_own_dispatch(bubble_raw):
-    # c1_smooth evaluates each side's piece once, with the deviation radii
-    # on its side (the joint's radius on the right): the same bits as
-    # reading the profile itself
-    w1, w3 = construction._windows(2.0, 1e3)
-    metric = bubble_raw.metric
-    for profile, windows in ((metric.A, [(2.0, w1), (1e3, w3)]),
-                             (metric.B, [(2.0, w1), (1e3, w3)]), (metric.f, [(1e3, w3)])):
-        out = c1_smooth(profile, windows)
-        for at, window in windows:
-            hermite, = (p for p in out.pieces if p.params.get("at") == at)
-            rs = np.linspace(at - window, at + window, 257)[1:-1]
-            new, old = hermite(rs), profile(rs)
-            dev = float(np.max(np.abs(new.v - old.v) + np.abs(new.d1 - old.d1)))
-            assert out.params[f"smooth_dev@{at:g}"] == dev, (profile.label, at)
+def test_smoothing_error_names_the_joint_and_its_deviation():
+    # one piece, so no d2 jump: the declared degradation is window * 1e-3,
+    # which the curvature 0.025 * 40^2 of 2 + 0.025 sin(40 r) exceeds at a
+    # window of 0.01 and not at 0.001
+    wavy = Profile([Piece(0.0, 4.0, lambda rj: jet_sin(rj * 40.0) * 0.025 + 2.0)], "wavy")
+    for window, raises in ((0.01, True), (0.001, False)):
+        x0, x1 = 2.0 - window, 2.0 + window
+        ends = wavy(np.array([x0, x1]))
+        coeffs = quintic_hermite_coeffs(x0, ends.v[0], ends.d1[0], ends.d2[0],
+                                        x1, ends.v[1], ends.d1[1], ends.d2[1])
+        reference = Piece(x0, x1, smoothing_window,
+                          {"at": 2.0, "window": window, "coeffs": coeffs})
+        dev, limit = window_deviation(wavy, reference), window * 1e-3
+        if raises:
+            message = (f"C1 deviation {dev:.3e} exceeds declared degradation {limit:.3e} "
+                       f"at r=2.0; use a smaller window")
+            with pytest.raises(SmoothingError) as exc:
+                c1_smooth(wavy, [(2.0, window)])
+            assert str(exc.value) == message
+            assert f"{dev:.3e}" == "2.417e-05"
+        else:
+            out = c1_smooth(wavy, [(2.0, window)])
+            assert dev <= limit
+            assert [p.name for p in out.pieces].count("smoothing_window") == 1
 
 
 def test_smooth_window_cannot_cross_breakpoints(bubble_raw):
@@ -121,8 +143,8 @@ def test_smooth_window_cannot_cross_breakpoints(bubble_raw):
 # -- bubble -------------------------------------------------------------------
 
 def make_f4_of_large_delta2():
-    h3 = make_h3(1e-3, 0.05, 2.0, 1e3, make_A(1e-3, 2.0).params["A_r1"])
-    return make_f4(0.5, 0.9, 0.05, 1e3, h3, make_f2(0.9, 0.5, 1.6e4))
+    _, h3_r3 = make_h3(1e-3, 0.05, 2.0, 1e3, make_A(1e-3, 2.0))
+    return make_f4(0.5, 0.9, 0.05, 1e3, h3_r3, make_f2(0.9, 0.5, 1.6e4))
 
 
 K_R1_OUTSIDE = r"k\*r1 = 1\.57\d* outside \[pi/3, pi/2\)"
@@ -153,7 +175,7 @@ def test_bubble_params_validate_names_the_failing_check(kw, message):
 
 def test_bubble_core_plateau_identity():
     core = build_berger_core(m=1e-3, r1=2.0, r_max=1e3)
-    k = core.A.params["k"]
+    k = core.A.pieces[0].params["k"]
     rs = np.linspace(0.05, 0.999, 200)
     blocks = core.blocks(rs)
     assert np.allclose(blocks.rr, k * k, rtol=1e-12)
@@ -354,6 +376,27 @@ def test_smoothed_scan_varying_only_alpha2_smooths_the_base_once(cold, monkeypat
     assert calls == ["bubble_base_A", "bubble_base_B", "f4", "f4", "f4"]
 
 
+def test_scan_varying_only_alpha2_evaluates_h3_at_r3_once(cold, monkeypatch):
+    # make_h3 evaluates its flattening piece at r3 once, and the core caches
+    # that value beside A, B and h3 for every row's make_f4; re-evaluating
+    # it per row would cost about 31 us a build
+    calls, call = [], Piece.__call__
+
+    def counted(piece, r):
+        if piece.rule is profiles.log_flatten and np.ndim(r) == 0:
+            calls.append(float(r))
+        return call(piece, r)
+
+    monkeypatch.setattr(Piece, "__call__", counted)
+    rows = scan_params(lambda **kw: build_bubble(**kw).metric,
+                       {**BUBBLE_KW, "smooth": False}, {"alpha2": [0.005, 0.02, 0.05]},
+                       0.0, SCAN_GRID)
+    assert [row["built"] for row in rows] == [True] * 3
+    assert calls == [1e3]
+    _, _, h3, h3_r3 = construction._bubble_core(1e-3, 2.0, 1e3, 0.05)
+    assert h3_r3 == float(h3.pieces[0](1e3).v)
+
+
 # -- surgery -------------------------------------------------------------------
 
 def test_surgery_exterior_bit_exact(surgery):
@@ -364,18 +407,19 @@ def test_surgery_exterior_bit_exact(surgery):
 
 
 def test_surgery_interior_cone_bit_exact(surgery):
-    p = surgery.params
+    p, delta = surgery.params, surgery.metric.f.pieces[0].params["delta"]
     for r in (1e-4, 5e-4, 9.9e-4):
         assert float(surgery.metric.A(r).v) == (1.0 - p.epsilon) * r
-        assert float(surgery.metric.f(r).v) == p.delta * r**p.alpha
+        assert float(surgery.metric.f(r).v) == delta * r**p.alpha
 
 
 def test_surgery_delta_formula_and_monotonicity():
     deltas = []
     for dh in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
         s = build_surgery(**{**SURGERY_KW, "delta_hat": dh})
-        assert s.params.delta == pytest.approx(dh * 0.125 ** (-0.01), rel=1e-12)
-        deltas.append(s.params.delta)
+        delta = s.metric.f.pieces[0].params["delta"]  # the inner cone's delta r^alpha
+        assert delta == pytest.approx(dh * 0.125 ** (-0.01), rel=1e-12)
+        deltas.append(delta)
     assert all(a > b for a, b in zip(deltas, deltas[1:]))
 
 
@@ -461,12 +505,15 @@ def test_glue_collar_base_mismatch_names_its_radius(cold, monkeypatch, surgery, 
     assert 0.55e-3 <= named_radius(exc.value) - g.params["shift"] <= 0.95e-3
 
 
-def test_glue_collar_warp_mismatch_names_its_radius(surgery, glued):
-    # a surgery record whose delta is 5e-10 off its warp's: the surgery side
+def test_glue_collar_warp_mismatch_names_its_radius(monkeypatch, glued):
+    # a surgery whose inner cone warp is 5e-10 above the delta r^alpha its
+    # piece's delta says (within the joints' C1 tolerance): the surgery side
     # of the collar [0.75, 0.95] r_hat carries the wrong coefficient
     g, b = glued
-    off = dataclasses.replace(surgery, params=dataclasses.replace(
-        surgery.params, delta=surgery.params.delta * (1 + 5e-10)))
+    power_warp = profiles.power_warp
+    monkeypatch.setattr(profiles, "power_warp",
+                        lambda rj, **kw: power_warp(rj, **kw) * (1 + 5e-10))
+    off = build_surgery(**SURGERY_KW)
     with pytest.raises(ConstructionError, match=r"^collar warp mismatch: relative error "
                                                 r".* > 1e-10 at x = ") as exc:
         glue_bubble(off, b)
@@ -502,7 +549,7 @@ def test_glue_exponent_mismatch_rejected(surgery):
 def test_glue_piece_domain_error_names_the_rule_it_rescales(glued):
     # every glue piece's rule is rescaled: the message names the rule inside,
     # while the descriptor keeps the rule's own name
-    h3 = make_h3(1e-3, 0.05, 2.0, 1e3, make_A(1e-3, 2.0).params["A_r1"])
+    h3, _ = make_h3(1e-3, 0.05, 2.0, 1e3, make_A(1e-3, 2.0))
     (piece,) = _affine_pieces(h3, 2.0, 0.0, 0.0, 100.0)
     message = (r"piece 'rescaled\(log_flatten\)' on \[4, 100\]: "
                r"ln of nonpositive value \(min v=-3\.0, 1 of 1 entries\)")

@@ -1,8 +1,9 @@
 """Source hygiene of src/warpforge: every imported name is used, no
 module checks a condition with `assert`, which `python -O` strips, every
 JSON file is written by verify.write_json, every sampled check goes
-through profiles.sampled_sup, construction does not import verify, and the
-build records hold only their builders' inputs."""
+through profiles.sampled_sup, construction does not import verify, the
+build records hold only their builders' inputs, and a Profile only its
+pieces and label."""
 
 import ast
 import dataclasses
@@ -12,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from warpforge.construction import BubbleParams, SurgeryParams, build_bubble, build_surgery
+from warpforge.profiles import Profile
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "warpforge"
 MODULES = sorted(SRC.glob("*.py"))
@@ -115,8 +117,8 @@ def test_unused_import_is_found():
 
 
 def test_build_records_hold_builder_inputs():
-    # a derived constant lives in the profile or piece that computes it; the
-    # surgery's delta is the one make_cubic_logwarp returns, and has no piece
+    # a derived constant lives in the piece that holds it (the surgery's
+    # delta is the delta of its warp's first piece), not in the record
     def fields(record):
         return {f.name for f in dataclasses.fields(record)}
 
@@ -124,4 +126,10 @@ def test_build_records_hold_builder_inputs():
         return set(inspect.signature(builder).parameters)
 
     assert fields(BubbleParams) == parameters(build_bubble) - {"smooth"}
-    assert fields(SurgeryParams) == parameters(build_surgery) | {"delta"}
+    assert fields(SurgeryParams) == parameters(build_surgery)
+
+
+def test_profile_is_its_pieces_and_label():
+    # what a profile's descriptor holds determines it: no side copy of a
+    # derived constant (k, A(r1), R3, h3(r3), a smoothing deviation)
+    assert {f.name for f in dataclasses.fields(Profile)} == {"pieces", "label"}

@@ -58,12 +58,13 @@ def B(A):
 def test_k_matches_bisection_oracle(A):
     # independent oracle: bisection on cos(k*r1) - m
     k_oracle = bisect_root(lambda k: math.cos(k * R1) - M, 1e-6, math.pi / (2 * R1))
-    assert A.params["k"] == pytest.approx(k_oracle, abs=1e-12)
-    assert A.params["k"] == pytest.approx(0.784898, abs=1e-6)  # frozen from oracle
+    k = A.pieces[0].params["k"]  # sin_over_k's
+    assert k == pytest.approx(k_oracle, abs=1e-12)
+    assert k == pytest.approx(0.784898, abs=1e-6)  # frozen from oracle
 
 
 def test_A_value_at_r1_trig_identity(A):
-    k = A.params["k"]
+    k = A.pieces[0].params["k"]
     assert float(A(R1).v) == pytest.approx(math.sqrt(1 - M * M) / k, rel=1e-12)
 
 
@@ -90,7 +91,7 @@ def test_B_bridge_endpoint_slopes(B):
 
 def test_B_plateau_bound(B, A):
     # back-integration oracle: b = A(r1) - m * integral of the bridge slope
-    k = A.params["k"]
+    k = A.pieces[0].params["k"]
     b = B.pieces[0].params["value"]
     assert b > 1.0 / (2 * k)
     assert 1.0 / (2 * k) == pytest.approx(0.637024, abs=1e-5)
@@ -192,7 +193,7 @@ def test_f2_jets_match_fd():
 # -- make_h3 ------------------------------------------------------------------
 
 def test_h3_budget_arithmetic(A):
-    h3 = make_h3(M, 0.05, R1, 1e6, A.params["A_r1"])
+    h3, _ = make_h3(M, 0.05, R1, 1e6, A)
     c = h3.pieces[0].params["c"]
     assert c == pytest.approx((1 - 0.05 - M) / math.log(5e5), rel=1e-12)
     assert c == pytest.approx(0.0723191, abs=1e-6)  # frozen: direct arithmetic
@@ -200,13 +201,13 @@ def test_h3_budget_arithmetic(A):
 
 
 def test_h3_terminal_slope(A):
-    h3 = make_h3(M, 0.05, R1, 1e3, A.params["A_r1"])
+    h3, _ = make_h3(M, 0.05, R1, 1e3, A)
     assert float(h3(1e3).d1) == pytest.approx(1 - 0.05, rel=1e-12)
     assert float(h3(5e3).d1) == pytest.approx(1 - 0.05, rel=1e-15)
 
 
 def test_h3_r_h3pp_budget_exact(A):
-    h3 = make_h3(M, 0.05, R1, 1e3, A.params["A_r1"])
+    h3, _ = make_h3(M, 0.05, R1, 1e3, A)
     rs = np.geomspace(R1, 1e3, 2000)[:-1]
     out = h3(rs)
     rh = rs * out.d2
@@ -217,11 +218,11 @@ def test_h3_r_h3pp_budget_exact(A):
 
 def test_h3_infeasible_budget_names_minimal_r3(A):
     with pytest.raises(ParameterError, match="minimal r3"):
-        make_h3(M, 0.05, R1, 2.05, A.params["A_r1"])
+        make_h3(M, 0.05, R1, 2.05, A)
 
 
 def test_h3_jets_match_fd(A):
-    fd_profile_check(make_h3(M, 0.05, R1, 1e3, A.params["A_r1"]), n=100, seed=2)
+    fd_profile_check(make_h3(M, 0.05, R1, 1e3, A)[0], n=100, seed=2)
 
 
 # -- make_f4 ------------------------------------------------------------------
@@ -229,9 +230,9 @@ def test_h3_jets_match_fd(A):
 @pytest.fixture(scope="module")
 def f4_pair(A):
     eps, alpha2, delta2, r3 = 0.05, 0.01, 0.01, 1e3
-    h3 = make_h3(M, eps, R1, r3, A.params["A_r1"])
+    h3, h3_r3 = make_h3(M, eps, R1, r3, A)
     f2 = make_f2(delta2, alpha2, r_max=16 * r3)
-    f4 = make_f4(alpha2, delta2, eps, r3, h3, f2)
+    f4 = make_f4(alpha2, delta2, eps, r3, h3_r3, f2)
     return h3, f4
 
 
@@ -247,7 +248,8 @@ def test_f4_c1_matching(f4_pair):
 def test_f4_alpha_below_alpha2_and_R3_positive(f4_pair):
     h3, f4 = f4_pair
     assert f4.pieces[-1].params["alpha"] < 0.01
-    assert h3.params["R3"] > 0
+    # f4's tail and h3's affine piece hold the same R3, to the bit
+    assert f4.pieces[-1].params["R3"] == h3.pieces[-1].params["anchor"] > 0
 
 
 def test_f4_jets_match_fd(f4_pair):
@@ -258,10 +260,10 @@ def test_f4_jets_match_fd(f4_pair):
 def test_f4_non_finite_exponent_names_r3(A):
     # at r3 = 1e300, r3^2 overflows and the matching exponent is inf/inf
     eps, alpha2, delta2, r3 = 0.05, 0.01, 0.01, 1e300
-    h3 = make_h3(M, eps, R1, r3, A.params["A_r1"])
+    _, h3_r3 = make_h3(M, eps, R1, r3, A)
     f2 = make_f2(delta2, alpha2, r_max=16 * r3)
     with pytest.raises(ParameterError, match="r3 = 1e[+]300"):
-        make_f4(alpha2, delta2, eps, r3, h3, f2)
+        make_f4(alpha2, delta2, eps, r3, h3_r3, f2)
 
 
 # -- make_lambda --------------------------------------------------------------
@@ -327,8 +329,8 @@ def constant_profile(c, r_max=2.0, label="fplus"):
 
 def test_cubic_logwarp_constant_ambient():
     fp = constant_profile(3e-4)
-    prof, delta = make_cubic_logwarp(fp, alpha=0.01, r_m=0.125, eta=0.0)
-    assert delta == pytest.approx(3e-4 * 0.125 ** (-0.01), rel=1e-12)
+    prof = make_cubic_logwarp(fp, alpha=0.01, r_m=0.125, eta=0.0)
+    assert prof.pieces[0].params["delta"] == pytest.approx(3e-4 * 0.125 ** (-0.01), rel=1e-12)
     r2, r2p = (1 - 1 / 32) * 0.125, (1 + 1 / 32) * 0.125
     for r, side in ((r2, 0), (r2p, 1)):
         left = prof.pieces[side](r)
@@ -339,7 +341,7 @@ def test_cubic_logwarp_constant_ambient():
 
 def test_cubic_logwarp_left_log_slope():
     fp = constant_profile(3e-4)
-    prof, _ = make_cubic_logwarp(fp, alpha=0.01, r_m=0.125, eta=0.0)
+    prof = make_cubic_logwarp(fp, alpha=0.01, r_m=0.125, eta=0.0)
     r2 = (1 - 1 / 32) * 0.125
     out = prof.pieces[1](r2)  # interpolation side
     assert float(out.d1 / out.v) == pytest.approx(0.01 / r2, rel=1e-9)
@@ -347,7 +349,7 @@ def test_cubic_logwarp_left_log_slope():
 
 def test_cubic_logwarp_concavity_bound():
     fp = constant_profile(3e-4)
-    prof, _ = make_cubic_logwarp(fp, alpha=0.01, r_m=0.125, eta=0.0)
+    prof = make_cubic_logwarp(fp, alpha=0.01, r_m=0.125, eta=0.0)
     r2, r2p = (1 - 1 / 32) * 0.125, (1 + 1 / 32) * 0.125
     rs = np.linspace(r2, r2p, 10_000)[1:-1]
     out = prof(rs)

@@ -189,6 +189,15 @@ def test_oracle_sample_count_must_be_positive(round_s4, n_oracle):
         verify_ric_lower(round_s4, bound=0.0, cfg=cfg)
 
 
+@pytest.mark.parametrize("seed", [-1, -5_000_000, 2.5])
+def test_oracle_seed_must_be_a_non_negative_integer(round_s4, seed):
+    # a seed from -1 to -1,000,003 ran; below that numpy's generator raised
+    cfg = GridConfig(points_per_piece=64, oracle=True, n_oracle=4, seed=seed)
+    with pytest.raises(ParameterError, match=f"^seed must be a non-negative integer, "
+                                             f"got {seed!r}$"):
+        verify_ric_lower(round_s4, bound=0.0, cfg=cfg)
+
+
 @pytest.mark.parametrize("field, value", [
     ("points_per_piece", -3), ("points_per_piece", 0), ("points_per_piece", 2.5),
     ("refine_factor", 0), ("refine_factor", -4), ("refine_factor", 2.5),
@@ -494,7 +503,7 @@ def test_batched_grids_cut_by_the_floor():
 
 def test_h3_budget_constraint():
     A = make_A(1e-3, 2.0)
-    h3 = make_h3(1e-3, 0.05, 2.0, 1e3, A.params["A_r1"])
+    h3, _ = make_h3(1e-3, 0.05, 2.0, 1e3, A)
     rs = radial_grid(2.0, 1e3, 4096)
     r_h3pp = rs * h3(rs).d2
     assert np.all((0.0 <= r_h3pp) & (r_h3pp <= 10.0 / math.log(1e3)))
