@@ -99,32 +99,13 @@ def jet_var(r: Real) -> Jet2:
 
 
 def jet_pow(base: Jet2, exponent: float) -> Jet2:
-    """base**exponent with exact jet propagation.
-
-    Integer exponents use repeated multiplication, so negative bases are
-    fine there; fractional exponents require base.v > 0.
-    """
-    if float(exponent) == int(exponent):
-        return _int_pow(base, int(exponent))
+    """base**exponent with exact jet propagation; base.v must be positive."""
     _check(base.v, base.v <= 0.0, f"fractional power {exponent} of nonpositive base")
     p = float(exponent)
     w = base.v ** p
     wp = p * base.v ** (p - 1.0)
     wpp = p * (p - 1.0) * base.v ** (p - 2.0)
     return Jet2(w, wp * base.d1, wpp * base.d1 * base.d1 + wp * base.d2)
-
-
-def _int_pow(base: Jet2, n: int) -> Jet2:
-    if n < 0:
-        return 1.0 / _int_pow(base, -n)
-    result = Jet2(np.ones_like(base.v), np.zeros_like(base.v), np.zeros_like(base.v))
-    acc = base
-    while n:
-        if n & 1:
-            result = result * acc
-        acc = acc * acc
-        n >>= 1
-    return result
 
 
 def jet_sqrt(x: Jet2) -> Jet2:

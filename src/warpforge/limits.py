@@ -48,12 +48,17 @@ def schedule(j: int, eps: float, delta: float, lambda_plus: float) -> Schedule:
 
 
 def holder_exponent(delta: float, C: float) -> float:
-    """alpha(delta) = 1 + ln(C)/ln(delta/2); tends to 1 as delta -> 0."""
+    """alpha(delta) = 1 + ln(C)/ln(delta/2); tends to 1 as delta -> 0.  It is
+    positive exactly when C < 2/delta: beyond, the Holder bound is vacuous."""
     if not 0.0 < delta < 1.0:
         raise ParameterError(f"delta = {delta} outside (0, 1)")
     if C < 1.0:
         raise ParameterError(f"C = {C} must be >= 1")
-    return 1.0 + math.log(C) / math.log(delta / 2.0)
+    alpha = 1.0 + math.log(C) / math.log(delta / 2.0)
+    if alpha <= 0.0:
+        raise ParameterError(f"C = {C:g} must be below 2/delta = {2.0 / delta:g}: "
+                             f"the Holder exponent {alpha:.6g} is not positive")
+    return alpha
 
 
 def compose_distortion(r: float, j: int, delta: float, C: float) -> float:

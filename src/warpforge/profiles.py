@@ -436,6 +436,8 @@ def make_h3(m: float, epsilon: float, r1: float, r3: float, A: Profile) -> tuple
     """
     if r3 <= r1:
         raise ParameterError(f"r3 = {r3} must exceed r1 = {r1}")
+    if r3 <= 1.0:
+        raise ParameterError(f"r3 = {r3} must exceed 1, so that the budget 10/ln(r3) is positive")
     c = (1.0 - epsilon - m) / math.log(r3 / r1)
     budget = 10.0 / math.log(r3)
     if c > budget:

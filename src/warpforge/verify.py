@@ -15,8 +15,10 @@ The oracle makes one call per distinct step on those radii of every piece
 A verification piece lies inside one piece of every profile, so its blocks
 come straight from those pieces' closed forms, through berger_jets (a
 piece A and B share is evaluated once); the profiles' own dispatch is
-never used.  All new pieces' grids are built together, in three batched
-np.geomspace calls.
+never used.  verify_ric_lower decides which radii of a piece are sampled
+where it forms its spans (the clip to [r_min, r_max] and the floor), and
+_piece_grids builds every new span's grid together, in three elementwise
+runs of log-spaced radii, so a span's grid is the same in any batch.
 
 A verify_ric_lower call keeps nothing: called on its own, it plans every
 piece in a store of its own, which it drops.  scan_params hands its rows
@@ -50,11 +52,13 @@ BASES_KEPT = 16  # most bases a scan's store keeps, as construction._bubble_base
 
 @dataclass
 class GridConfig:
-    """Sampling of verify_ric_lower: per piece, points_per_piece log-spaced
-    radii plus max(8 refine_factor, 32) within REFINE_FRAC of its width at
-    each end, none below r_min_frac * r_max; with oracle, n_oracle random
-    radii per piece (drawn from seed, >= 0) are checked against the
-    finite-difference oracle."""
+    """Sampling of verify_ric_lower: each piece, clipped to [r_min, r_max],
+    is sampled from the larger of its lower end and the floor
+    r_min_frac * r_max (a piece below the floor is not sampled), inset by
+    1e-12 of that width, with points_per_piece log-spaced radii plus
+    max(8 refine_factor, 32) within REFINE_FRAC of the width at each end;
+    with oracle, n_oracle random radii per piece (drawn from seed, >= 0)
+    are checked against the finite-difference oracle."""
 
     points_per_piece: int = 4096
     refine_factor: int = 16
@@ -153,41 +157,38 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def _geomspace_rows(start: np.ndarray, stop: np.ndarray, n: int) -> np.ndarray:
-    """np.geomspace(start, stop, n, axis=1), each row as its own call gives
-    it: once any row of a call has equal log10 ends, numpy rounds every row
-    of that call differently, so such rows get a call of their own (and an
-    empty set of rows none)."""
-    flat = np.log10(start) == np.log10(stop)
-    out = np.empty((start.size, n))
-    for rows in (flat, ~flat):
-        if rows.any():
-            out[rows] = np.geomspace(start[rows], stop[rows], n, axis=1)
-    return out
+def _log_rows(start: np.ndarray, stop: np.ndarray, n: int) -> np.ndarray:
+    """n radii per row, evenly spaced in log r from start[i] to stop[i], both
+    ends exact (start alone when n = 1), by np.geomspace's own arithmetic
+    (a step in log10 r, then 10**).  Elementwise, so a row's radii are its
+    np.geomspace row's and depend on its own ends alone, whatever rows share
+    the call."""
+    log_start = np.log10(start)[:, None]
+    step = (np.log10(stop)[:, None] - log_start) / max(n - 1, 1)
+    rows = 10.0 ** (log_start + np.arange(n) * step)
+    rows[:, 0] = start
+    if n > 1:
+        rows[:, -1] = stop
+    return rows
 
 
-def _piece_grids(lo, hi, cfg: GridConfig, global_max: float) -> list[np.ndarray]:
-    """The sorted, distinct radii of each span [lo[i], hi[i]), inset by 1e-12
-    of its width and none below cfg.r_min_frac * global_max (empty when the
-    floor cuts the whole span), as GridConfig describes.  Every span shares
-    three batched geomspace calls and gets the radii of its own calls."""
-    lo = np.maximum(np.asarray(lo, dtype=float), cfg.r_min_frac * global_max)
-    hi = np.asarray(hi, dtype=float)
-    live = lo < hi
-    lo, hi = lo[live], hi[live]
-    width = hi - lo
-    a, b = lo + 1e-12 * width, hi - 1e-12 * width
+def _piece_grids(start, stop, cfg: GridConfig) -> list[np.ndarray]:
+    """The sorted, distinct radii of each span [start[i], stop[i]), inset by
+    1e-12 of its width, as GridConfig describes: three runs of _log_rows,
+    the whole span and REFINE_FRAC of its width at each end."""
+    start, stop = np.asarray(start, dtype=float), np.asarray(stop, dtype=float)
+    width = stop - start
+    a, b = start + 1e-12 * width, stop - 1e-12 * width
     n_ref = max(cfg.refine_factor * 8, 32)
     rows = np.concatenate([
-        _geomspace_rows(a, b, cfg.points_per_piece),
-        _geomspace_rows(a, np.minimum(a + REFINE_FRAC * width, b), n_ref),
-        _geomspace_rows(np.maximum(b - REFINE_FRAC * width, a), b, n_ref),
+        _log_rows(a, b, cfg.points_per_piece),
+        _log_rows(a, np.minimum(a + REFINE_FRAC * width, b), n_ref),
+        _log_rows(np.maximum(b - REFINE_FRAC * width, a), b, n_ref),
     ], axis=1)
-    rows.sort(axis=1, kind="stable")  # three sorted runs: a merge, same values
+    rows.sort(axis=1, kind="stable")  # three sorted runs: a merge
     first = np.ones(rows.shape, dtype=bool)
     first[:, 1:] = rows[:, 1:] != rows[:, :-1]
-    grids = iter([row[keep] for row, keep in zip(rows, first)])
-    return [next(grids) if ok else np.array([]) for ok in live]
+    return [row[keep] for row, keep in zip(rows, first)]
 
 
 def _oracle_radii(lo: float, hi: float, piece_index: int,
@@ -224,14 +225,14 @@ def _oracle_errors(metric: WarpedMetric, h_fd: float, samples: list) -> np.ndarr
     return np.concatenate([errs.ravel(), cross])
 
 
-def _base_plans(store: dict, metric: WarpedMetric, top: float) -> dict:
-    """The piece plans of metric's base in store: one dict per (A, B, top),
-    keyed by the identity of the A and B profiles, which the entry holds so
-    that no other profile can take their ids.  A profile's piece on [lo, hi]
-    is fixed by the profile, so a plan keyed by (piece index, lo, hi) within
-    a base always meets the same A and B pieces.  The BASES_KEPT most
-    recently used bases are kept."""
-    key = (id(metric.A), id(metric.B), top)
+def _base_plans(store: dict, metric: WarpedMetric) -> dict:
+    """The piece plans of metric's base in store: one dict per base, keyed
+    by the identity of its A and B profiles, which the entry holds so that
+    no other profile can take their ids.  A profile's piece on [lo, hi] is
+    fixed by the profile, so a plan keyed by (piece index, lo, hi, sampled
+    start) within a base always meets the same A and B pieces and the same
+    radii.  The BASES_KEPT most recently used bases are kept."""
+    key = (id(metric.A), id(metric.B))
     entry = store.pop(key, None) or (metric.A, metric.B, {})
     store[key] = entry  # now the most recently used
     if len(store) > BASES_KEPT:
@@ -244,10 +245,13 @@ def verify_ric_lower(
     _store: Optional[dict] = None,
 ) -> VerificationReport:
     """Sample every smooth piece of the metric and compare each Ricci block
-    minimum against the bound.  Each sampled piece is evaluated once, oracle
-    on or off, on its grid, its oracle radii and their stencil_radii: the
-    blocks come from the first two, their minima from the grid alone, and
-    the oracle reads the profile values from the third.
+    minimum against the bound.  Each piece is clipped to [r_min, r_max] and
+    sampled from the larger of its lower end and the floor r_min_frac *
+    r_max; a piece the floor cuts whole is not sampled, and not reported.
+    Each sampled piece is evaluated once, oracle on or off, on its grid, its
+    oracle radii and their stencil_radii: the blocks come from the first
+    two, their minima from the grid alone, and the oracle reads the profile
+    values from the third.
 
     A piece's plan (grid, oracle radii and step, evaluation radii, and the
     A and B jets there) is taken from _store, scan_params' store for one
@@ -263,25 +267,28 @@ def verify_ric_lower(
             raise ParameterError(f"{name} must be {kind} integer, got {value!r}")
     lo_clip = metric.r_range[0] if cfg.r_min is None else cfg.r_min
     hi_clip = metric.r_range[1] if cfg.r_max is None else cfg.r_max
-    pieces = []
-    samples = {}  # h_fd -> (radii, formula blocks, stencil values) per piece at that step
-    spans = []  # (index among the metric's pieces, lo, hi, (A, B, f) pieces)
+    floor = cfg.r_min_frac * hi_clip
+    spans = []  # (plan key: index among the metric's pieces, lo, hi, sampled start; pieces)
     for i, (plo, phi_, *forms) in enumerate(metric.verification_pieces()):
         lo, hi = max(plo, lo_clip), min(phi_, hi_clip)
-        if lo < hi:
-            spans.append((i, lo, hi, forms))
-    plans = _base_plans({} if _store is None else _store, metric, hi_clip)
-    new = [s for s in spans if s[:3] not in plans]
-    grids = _piece_grids([s[1] for s in new], [s[2] for s in new], cfg, hi_clip)
-    for (i, lo, hi, _), rs in zip(new, grids):
-        radii, h_fd = _oracle_radii(lo, hi, i, cfg) if rs.size else (rs, 0.0)
+        start = max(lo, floor)
+        if start < hi:
+            spans.append(((i, lo, hi, start), forms))
+    if not spans:
+        raise ParameterError(f"the grid samples no piece of {metric.label} in "
+                             f"[{lo_clip:g}, {hi_clip:g}] (r_min_frac = {cfg.r_min_frac:g})")
+    plans = _base_plans({} if _store is None else _store, metric)
+    new = [key for key, _ in spans if key not in plans]
+    grids = _piece_grids([key[3] for key in new], [key[2] for key in new], cfg)
+    for (i, lo, hi, start), rs in zip(new, grids):
+        radii, h_fd = _oracle_radii(lo, hi, i, cfg)
         at = np.concatenate([rs, radii, stencil_radii(radii, h_fd).ravel()]) if radii.size else rs
-        plans[i, lo, hi] = [rs, radii, h_fd, at, None]  # A and B jets from the first evaluation
-    for i, lo, hi, forms in spans:
-        plan = plans[i, lo, hi]
+        plans[i, lo, hi, start] = [rs, radii, h_fd, at, None]  # A and B jets from the first evaluation
+    pieces = []
+    samples = {}  # h_fd -> (radii, formula blocks, stencil values) per piece at that step
+    for (i, lo, hi, start), forms in spans:
+        plan = plans[i, lo, hi, start]
         rs, radii, h_fd, at, ab = plan
-        if rs.size == 0:
-            continue
         if ab is None:
             jets = berger_jets(*forms, at)
             if _store is not None:  # holding a call's own jets to its end costs ~4% of it
@@ -301,9 +308,6 @@ def verify_ric_lower(
             radial = [j.v[m:].reshape(radii.size, -1) for j in jets]
             formula = np.array([v[rs.size:] for v in blocks.values()])
             samples.setdefault(h_fd, []).append((radii, formula, radial))
-    if not pieces:
-        raise ParameterError(f"the grid samples no piece of {metric.label} in "
-                             f"[{lo_clip:g}, {hi_clip:g}] (r_min_frac = {cfg.r_min_frac:g})")
     # np.max, not max: a NaN error must reach the report; 0.0 stays when no
     # piece was wide enough to difference
     errs = [_oracle_errors(metric, h_fd, s) for h_fd, s in samples.items()]

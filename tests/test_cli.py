@@ -352,6 +352,9 @@ EXPORT_SURGERY = {"target": "surgery", "kappa": 0.0, "f0": 1.0, "lambda_bound": 
     pytest.param("bubble", shipped("bubble.json", grid={"r_min_frac": 2.0}), "r_min_frac",
                  id="grid-floor-above-range"),
     pytest.param("bubble", shipped("bubble.json", r3=1e300), "r3", id="non-finite-f4"),
+    pytest.param("bubble", shipped("bubble.json", r3=1.0, r1=0.999), "r3", id="r3-at-1"),
+    pytest.param("limits", shipped("limits.json", C=1e300), "C = 1e+300 must be below 2/delta",
+                 id="limits-C-vacuous"),
     pytest.param("surgery", shipped("surgery.json", r_m=-0.125), "r_m", id="negative-r-m"),
     pytest.param("surgery", shipped("surgery.json", r_m=0), "r_m", id="zero-r-m"),
     pytest.param("surgery", shipped("surgery.json", rho=0), "rho", id="zero-rho"),

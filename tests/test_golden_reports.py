@@ -67,7 +67,7 @@ def test_report_matches_golden(name):
                 # a tie broken differently: the new argmin must be a sample of
                 # this piece whose value ties the golden minimum
                 lo, hi = got["interval"]
-                (rs,) = _piece_grids([lo], [hi], grid, hi_clip)
+                (rs,) = _piece_grids([max(lo, grid.r_min_frac * hi_clip)], [hi], grid)
                 values = metric.blocks(rs).as_dict(metric.is_round)[block]
                 at = rs == stat["argmin"]
                 assert at.any(), (where, block, stat["argmin"])

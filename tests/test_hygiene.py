@@ -69,7 +69,7 @@ def bare_json_writes(source: str) -> list[int]:
 
 # The grids that are not a sampled sup: radial_grid itself, verify's piece
 # grids, c1_smooth's window radii and the CSV export's geomspace
-GRID_SITES = {"radial_grid", "_geomspace_rows", "c1_smooth", "cmd_export"}
+GRID_SITES = {"radial_grid", "_log_rows", "c1_smooth", "cmd_export"}
 
 
 def bare_grids(source: str) -> list[int]:

@@ -133,13 +133,6 @@ def test_fractional_pow_nonpositive_is_domain_error():
         jet_pow(Jet2(-2.0, 1.0, 0.0), 0.5)
 
 
-def test_integer_pow_handles_negative_base():
-    out = jet_pow(jet_var(-2.0), 3)
-    assert out.v == -8.0
-    assert out.d1 == 12.0  # 3x^2
-    assert out.d2 == -12.0  # 6x
-
-
 def test_integer_pow_zero_keeps_the_input_shape():
     # x**0 is the constant jet 1, with fields shaped like x, so a piece whose
     # rule is a zeroth power evaluates on arrays as on scalars

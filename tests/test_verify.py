@@ -23,6 +23,7 @@ from warpforge.verify import (
     REFINE_FRAC,
     GridConfig,
     _base_plans,
+    _log_rows,
     _oracle_radii,
     _piece_grids,
     export_curvature_csv,
@@ -429,17 +430,14 @@ def test_berger_jets_shares_pieces_of_equal_rule_and_params(monkeypatch, command
     assert calls["log_flatten"] == calls["affine"] == 1, calls
 
 
-# -- the batched grid builder against the per-piece reference ------------------
+# -- the span sampler: batched grids against each span alone ---------------------
 
-def piece_grid_reference(lo, hi, cfg, global_max):
-    """One span's grid as verify built it before the grids were batched."""
-    lo_eff = max(lo, cfg.r_min_frac * global_max)
-    if lo_eff >= hi:
-        return np.array([])
-    inset = 1e-12 * (hi - lo_eff)
-    a, b = lo_eff + inset, hi - inset
+def piece_grid_reference(start, stop, cfg):
+    """One span's grid from its sampled start, by per-span np.geomspace calls."""
+    inset = 1e-12 * (stop - start)
+    a, b = start + inset, stop - inset
     base = np.geomspace(a, b, cfg.points_per_piece)
-    width = hi - lo_eff
+    width = stop - start
     n_ref = max(cfg.refine_factor * 8, 32)
     near_lo = np.geomspace(a, min(a + REFINE_FRAC * width, b), n_ref)
     near_hi = np.geomspace(max(b - REFINE_FRAC * width, a), b, n_ref)
@@ -448,7 +446,7 @@ def piece_grid_reference(lo, hi, cfg, global_max):
 
 def random_spans(rng, k):
     """k spans with log-uniform left ends, some at 0 and some of relative
-    width 1e-6; global_max is their largest right end."""
+    width 1e-6."""
     lo = np.exp(rng.uniform(np.log(1e-10), np.log(1e3), k))
     lo[rng.random(k) < 0.2] = 0.0
     rel = np.exp(rng.uniform(np.log(1e-6), np.log(10.0), k))
@@ -458,45 +456,128 @@ def random_spans(rng, k):
 
 
 def random_cases(points):
-    """40 (lo, hi, cfg) batches of random_spans, seeded by points."""
+    """40 (start, stop, cfg) batches of random_spans, seeded by points, each
+    span started at the floor r_min_frac * (largest stop) as verify starts
+    it, and the spans the floor cuts whole left out."""
     rng = np.random.default_rng(points)
     for _ in range(40):
         lo, hi = random_spans(rng, int(rng.integers(1, 12)))
-        yield lo, hi, GridConfig(points_per_piece=points,
-                                 refine_factor=int(rng.choice([1, 4, 16])),
-                                 r_min_frac=float(rng.choice([1e-8, 1e-4, 0.3])))
+        cfg = GridConfig(points_per_piece=points, refine_factor=int(rng.choice([1, 4, 16])),
+                         r_min_frac=float(rng.choice([1e-8, 1e-4, 0.3])))
+        start = np.maximum(lo, cfg.r_min_frac * hi.max())
+        yield start[start < hi], hi[start < hi], cfg
 
 
-# numpy rounds every row of a geomspace call differently once one row has
-# equal log10 ends, as [1e5, 1e5 + 2 ulp] has; its batch-mates must not move
+# [1e5, 1e5 + 2 ulp] has equal log10 ends: a batched np.geomspace call
+# rounds every row differently once it holds such a row
 FLAT_SPAN = (np.array([0.5, 3.0, 1e5, 7e5]),
              np.array([1.0, 7.0, np.nextafter(np.nextafter(1e5, 2e5), 2e5), 9e5]),
              GridConfig(points_per_piece=64, refine_factor=4))
 
 
+def same_bits(got, want):
+    return got.shape == want.shape and np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 @pytest.mark.parametrize("points", [1, 2, 3, 64, 4096, "flat-span"])
 def test_batched_grids_equal_per_piece_reference(points):
+    # a span's grid in any batch is its grid alone, and its np.geomspace grid
     cases = [FLAT_SPAN] if points == "flat-span" else random_cases(points)
-    for trial, (lo, hi, cfg) in enumerate(cases):
-        global_max = float(hi.max())
-        grids = _piece_grids(lo, hi, cfg, global_max)
-        assert len(grids) == lo.size
-        for l, h, got in zip(lo, hi, grids):
-            want = piece_grid_reference(l, h, cfg, global_max)
-            assert got.shape == want.shape and np.array_equal(
-                got.view(np.uint64), want.view(np.uint64)), (trial, l, h, cfg)
+    for trial, (start, stop, cfg) in enumerate(cases):
+        grids = _piece_grids(start, stop, cfg)
+        assert len(grids) == start.size
+        for a, b, got in zip(start, stop, grids):
+            (alone,) = _piece_grids([a], [b], cfg)
+            assert same_bits(got, alone), (trial, a, b, cfg)
+            assert same_bits(got, piece_grid_reference(a, b, cfg)), (trial, a, b, cfg)
 
 
-def test_batched_grids_cut_by_the_floor():
-    # a span below the floor is empty, a span across it starts at the floor
+@pytest.mark.parametrize("points", [1, 2, 3, 64, 4096, "flat-span"])
+def test_grids_are_sorted_distinct_with_exact_ends(points):
+    cases = [FLAT_SPAN] if points == "flat-span" else random_cases(points)
+    for trial, (start, stop, cfg) in enumerate(cases):
+        for a, b, rs in zip(start, stop, _piece_grids(start, stop, cfg)):
+            inset = 1e-12 * (b - a)
+            assert rs[0] == a + inset and rs[-1] == b - inset, (trial, a, b, cfg)
+            assert np.all(np.diff(rs) > 0), (trial, a, b, cfg)
+
+
+def test_log_rows_are_log_spaced_with_exact_ends():
+    start, stop = np.array([1e-7, 2.0, 5.0]), np.array([3e-2, 1e30, 5.0])
+    assert np.array_equal(_log_rows(start, stop, 1), start[:, None])
+    rows = _log_rows(start, stop, 9)
+    assert np.array_equal(rows[:, 0], start) and np.array_equal(rows[:, -1], stop)
+    steps = np.diff(np.log(rows[:2]), axis=1)
+    assert np.allclose(steps, np.log(stop / start)[:2, None] / 8, rtol=1e-12, atol=0)
+    assert np.allclose(rows[2], 5.0, rtol=4e-16, atol=0)  # a flat row stays flat
+
+
+def four_piece_cone():
+    """A round metric on [0, 1] with pieces at 1e-3, 5e-3 and 0.5."""
+    edges = [0.0, 1e-3, 5e-3, 0.5, 1.0]
+    phi = Profile([Piece(lo, hi, jet_sin) for lo, hi in zip(edges, edges[1:])], "phi4")
+    f = Profile([Piece(0.0, 1.0, const, {"value": 0.5})], "f4")
+    return WarpedMetric(phi, phi, f, (0.0, 1.0), "cone4")
+
+
+def test_a_span_the_floor_cuts_whole_is_never_planned():
+    # the floor 1e-2 cuts [0, 1e-3] and [1e-3, 5e-3] whole; [5e-3, 0.5]
+    # keeps its interval and is sampled from the floor up
+    metric, store = four_piece_cone(), {}
     cfg = GridConfig(points_per_piece=16, refine_factor=1, r_min_frac=1e-2)
-    lo, hi = np.array([0.0, 1e-3, 5e-3, 0.5]), np.array([1e-3, 5e-3, 0.5, 1.0])
-    grids = _piece_grids(lo, hi, cfg, 1.0)
-    assert [g.size for g in grids[:2]] == [0, 0]
-    assert grids[2][0] == pytest.approx(1e-2) and grids[3].size > 0
-    for l, h, got in zip(lo, hi, grids):
-        assert np.array_equal(got, piece_grid_reference(l, h, cfg, 1.0))
-    assert all(g.size == 0 for g in _piece_grids(lo[:2], hi[:2], cfg, 1.0))
+    report = verify_ric_lower(metric, 0.0, cfg, _store=store)
+    assert [p.interval for p in report.pieces] == [[5e-3, 0.5], [0.5, 1.0]]
+    ((_, _, plans),) = store.values()
+    assert sorted(plans) == [(2, 5e-3, 0.5, 1e-2), (3, 0.5, 1.0, 0.5)]
+    assert plans[2, 5e-3, 0.5, 1e-2][0][0] == pytest.approx(1e-2)
+    assert hexed(report) == hexed(verify_ric_lower(metric, 0.0, cfg))
+
+
+def test_verifies_of_one_base_at_different_r_max_share_one_store_entry():
+    metric, store = four_piece_cone(), {}
+    cfgs = [GridConfig(points_per_piece=16, refine_factor=1, r_min_frac=1e-2, r_max=r_max)
+            for r_max in (1.0, 0.75, 0.25, 1.0)]
+    reports = [verify_ric_lower(metric, 0.0, cfg, _store=store) for cfg in cfgs]
+    assert len(store) == 1
+    # each r_max moves the floor, so [5e-3, 0.5] gets a plan per sampled
+    # start; the last verify plans nothing new
+    ((_, _, plans),) = store.values()
+    assert sorted(plans) == [(1, 1e-3, 5e-3, 2.5e-3), (2, 5e-3, 0.25, 5e-3),
+                             (2, 5e-3, 0.5, 1e-2 * 0.75), (2, 5e-3, 0.5, 1e-2),
+                             (3, 0.5, 0.75, 0.5), (3, 0.5, 1.0, 0.5)]
+    for cfg, report in zip(cfgs, reports):
+        assert hexed(report) == hexed(verify_ric_lower(metric, 0.0, cfg))
+
+
+def test_metrics_that_share_only_a_are_two_bases():
+    # the B jets a plan holds are B's: a metric with the same A and another B
+    # must not reuse them
+    A = four_piece_cone().A
+    B = Profile([Piece(0.0, 1.0, const, {"value": 0.75})], "b")
+    metrics = [WarpedMetric(A, A, B, (0.0, 1.0), "round"),
+               WarpedMetric(A, B, B, (0.0, 1.0), "berger")]
+    cfg, store = GridConfig(points_per_piece=16, refine_factor=1), {}
+    reports = [verify_ric_lower(m, -10.0, cfg, _store=store) for m in metrics]
+    assert len(store) == 2
+    for m, report in zip(metrics, reports):
+        assert hexed(report) == hexed(verify_ric_lower(m, -10.0, cfg))
+
+
+# -- known false PASSes of the sampling rule (ROADMAP item 1) ---------------------
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the global floor r_min_frac * r_max "
+                   "cuts 3 of the 6 pieces whole, and the report drops them")
+def test_a_wide_bubble_is_not_passed_on_half_its_pieces():
+    metric = build_bubble(epsilon=0.05, alpha2=0.05, delta2=0.01, r3=1e30).metric
+    assert not verify_ric_lower(metric, 0.0, GridConfig()).passed
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the inset and refine zones are "
+                   "shares of the span's width, so no sample of [2, 1e30] falls in [2, 20]")
+def test_a_wide_flattening_dip_fails_the_verify():
+    metric = build_bubble(epsilon=0.05, alpha2=0.05, delta2=0.01, r3=1e30, smooth=False).metric
+    assert metric.blocks(np.geomspace(2.0, 20.0, 20001)).rr.min() < -0.005  # the dip is there
+    assert not verify_ric_lower(metric, 0.0, GridConfig(r_min_frac=0)).passed
 
 
 # -- profile bounds, sampled on radial_grid ------------------------------------
@@ -675,19 +756,19 @@ def test_a_scan_keeps_nothing_for_the_next(cold, monkeypatch):
 
 
 def test_the_store_keeps_the_most_recently_used_bases():
-    # base k is metric k's own profile at top 1.0
+    # base k is metric k's own profile
     profiles = [Profile([Piece(0.0, 1.0, const, {"value": 1.0 + k})], f"p{k}")
-                for k in range(BASES_KEPT + 1)]
+                for k in range(BASES_KEPT + 2)]
     metrics = [WarpedMetric(p, p, p, (0.0, 1.0), "m") for p in profiles]
     store = {}
-    plans = [_base_plans(store, m, 1.0) for m in metrics[:BASES_KEPT]]
-    assert _base_plans(store, metrics[0], 1.0) is plans[0]  # a hit: base 0 is the newest
-    assert _base_plans(store, metrics[0], 2.0) is not plans[0]  # a new base: base 1 goes
-    _base_plans(store, metrics[BASES_KEPT], 1.0)  # a new base: base 2 goes
+    plans = [_base_plans(store, m) for m in metrics[:BASES_KEPT]]
+    assert _base_plans(store, metrics[0]) is plans[0]  # a hit: base 0 is the newest
+    _base_plans(store, metrics[BASES_KEPT])  # a new base: base 1 goes
+    _base_plans(store, metrics[BASES_KEPT + 1])  # a new base: base 2 goes
     assert len(store) == BASES_KEPT
-    assert _base_plans(store, metrics[0], 1.0) is plans[0]
-    assert _base_plans(store, metrics[3], 1.0) is plans[3]
-    assert _base_plans(store, metrics[1], 1.0) is not plans[1]
+    assert _base_plans(store, metrics[0]) is plans[0]
+    assert _base_plans(store, metrics[3]) is plans[3]
+    assert _base_plans(store, metrics[1]) is not plans[1]
 
 
 def test_a_scan_whose_rows_share_no_base_keeps_at_most_bases_kept(cold, monkeypatch):
