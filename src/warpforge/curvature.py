@@ -279,14 +279,18 @@ def _derivative(f: np.ndarray, h: float) -> np.ndarray:
     return acc / h
 
 
+@functools.lru_cache(maxsize=8)
 def _chart_angles(h_fd: float) -> tuple:
     """(cos theta, sin theta, sin^2 u) on the 13 x 13 angle stencil of step
     h_fd, which every radius shares: point (i, j) is the base point plus
-    steps i and j."""
+    steps i and j.  Read-only, as they are cached per step."""
     steps = _stencil_steps(h_fd)
     x = (np.array([1.0, _THETA0, _PHI0, _PSI0, _U0, _V0]) + steps[:, None]) + steps
-    return (*_by_value(x[..., 1], math.cos, math.sin),
-            *_by_value(x[..., 4], lambda t: math.sin(t) ** 2))
+    angles = (*_by_value(x[..., 1], math.cos, math.sin),
+              *_by_value(x[..., 4], lambda t: math.sin(t) ** 2))
+    for a in angles:
+        a.flags.writeable = False
+    return angles
 
 
 @functools.lru_cache(maxsize=8)

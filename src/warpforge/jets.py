@@ -6,13 +6,17 @@ runs through Jet2 arithmetic, so derivatives are exact up to floating-point
 rounding (no symbolic algebra, no finite differencing on the main path).
 
 There is one evaluation path, on numpy arrays: jet_var lifts any radius,
-a scalar included, to a 1-d array, and constants (coefficients, lifted
-numbers) stay plain floats that broadcast against it.  Jet2 is a slotted
-class, and only division lifts a constant c to Jet2(c, 0.0, 0.0): j +- c
-moves the value only (j + c keeps a -0.0 derivative that the lifted
-form's + 0.0 made +0.0), c - j takes its derivatives as 0.0 - d, and
-j * c scales each channel.  Every operation is a pure function of its
-inputs and safe for unrestricted parallel use.
+a scalar included, to a 1-d array of values, with the derivatives 1.0 and
+0.0 as plain floats.  Any channel may be such a float (a constant, as
+coefficients and lifted numbers are) that broadcasts against the arrays,
+so a linear step (j * k, j - a, an affine map) makes no array pass for
+d1 or d2; a channel becomes an array once an array enters it.  Jet2 is a
+slotted class, and only division lifts a constant c to Jet2(c, 0.0,
+0.0): j +- c moves the value only (j + c keeps a -0.0 derivative that
+the lifted form's + 0.0 made +0.0), c - j takes its derivatives as
+0.0 - d, and j * c scales each channel.  jet_poly and jet_pow work on the
+value channel alone and apply the chain rule once.  Every operation is a
+pure function of its inputs and safe for unrestricted parallel use.
 """
 
 from __future__ import annotations
@@ -92,19 +96,21 @@ class Jet2:
 
 
 def jet_var(r: Real) -> Jet2:
-    """The identity jet (r, 1, 0) at the evaluation points, as 1-d arrays
-    (a scalar radius becomes one point)."""
-    r = np.array(r, dtype=float, ndmin=1)
-    return Jet2(r, np.ones(r.shape), np.zeros(r.shape))
+    """The identity jet (r, 1, 0) at the evaluation points: r as a 1-d array
+    (a scalar radius becomes one point), and its derivatives the floats 1.0
+    and 0.0, which broadcast as constants do."""
+    return Jet2(np.array(r, dtype=float, ndmin=1), 1.0, 0.0)
 
 
 def jet_pow(base: Jet2, exponent: float) -> Jet2:
-    """base**exponent with exact jet propagation; base.v must be positive."""
+    """base**exponent with exact jet propagation; base.v must be positive.
+    One pow: w = v**p, w' = p w / v and w'' = (p - 1) w' / v, then the
+    chain rule."""
     _check(base.v, base.v <= 0.0, f"fractional power {exponent} of nonpositive base")
     p = float(exponent)
     w = base.v ** p
-    wp = p * base.v ** (p - 1.0)
-    wpp = p * (p - 1.0) * base.v ** (p - 2.0)
+    wp = p * w / base.v
+    wpp = (p - 1.0) * wp / base.v
     return Jet2(w, wp * base.d1, wpp * base.d1 * base.d1 + wp * base.d2)
 
 
@@ -134,8 +140,13 @@ def jet_ln(x: Jet2) -> Jet2:
 
 
 def jet_poly(coeffs, x: Jet2) -> Jet2:
-    """Evaluate a polynomial sum(coeffs[k] * x**k) by Horner's rule."""
-    acc = Jet2(coeffs[-1], 0.0, 0.0)
+    """Evaluate a polynomial sum(coeffs[k] * x**k) by Horner's rule: one
+    recurrence on x.v carries p, p' and p'' (the value has the bits of a
+    plain Horner pass on x.v), then the chain rule is applied once."""
+    t = x.v
+    v, d, dd = coeffs[-1], 0.0, 0.0
     for c in reversed(coeffs[:-1]):
-        acc = acc * x + c
-    return acc
+        dd = dd * t + 2.0 * d
+        d = d * t + v
+        v = v * t + c
+    return Jet2(v, d * x.d1, dd * x.d1 * x.d1 + d * x.d2)

@@ -52,9 +52,11 @@ class ConstructionError(RuntimeError):
 @dataclass
 class Piece:
     """One closed form on [lo, hi]: rule(rj, **params).  rule maps the
-    identity jet of a 1-d array of radii to fields of the same shape, and
-    params holds exactly its other inputs; calling the piece at a radius or
-    an array of radii gives fields of the input's shape (0-d for a scalar)."""
+    identity jet of a 1-d array of radii to fields of the same shape, or to
+    float constants (the identity's own derivatives are), and params holds
+    exactly its other inputs; calling the piece at a radius or an array of
+    radii gives fresh arrays of the input's shape (0-d for a scalar), each
+    float channel filled out with np.full."""
 
     lo: float
     hi: float
@@ -72,7 +74,8 @@ class Piece:
             raise JetDomainError(f"piece '{_rule_label(self.rule, self.params)}' on "
                                  f"[{self.lo:g}, {self.hi:g}]: {e}") from e
         shape = np.shape(r)
-        return Jet2(out.v.reshape(shape), out.d1.reshape(shape), out.d2.reshape(shape))
+        return Jet2(*(np.full(shape, c) if np.ndim(c) == 0 else c.reshape(shape)
+                      for c in (out.v, out.d1, out.d2)))
 
 
 @dataclass
@@ -691,15 +694,19 @@ _MU_SERIES_SWITCH = 1e-3
 
 def sn_over_r(rj: Jet2, kappa: float) -> Jet2:
     """mu(r) = sn_kappa(r)/r, series-evaluated below r = 1e-3; the constant 1
-    when kappa = 0."""
+    when kappa = 0.  Only the branches the radii need are evaluated."""
     if kappa == 0.0:
         return const(rj, 1.0)
+    small = rj.v < _MU_SERIES_SWITCH
+    if not small.any():
+        return sn_jet(kappa, rj) / rj
     series = [1.0, 0.0, -kappa / 6.0, 0.0, kappa**2 / 120.0, 0.0,
               -kappa**3 / 5040.0, 0.0, kappa**4 / 362880.0]
-    small = rj.v < _MU_SERIES_SWITCH
+    ser = jet_poly(series, rj)
+    if small.all():
+        return ser
     safe = Jet2(np.where(small, _MU_SERIES_SWITCH, rj.v), rj.d1, rj.d2)
     closed = sn_jet(kappa, safe) / safe
-    ser = jet_poly(series, rj)
     return Jet2(np.where(small, ser.v, closed.v), np.where(small, ser.d1, closed.d1),
                 np.where(small, ser.d2, closed.d2))
 

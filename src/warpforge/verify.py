@@ -85,7 +85,9 @@ class PieceReport:
 
     @property
     def passed(self) -> bool:
-        return all(b.margin > 0 for b in self.blocks.values())
+        """Every block clears the bound at a finite minimum: a block that
+        overflowed to +inf bounds nothing."""
+        return all(b.margin > 0 and math.isfinite(b.min) for b in self.blocks.values())
 
 
 def _plain(x, leaf=None):

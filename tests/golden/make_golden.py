@@ -26,8 +26,11 @@ repository root:
 
 With --check nothing is written: every golden is regenerated in memory and
 compared byte for byte with the committed file, and the command exits 1
-naming each file that differs.  The golden tests compare at a tolerance,
-so this is the check that a change leaves every report unchanged.
+naming each file that differs.  For each such file it also says how many
+of its numbers moved and the worst move, |new - old| / max(1, |old|), so a
+regeneration can quote what it changed.  The golden tests compare at a
+tolerance, so this is the check that a change leaves every report
+unchanged.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ import dataclasses
 import io
 import json
 import os
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -146,6 +150,23 @@ def goldens() -> dict[str, str]:
     return texts
 
 
+# a number standing alone: the digit of a key such as "s2" is part of the text
+NUMBER = re.compile(r"(?<![\w.])-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
+
+
+def moved(old: str, new: str) -> str:
+    """How many numbers of old moved in new, and the worst move relative to
+    max(1, |old|), when the two texts differ in their numbers alone; else a
+    note that they differ elsewhere."""
+    old_parts, new_parts = NUMBER.split(old), NUMBER.split(new)
+    if old_parts != new_parts:
+        return "text differs outside its numbers"
+    pairs = [(float(a), float(b)) for a, b in zip(NUMBER.findall(old), NUMBER.findall(new))]
+    moves = [abs(b - a) / max(1.0, abs(a)) for a, b in pairs if a != b]
+    return (f"{len(moves)} of {len(pairs)} numbers moved, worst by "
+            f"{max(moves, default=0.0):.2g} of max(1, |x|)")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="Write the golden reports.")
     parser.add_argument("--check", action="store_true",
@@ -157,9 +178,12 @@ def main(argv=None) -> int:
         if not check:
             path.write_text(text)
             print(f"wrote {name}")
-        elif not path.exists() or path.read_bytes() != text.encode():
+        elif not path.exists():
             differ.append(name)
-            print(f"differs: {name}")
+            print(f"differs: {name} (no committed file)")
+        elif path.read_bytes() != text.encode():
+            differ.append(name)
+            print(f"differs: {name} ({moved(path.read_text(), text)})")
     if check and not differ:
         print("every golden is byte-identical")
     return 1 if differ else 0

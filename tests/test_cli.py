@@ -24,6 +24,19 @@ def run_in(tmp_path, monkeypatch, name, command, patch=None):
     return main([command, "-c", str(path)]), cfg
 
 
+def test_an_overflowed_block_minimum_fails_the_surgery(tmp_path, monkeypatch):
+    # delta_hat = 1e-300 makes w*w underflow, so 1/(w*w) and every piece's
+    # s2 minimum are +inf: its margin is positive, but it bounds nothing
+    with np.errstate(divide="ignore"):
+        code, cfg = run_in(tmp_path, monkeypatch, "surgery.json", "surgery",
+                           patch={"delta_hat": 1e-300,
+                                  "grid": {"points_per_piece": 64, "refine_factor": 4}})
+    assert code == 2
+    report = strict_json(tmp_path / cfg["out_report"])
+    assert report["passed"] is False
+    assert [p["blocks"]["s2"]["min"] for p in report["pieces"]] == [None] * len(report["pieces"])
+
+
 def small_grid(cfg):
     cfg = dict(cfg)
     cfg["grid"] = {"points_per_piece": 256, "refine_factor": 4}

@@ -139,18 +139,27 @@ def test_descriptor_determines_the_metric(monkeypatch, config):
 
 
 def test_check_names_each_golden_that_differs(tmp_path, monkeypatch, capsys):
-    texts = {"a.json": "{}", "b.json": '{\n  "x": 1.0\n}'}
+    texts = {"a.json": "{}", "b.json": '{\n  "x": 1.0,\n  "y": [-4.0, 2e-06, 7]\n}',
+             "d.json": '{"s2": 1.5}'}
     monkeypatch.setattr(make_golden, "goldens", lambda: dict(texts))
     monkeypatch.setattr(make_golden, "HERE", tmp_path)
     assert make_golden.main([]) == 0
     assert make_golden.main(["--check"]) == 0
-    # a changed last digit, and a golden that is missing
-    (tmp_path / "b.json").write_text('{\n  "x": 1.0000000000000002\n}')
+    # changed numbers, a golden that is missing, and a changed key; each
+    # differing file says how many numbers moved and the worst move
+    # relative to max(1, |committed|)
+    (tmp_path / "b.json").write_text('{\n  "x": 1.0000000000000002,\n  "y": [-4.5, 3e-06, 7]\n}')
+    (tmp_path / "d.json").write_text('{"s3": 1.5}')
     texts["c.json"] = "[]"
     capsys.readouterr()
     assert make_golden.main(["--check"]) == 1
-    assert capsys.readouterr().out.split("\n")[:2] == ["differs: b.json", "differs: c.json"]
+    assert capsys.readouterr().out.split("\n")[:3] == [
+        "differs: b.json (3 of 4 numbers moved, worst by 0.11 of max(1, |x|))",
+        "differs: d.json (text differs outside its numbers)",
+        "differs: c.json (no committed file)"]
     assert not (tmp_path / "c.json").exists()
+    assert make_golden.moved('[1e-3, 2]', '[0.001, 2]') == \
+        "0 of 2 numbers moved, worst by 0 of max(1, |x|)"
 
 
 def test_cli_stdout_golden_pins_the_printed_sups():

@@ -6,18 +6,22 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from warpforge import profiles
 from warpforge.cli import build, load_config
+from warpforge.construction import ambient, cone
 from warpforge.jets import (
     Jet2,
     JetDomainError,
     jet_exp,
     jet_ln,
+    jet_poly,
     jet_pow,
     jet_sin,
     jet_sinh,
     jet_var,
 )
-from warpforge.profiles import Piece, _flat_step_integral, bump_bridge
+from warpforge.profiles import (Piece, Profile, _MU_SERIES_SWITCH, _flat_step_integral,
+                                affine, bump_bridge, const, poly_in_t, sn_over_r)
 from warpforge.profiles import radial_grid
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -242,3 +246,134 @@ def test_array_and_scalar_agree():
     stencil = r0 * np.unique([(1.0 + i * 1e-4) + j * 1e-4 for i in range(-2, 3)
                               for j in range(-2, 3)])
     _assert_batch_matches_points(metrics["glue"].B, stencil, "glue B stencil")
+
+
+# -- jets that skip what the identity already knows --------------------------
+
+def test_the_identity_jet_has_constant_derivative_channels():
+    x = jet_var(np.array([0.5, 2.0]))
+    assert x.v.tolist() == [0.5, 2.0] and (x.d1, x.d2) == (1.0, 0.0)
+    assert type(x.d1) is float and type(x.d2) is float
+    # linear steps keep them constants: no array pass for d1 or d2
+    for j, d1 in ((x * 3.0, 3.0), ((x - 0.25) * (1.0 / 8.0), 0.125), (x + 1.0, 1.0)):
+        assert (j.d1, j.d2) == (d1, 0.0) and np.ndim(j.d1) == np.ndim(j.d2) == 0
+
+
+def test_poly_of_small_integers_at_dyadic_points_is_exact():
+    # every product and sum is exact, so Horner's p, p' and p'' equal the
+    # closed forms bit for bit, through a linear map t = 2 r - 1 as well
+    coeffs = [3.0, -2.0, 5.0, 1.0, -4.0, 2.0]
+    t = np.arange(-16, 17) / 8.0
+
+    def closed(t, k):  # k-th derivative of sum c_i t^i
+        return sum(c * math.perm(i, k) * t ** (i - k) for i, c in enumerate(coeffs) if i >= k)
+
+    out = jet_poly(coeffs, jet_var(t))
+    for got, k in ((out.v, 0), (out.d1, 1), (out.d2, 2)):
+        assert np.array_equal(_bits(got), _bits(closed(t, k))), k
+    out = jet_poly(coeffs, jet_var((t + 1.0) / 2.0) * 2.0 - 1.0)
+    for got, k in ((out.v, 0), (out.d1, 1), (out.d2, 2)):
+        assert np.array_equal(_bits(got), _bits(closed(t, k) * 2.0 ** k)), k
+
+
+def _horner_by_products(coeffs, x):
+    """Horner's rule with every step a full Jet2 product: the reference."""
+    acc = Jet2(coeffs[-1], 0.0, 0.0)
+    for c in reversed(coeffs[:-1]):
+        acc = acc * x + c
+    return acc
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 5, 8])
+def test_poly_agrees_with_a_product_horner(degree):
+    # the value keeps the reference's bits; each derivative lies within a
+    # few ulps of the sum of its terms' magnitudes
+    rng = np.random.default_rng(40 + degree)
+    coeffs = list(rng.normal(size=degree + 1))
+    x = Jet2(*rng.uniform(-2.0, 2.0, size=(3, 512)))
+    got, want = jet_poly(coeffs, x), _horner_by_products(coeffs, x)
+    assert np.array_equal(_bits(got.v), _bits(want.v))
+    a = np.abs(x.v)
+    p1 = sum(abs(c) * k * a ** (k - 1) for k, c in enumerate(coeffs) if k >= 1)
+    p2 = sum(abs(c) * k * (k - 1) * a ** (k - 2) for k, c in enumerate(coeffs) if k >= 2)
+    scale1 = p1 * np.abs(x.d1)
+    scale2 = p2 * x.d1 * x.d1 + p1 * np.abs(x.d2)
+    ulps = 4 * (degree + 2) * np.finfo(float).eps
+    assert np.all(np.abs(got.d1 - want.d1) <= ulps * scale1)
+    assert np.all(np.abs(got.d2 - want.d2) <= ulps * scale2)
+
+
+def test_pow_matches_the_power_rule():
+    # |ln v| <= 3 keeps the reference's own error, from rounding p - 1 and
+    # p - 2, below an ulp
+    rng = np.random.default_rng(12)
+    v = np.exp(rng.uniform(-3.0, 3.0, size=512))
+    ulps = 6 * np.finfo(float).eps
+    for p in (0.5, 1.7, -0.3, 1e-3, 3.0):
+        out = jet_pow(jet_var(v), p)
+        assert np.array_equal(_bits(out.v), _bits(v ** p))
+        for got, want in ((out.d1, p * v ** (p - 1.0)), (out.d2, p * (p - 1.0) * v ** (p - 2.0))):
+            assert np.all(np.abs(got - want) <= ulps * np.abs(want)), p
+    with pytest.raises(JetDomainError):
+        jet_pow(jet_var(np.array([1.0, 0.0])), 0.5)
+    with pytest.raises(JetDomainError):
+        jet_pow(Jet2(np.array([-2.0]), 1.0, 0.0), 2.0)
+
+
+# pieces whose rules leave channels constant: the identity jet itself, and
+# a rule whose channels are all constants
+LINEAR_PIECES = [
+    Piece(0.0, 2.0, const, {"value": 1.5}),
+    Piece(0.0, 2.0, affine, {"value": 0.5, "slope": 2.0, "anchor": 1.0}),
+    Piece(0.0, 2.0, cone, {"angle": 0.98}),
+    Piece(0.0, 2.0, ambient, {"kappa": 0.0}),
+    Piece(0.0, 2.0, poly_in_t, {"coeffs": [2.5], "x0": 0.0, "L": 2.0}),
+]
+
+
+@pytest.mark.parametrize("case", ["bubble", "surgery", "surgery_curved", "glue", "linear"])
+def test_every_rule_gives_arrays_shaped_like_its_input(case):
+    # each piece of a shipped config's profiles, and the linear pieces, at a
+    # scalar (0-d), 1-d, empty and 2-d radii, through the piece and a
+    # one-piece profile: each channel is a fresh array with the point's bits
+    if case == "linear":
+        pieces = LINEAR_PIECES
+    else:
+        command = case.split("_")[0]
+        _, metric, _, _ = build(command, load_config(CONFIGS / f"{case}.json", command))
+        pieces = [piece for prof in metric.profiles().values() for piece in prof.pieces]
+    for piece in pieces:
+        where = f"{piece.name} on [{piece.lo:g}, {piece.hi:g}]"
+        lo = piece.lo if piece.lo > 0 else 1e-3 * piece.hi
+        rs = np.geomspace(lo, piece.hi, 8)[1:-1]
+        ref = piece(rs)
+        for call in (piece, Profile([piece], "one")):
+            for r, want in ((rs[2], slice(2, 3)), (rs, slice(None)), (rs[:0], slice(0, 0)),
+                            (rs[:6].reshape(2, 3), slice(0, 6)),
+                            (np.empty((0, 2)), slice(0, 0))):
+                out = call(r)
+                for got, full in ((out.v, ref.v), (out.d1, ref.d1), (out.d2, ref.d2)):
+                    assert isinstance(got, np.ndarray) and got.shape == np.shape(r), where
+                    assert np.array_equal(_bits(got.ravel()), _bits(full[want])), where
+                    assert not np.shares_memory(got, rs), where
+
+
+@pytest.mark.parametrize("kappa", [0.8, -0.8])
+def test_mu_evaluates_each_branch_only_where_needed(kappa, monkeypatch):
+    # radii on one side of the switch evaluate that side's branch alone,
+    # and a batch that straddles it equals each radius alone, bit for bit
+    calls = []
+    monkeypatch.setattr(profiles, "jet_poly", lambda *a: calls.append("series") or jet_poly(*a))
+    closed = profiles.sn_jet
+    monkeypatch.setattr(profiles, "sn_jet", lambda *a: calls.append("closed") or closed(*a))
+    piece = Piece(0.0, 1.2, sn_over_r, {"kappa": kappa})
+    rs = _MU_SERIES_SWITCH * np.array([0.01, 0.5, 0.999, 1.0, 1.5, 40.0])
+    for part, branches in ((rs[:3], ["series"]), (rs[3:], ["closed"]),
+                           (rs, ["series", "closed"])):
+        calls.clear()
+        out = piece(part)
+        assert calls == branches
+        alone = [piece(float(r)) for r in part]
+        assert np.array_equal(_bits(out.v, out.d1, out.d2),
+                              _bits([p.v for p in alone], [p.d1 for p in alone],
+                                    [p.d2 for p in alone]))

@@ -21,7 +21,9 @@ from warpforge.profiles import (
 from warpforge.verify import (
     BASES_KEPT,
     REFINE_FRAC,
+    BlockStat,
     GridConfig,
+    PieceReport,
     _base_plans,
     _log_rows,
     _oracle_radii,
@@ -234,6 +236,15 @@ def test_report_writes_non_finite_as_null(nan_oracle_report, tmp_path):
     assert written["pieces"][0]["blocks"]["rr"]["margin"] is None
     assert math.isnan(report.oracle_max_rel_err)
     assert written["pieces"][0]["blocks"]["rr"]["min"] == report.pieces[0].blocks["rr"].min
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_a_block_whose_minimum_is_not_finite_does_not_pass(bad):
+    # an inf minimum has an inf margin above any finite bound
+    def stat(vmin):
+        return BlockStat(vmin, 0.5, vmin - (-1.0))
+    assert PieceReport([0.0, 1.0], 8, {"rr": stat(2.0), "s2": stat(3.0)}).passed
+    assert not PieceReport([0.0, 1.0], 8, {"rr": stat(2.0), "s2": stat(bad)}).passed
 
 
 def test_oracle_nothing_checked_reads_zero():
